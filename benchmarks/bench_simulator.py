@@ -51,50 +51,9 @@ def test_gate_level_cycles_per_second(benchmark, circuit, bench_json):
     cycles = benchmark.pedantic(run, rounds=3, iterations=1)
     assert cycles > 1_000
 
-    # Per-engine throughput on a *real* Table 1 workload (the dec-loop
-    # above is active every cycle, which is exactly the profile the
-    # event engine cannot exploit -- it burst-escalates to dense cost).
-    # The headline series stays the dense engine for ledger continuity;
-    # the payload records both engines and the measured speedup.  The
-    # CI-guarded quick gate on the same measurement lives in
-    # bench_engine_event.py.
-    from repro.workloads.registry import BENCHMARKS
-
-    workload = "binSearch"
-    real = assemble(BENCHMARKS[workload].service_source, name=workload)
-    real_cycles = 1_500
-    engines = {}
-    for engine in ("dense", "event"):
-        engine_circuit = compiled_cpu(engine)
-        GateRunner(engine_circuit, real).run(max_cycles=200)  # warm
-        best = None
-        for _ in range(5):
-            runner = GateRunner(engine_circuit, real)
-            ran, seconds = _timed(
-                lambda r=runner: r.run(
-                    max_cycles=real_cycles, stop_at_halt=False
-                )
-            )
-            assert ran == real_cycles
-            if best is None or seconds < best:
-                best = seconds
-        engines[engine] = {
-            "wall_seconds": best,
-            "cycles_per_second": real_cycles / best,
-        }
-
     bench_json(
         "simulator_gate_level",
-        {
-            "cycles": cycles,
-            "engine_workload": workload,
-            "engine_cycles": real_cycles,
-            "engines": engines,
-            "event_speedup": (
-                engines["event"]["cycles_per_second"]
-                / engines["dense"]["cycles_per_second"]
-            ),
-        },
+        {"cycles": cycles},
         wall_seconds=min(times),
         cycles_per_second=cycles / min(times),
     )

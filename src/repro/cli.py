@@ -223,7 +223,7 @@ def cmd_analyze(args) -> int:
     tracker = TaintTracker(
         program,
         policy=_policy(args.policy),
-        circuit=compiled_cpu(getattr(args, "engine", "dense")),
+        circuit=compiled_cpu(),
         max_cycles=args.max_cycles,
         budget=_budget_from(args),
         checkpointer=checkpointer,
@@ -301,7 +301,6 @@ def cmd_analyze_all(args) -> int:
         policy=args.policy,
         max_cycles=args.max_cycles,
         budget=budget,
-        engine=getattr(args, "engine", "dense"),
     )
     rendered = format_json(document)
     if args.output:
@@ -589,7 +588,7 @@ def cmd_perf(args) -> int:
             f"cannot assemble workload {args.workload!r}: {error}",
             path=args.workload,
         ) from error
-    circuit = compiled_cpu(getattr(args, "engine", "dense"))
+    circuit = compiled_cpu()
     runner = GateRunner(circuit, program)
     recorder = PerfAttribution(sample_every=args.sample_every)
     harness = PerfHarness(runner, recorder)
@@ -656,15 +655,6 @@ def cmd_perf(args) -> int:
     )
     print()
     fraction = document["attributed_fraction"]
-    if document["engine"] == "event":
-        evaluated = sum(rank["evals"] for rank in document["ranks"])
-        skipped = document["skipped_evals"]
-        total = evaluated + skipped
-        share = 100 * skipped / total if total else 0.0
-        print(
-            f"event engine: {skipped} of {total} gate evaluations "
-            f"skipped ({share:.1f}%)"
-        )
     print(
         f"attributed {document['attributed_seconds']:.3f}s of "
         f"{document['wall_seconds']:.3f}s wall "
@@ -1001,9 +991,6 @@ def _submission_body(args) -> dict:
         "max_rss_mb": getattr(args, "max_rss_mb", None),
     }
     body["budget"] = {k: v for k, v in budget.items() if v is not None}
-    engine = getattr(args, "engine", "dense")
-    if engine != "dense":
-        body["engine"] = engine
     return body
 
 
@@ -1291,16 +1278,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="analysis/simulation cycle budget",
         )
 
-    def engine_flag(p):
-        p.add_argument(
-            "--engine",
-            choices=["dense", "event"],
-            default="dense",
-            help="gate evaluation engine: dense (default) evaluates "
-            "every gate each pass; event evaluates only gates whose "
-            "inputs changed (bit-identical results)",
-        )
-
     def obs_flags(p):
         p.add_argument(
             "--trace",
@@ -1379,7 +1356,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="machine-readable verdict/violations/stats output",
     )
-    engine_flag(p)
     budget_flags(p)
     p.add_argument(
         "--checkpoint",
@@ -1447,7 +1423,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the aggregate JSON document here",
     )
-    engine_flag(p)
     budget_flags(p)
     p.set_defaults(func=cmd_analyze_all)
 
@@ -1547,7 +1522,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the attribution document to stdout instead of the "
         "summary tables",
     )
-    engine_flag(p)
     p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser(
@@ -1846,7 +1820,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="poll until the verdict and exit with its code",
     )
-    engine_flag(p)
     budget_flags(p)
     service_client_flags(p)
     p.set_defaults(func=cmd_submit)

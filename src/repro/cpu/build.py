@@ -188,15 +188,10 @@ def build_cpu() -> Netlist:
     return b.build()
 
 
-@lru_cache(maxsize=2)
-def compiled_cpu(engine: str = "dense") -> CompiledCircuit:
-    """The compiled LP430 (cached -- elaboration takes a moment).
-
-    One cache slot per evaluation engine: the dense and event circuits
-    share nothing mutable, so analyses with different ``--engine`` flags
-    can coexist in one process.
-    """
-    return CompiledCircuit(build_cpu(), engine=engine)
+@lru_cache(maxsize=1)
+def compiled_cpu() -> CompiledCircuit:
+    """The compiled LP430 (cached -- elaboration takes a moment)."""
+    return CompiledCircuit(build_cpu())
 
 
 def cpu_stats() -> NetlistStats:

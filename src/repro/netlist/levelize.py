@@ -9,9 +9,7 @@ combinational cycle, which is a design error this module diagnoses.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List
 
 from repro.netlist.cells import CONSTANT_CELLS
 from repro.netlist.netlist import Gate, Netlist
@@ -90,66 +88,3 @@ def levelize(netlist: Netlist) -> List[List[Gate]]:
     for level in sorted(levels):
         ordered.append(levels[level])
     return ordered
-
-
-class FanoutIndex:
-    """Net -> consumer lookup in CSR form, for event-driven evaluation.
-
-    ``indptr`` has ``num_nets + 1`` entries; ``consumers[indptr[n]:
-    indptr[n + 1]]`` are the ids (caller-chosen, e.g. global gate
-    numbers in evaluation order) of every consumer reading net *n*.  A
-    gate reading the same net through two input pins appears twice --
-    harmless for dirty marking (setting a flag twice) and cheaper than
-    deduplicating at build time.
-    """
-
-    __slots__ = ("indptr", "consumers")
-
-    def __init__(self, indptr: np.ndarray, consumers: np.ndarray):
-        self.indptr = indptr
-        self.consumers = consumers
-
-    def gather(self, nets: np.ndarray) -> np.ndarray:
-        """All consumer ids of the given nets (concatenated, may repeat).
-
-        Vectorised multi-row CSR gather: cost is proportional to the
-        total fanout of *nets*, not to the circuit size.
-        """
-        starts = self.indptr[nets]
-        counts = self.indptr[nets + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return _EMPTY_CONSUMERS
-        before = np.cumsum(counts) - counts
-        flat = (
-            np.repeat(starts - before, counts)
-            + np.arange(total, dtype=np.int64)
-        )
-        return self.consumers[flat]
-
-
-_EMPTY_CONSUMERS = np.empty(0, dtype=np.int64)
-
-
-def build_fanout_index(
-    num_nets: int,
-    edges: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> FanoutIndex:
-    """Build a :class:`FanoutIndex` from (net column, consumer id) pairs.
-
-    *edges* is a sequence of equal-length array pairs ``(nets, ids)``:
-    consumer ``ids[k]`` reads net ``nets[k]``.  The compiled simulator
-    feeds one pair per (level, cell-type, pin position) input column
-    with global gate numbers as ids.
-    """
-    if edges:
-        all_nets = np.concatenate([nets for nets, _ in edges])
-        all_ids = np.concatenate([ids for _, ids in edges])
-    else:
-        all_nets = np.empty(0, dtype=np.int64)
-        all_ids = np.empty(0, dtype=np.int64)
-    counts = np.bincount(all_nets, minlength=num_nets)
-    indptr = np.zeros(num_nets + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(all_nets, kind="stable")
-    return FanoutIndex(indptr, all_ids[order].astype(np.int64))

@@ -39,11 +39,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 HISTORY_SCHEMA = 3
 
 #: The fastest meaningful benches; the CI perf-smoke gate runs only
-#: these (``repro bench --quick``) to stay under a minute.  The event
-#: engine entry keeps its dense-vs-event speedup under the regression
-#: detector on every CI run.
+#: these (``repro bench --quick``) to stay under a minute.
 QUICK_BENCHES = (
-    "bench_engine_event.py",
     "bench_fig1_glift_nand.py",
     "bench_fig7_tree.py",
 )

@@ -1,22 +1,19 @@
 """Hot-path attribution for the compiled gate-level simulator.
 
-The ROADMAP's dominant open item is making the simulator 1-2 orders of
-magnitude faster (compiled per-rank kernels, event-driven evaluation of
-quiescent cones).  Building either blind would be guesswork: the
-aggregate ``cycles_per_second`` in ``BENCH_simulator_gate_level.json``
-says nothing about *which* ranks or cell types burn the time, nor how
-much of the circuit is quiescent and therefore skippable.
+The aggregate ``cycles_per_second`` in ``BENCH_simulator_gate_level.json``
+says nothing about *which* ranks burn the time, nor how much of the
+circuit is quiescent.  :class:`PerfAttribution` is the evidence layer.
+Armed via :func:`install_perf` (or the :func:`record_perf` context
+manager), the gate kernel in :mod:`repro.sim.compiled` times every rank
+and the recorder accumulates
 
-:class:`PerfAttribution` is the evidence layer.  Armed via
-:func:`install_perf` (or the :func:`record_perf` context manager), the
-evaluation loops in :mod:`repro.sim.compiled` switch to an instrumented
-twin that accumulates
-
-* **per-rank / per-cell-type evaluation time** -- every (level, cell
-  type) group gets a ``perf_counter`` pair per pass, so the report can
-  say "rank 7's XOR2 group is 14% of eval time";
+* **per-rank evaluation time** -- every rank of every evaluation plan
+  is timed on every pass, so the report can say "rank 7 is 14% of eval
+  time".  A rank evaluates all its cell types in one
+  kernel call, so time is not split by cell type; per-cell-type
+  *evaluation counts* (gates x passes) come from the plan's shape;
 * **pass and clock-edge totals** -- the difference between a pass's
-  wall time and the sum of its group times is the interpreter's own
+  wall time and the sum of its rank times is the interpreter's own
   dispatch overhead, reported separately instead of vanishing;
 * **cone activity** -- on sampled full passes (every
   ``sample_every``-th), the recorder diffs the whole code array against
@@ -24,23 +21,13 @@ twin that accumulates
   fan-in cones: how often each cone's *boundary inputs* (flip-flop Qs,
   ports, constants) changed at all (activity), how often they did not
   (the quiescence map), and what fraction of the cone's internal nets
-  toggled (toggle rate).  A cone that is quiescent 95% of the time is
-  exactly what an event-driven backend can skip.
+  toggled (toggle rate).
 
 Everything is exported as one typed JSON document
-(:meth:`PerfAttribution.to_document`, ``schema`` 2) which
+(:meth:`PerfAttribution.to_document`, ``schema`` 3) which
 ``repro perf`` renders as a self-contained HTML treemap
 (:mod:`repro.obs.perfview`).  The instrumentation is opt-in and benched:
 ``benchmarks/bench_perf_attribution.py`` holds the overhead under 15%.
-
-Both evaluation engines feed the same recorder.  The dense engine's
-slots carry seconds only -- its eval counts are reconstructed as
-``gates x passes`` at report time.  The event engine (DESIGN.md section
-13) registers **counted** slots (``[seconds, evals]``) because the
-whole point of that engine is that most gates do *not* run: the report
-shows the actual evaluations, and the ``gates x passes`` reconstruction
-becomes the baseline against which ``skipped`` is derived.  Gates the
-event engine skips are attributed neither time nor evals.
 
 When a taint-provenance recorder is armed at the same time, provenance
 wins (its recording evaluation path is the one running) and the
@@ -51,14 +38,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 #: Document schema version for :meth:`PerfAttribution.to_document`.
-#: Schema 2 adds ``engine``, per-cell ``skipped`` counts and the
-#: top-level ``skipped_evals`` total (event-engine quiescence evidence).
-PERF_SCHEMA = 2
+#: Schema 3 times ranks only: per-cell-type entries carry evaluation
+#: counts, not seconds.
+PERF_SCHEMA = 3
 
 
 class _ConeStats:
@@ -84,21 +71,17 @@ class PerfAttribution:
     """Accumulating/sampling attribution recorder for the simulator.
 
     One instance per measured run.  The compiled circuit calls
-    :meth:`ensure_bound` once, :meth:`group_slots` per evaluation plan,
-    and the slot lists directly from its instrumented inner loop; the
-    cone sampling happens in :meth:`sample` after full passes.
+    :meth:`ensure_bound` once and :meth:`group_slots` per timed pass,
+    and adds rank times straight into the slot list; the cone sampling
+    happens in :meth:`sample` after full passes.
     """
 
     def __init__(self, sample_every: int = 16):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.sample_every = sample_every
-        #: id(levels) -> (slots, meta, kind, [passes], counted); the
-        #: levels list itself is kept alive by the meta entry so ids
-        #: cannot be recycled.
-        self._plans: Dict[int, tuple] = {}
-        #: which evaluation engine fed the recorder (from ensure_bound)
-        self.engine: Optional[str] = None
+        #: evaluation plan -> (per-rank seconds, pass kind, [passes])
+        self._plans: Dict[object, tuple] = {}
         self._bound = None
         self._cones: List[_ConeStats] = []
         self._prev_codes: Optional[np.ndarray] = None
@@ -119,7 +102,6 @@ class PerfAttribution:
         if self._bound is circuit:
             return
         self._bound = circuit
-        self.engine = getattr(circuit, "engine", "dense")
         self._cones = []
         self._prev_codes = None
         netlist = circuit.netlist
@@ -162,52 +144,22 @@ class PerfAttribution:
     # ------------------------------------------------------------------
     # Accumulation API (called from repro.sim.compiled)
     # ------------------------------------------------------------------
-    def group_slots(
-        self,
-        levels,
-        kind: str,
-        counted: bool = False,
-        meta: Optional[list] = None,
-    ) -> list:
-        """Mutable per-group accumulators, created on first sight.
+    def group_slots(self, plan, kind: str) -> List[float]:
+        """The per-rank seconds accumulators of *plan*, created on first
+        sight.
 
-        The returned value is ``slots[level_index][group_index]``; the
-        instrumented loop adds straight into the lists, so the per-group
-        cost is two ``perf_counter`` calls and one float add.
-
-        Dense slots are ``[seconds]``.  With ``counted=True`` (the event
-        engine) each slot is ``[seconds, evals]`` and the caller also
-        accumulates the actual evaluation count.  *meta* overrides the
-        ``(cell type, gates per pass)`` rows derived from *levels* -- the
-        event engine passes its own so a cone-plan pass can be keyed by
-        the plan object while keeping the global (level, group) shape of
-        its sweep; when given, it also defines the slots' shape.
+        The kernel adds each rank's wall time straight into
+        ``slots[rank_index]``, so the per-rank cost is one
+        ``perf_counter`` call and one float add.
         """
-        key = id(levels)
-        plan = self._plans.get(key)
-        if plan is None or plan[1][0] is not levels:
-            if meta is None:
-                meta = [
-                    [
-                        (group.cell_type, len(group.outputs))
-                        for group in groups
-                    ]
-                    for groups in levels
-                ]
-            slots = [
-                [[0.0, 0] if counted else [0.0] for _ in level_meta]
-                for level_meta in meta
-            ]
-            # The strong ref to *levels* keeps its id stable.
-            plan = self._plans[key] = (
-                slots, (levels, meta), kind, [0], counted,
-            )
+        entry = self._plans.get(plan)
+        if entry is None:
+            entry = self._plans[plan] = ([0.0] * len(plan.ranks), kind, [0])
         # Called exactly once per timed pass: the pass count times each
-        # group's gate count reconstructs the eval counts at report
-        # time (dense), or the skipped baseline (counted), so the hot
-        # loop does not pay a per-group counter add.
-        plan[3][0] += 1
-        return plan[0]
+        # rank's gate counts gives the eval counts at report time, so
+        # the kernel does not pay a per-rank counter add.
+        entry[2][0] += 1
+        return entry[0]
 
     def note_pass(self, kind: str, seconds: float) -> None:
         self.pass_seconds[kind] = (
@@ -259,67 +211,31 @@ class PerfAttribution:
 
     @property
     def attributed_eval_seconds(self) -> float:
-        """Seconds attributed to specific (rank, cell type) groups."""
-        total = 0.0
-        for plan in self._plans.values():
-            for level in plan[0]:
-                for slot in level:
-                    total += slot[0]
-        return total
+        """Seconds attributed to specific ranks."""
+        return sum(sum(entry[0]) for entry in self._plans.values())
 
     def to_document(self) -> dict:
-        """The typed attribution document (``schema`` 2)."""
+        """The typed attribution document (``schema`` 3)."""
         ranks: List[dict] = []
-        cell_types: Dict[str, Dict[str, float]] = {}
-        skipped_total = 0
-        for slots, meta, kind, passes, counted in sorted(
-            self._plans.values(), key=lambda plan: (plan[2], id(plan[1][0]))
+        cell_types: Dict[str, Dict[str, int]] = {}
+        # Full-pass plans first; plans of one kind in first-seen order.
+        for plan, (slots, kind, passes) in sorted(
+            self._plans.items(), key=lambda item: item[1][1]
         ):
-            plan_passes = passes[0]
-            for rank, (level_slots, level_meta) in enumerate(
-                zip(slots, meta[1])
-            ):
+            for index, (rank, seconds) in enumerate(zip(plan.ranks, slots)):
                 cells = {}
-                rank_seconds = 0.0
-                rank_evals = 0
-                rank_skipped = 0
-                gates_per_pass = 0
-                for slot, (cell_type, gates) in zip(
-                    level_slots, level_meta
-                ):
-                    seconds = slot[0]
-                    dense_evals = gates * plan_passes
-                    if counted:
-                        evals = slot[1]
-                        skipped = max(0, dense_evals - evals)
-                    else:
-                        evals = dense_evals
-                        skipped = 0
-                    cells[cell_type] = {
-                        "seconds": seconds,
-                        "evals": evals,
-                        "gates": gates,
-                        "skipped": skipped,
-                    }
-                    rank_seconds += seconds
-                    rank_evals += evals
-                    rank_skipped += skipped
-                    gates_per_pass += gates
-                    aggregate = cell_types.setdefault(
-                        cell_type,
-                        {"seconds": 0.0, "evals": 0, "skipped": 0},
-                    )
-                    aggregate["seconds"] += seconds
+                for cell_type, gates in rank.cells:
+                    evals = gates * passes[0]
+                    cells[cell_type] = {"evals": evals, "gates": gates}
+                    aggregate = cell_types.setdefault(cell_type, {"evals": 0})
                     aggregate["evals"] += evals
-                    aggregate["skipped"] += skipped
-                skipped_total += rank_skipped
+                gates_per_pass = sum(gates for _type, gates in rank.cells)
                 ranks.append(
                     {
                         "kind": kind,
-                        "rank": rank,
-                        "seconds": rank_seconds,
-                        "evals": rank_evals,
-                        "skipped": rank_skipped,
+                        "rank": index,
+                        "seconds": seconds,
+                        "evals": gates_per_pass * passes[0],
                         "gates_per_pass": gates_per_pass,
                         "cells": cells,
                     }
@@ -348,8 +264,6 @@ class PerfAttribution:
         attributed = self.attributed_eval_seconds
         return {
             "schema": PERF_SCHEMA,
-            "engine": self.engine,
-            "skipped_evals": skipped_total,
             "sample_every": self.sample_every,
             "passes": {
                 "full": self._full_passes,

@@ -9,12 +9,12 @@ fonts fetched from anywhere), matching the repo's other reports:
   overhead, clock edges, Python-side SoC work, halt probing);
 * a **rank treemap**: one tile per (pass kind, rank), area proportional
   to its share of attributed evaluation time, shaded by intensity, with
-  the per-cell-type breakdown in the tooltip -- the "where do the
-  cycles go" view that gates the compiled-backend work;
-* per-**cell-type** totals;
+  the rank's per-cell-type gate counts in the tooltip -- the "where do
+  the cycles go" view;
+* per-**cell-type** evaluation counts;
 * the **cone quiescence map**: per output-port fan-in cone, how often
   its boundary inputs changed between samples and how much of it
-  toggles -- the evidence for event-driven evaluation.
+  toggles.
 """
 
 from __future__ import annotations
@@ -121,11 +121,10 @@ def _treemap_html(document: dict) -> str:
         lightness = 78 - round(intensity * 46)
         width = max(2.4, share * 100)
         cells = ", ".join(
-            f"{name}: {stats['seconds'] * 1e3:.2f}ms/"
-            f"{stats['gates']} gate(s)"
+            f"{name}: {stats['gates']} gate(s)"
             for name, stats in sorted(
                 rank["cells"].items(),
-                key=lambda item: -item[1]["seconds"],
+                key=lambda item: -item[1]["gates"],
             )
         )
         kind = rank["kind"]
@@ -148,16 +147,15 @@ def _treemap_html(document: dict) -> str:
 
 def _cell_rows(document: dict) -> str:
     cell_types = document.get("cell_types", {})
-    total = sum(s["seconds"] for s in cell_types.values()) or 1.0
+    total = sum(s["evals"] for s in cell_types.values()) or 1
     rows = []
     for name, stats in sorted(
-        cell_types.items(), key=lambda item: -item[1]["seconds"]
+        cell_types.items(), key=lambda item: -item[1]["evals"]
     ):
         rows.append(
             f"<tr><td class='mono'>{escape(name)}</td>"
-            f"<td class='num'>{_fmt_seconds(stats['seconds'])}</td>"
-            f"<td class='num'>{_fmt_pct(stats['seconds'] / total)}</td>"
-            f"<td class='num'>{stats['evals']:,}</td></tr>"
+            f"<td class='num'>{stats['evals']:,}</td>"
+            f"<td class='num'>{_fmt_pct(stats['evals'] / total)}</td></tr>"
         )
     return "".join(rows)
 
@@ -246,17 +244,17 @@ def build_perf_report(document: dict, title: Optional[str] = None) -> str:
 <h2>Evaluation time by rank</h2>
 {_treemap_html(document)}
 
-<h2>Evaluation time by cell type</h2>
+<h2>Gate evaluations by cell type</h2>
 <table>
-<tr><th>cell type</th><th class='num'>seconds</th>
-<th class='num'>share</th><th class='num'>gate evals</th></tr>
+<tr><th>cell type</th><th class='num'>gate evals</th>
+<th class='num'>share</th></tr>
 {_cell_rows(document)}
 </table>
 
 <h2>Cone quiescence map</h2>
 <p class='legend'>per output-port fan-in cone; <em>quiescent</em> =
 fraction of sampled passes where no boundary input (flip-flop Q, port,
-constant) changed -- the share an event-driven backend could skip.</p>
+constant) changed.</p>
 <table>
 <tr><th>port cone</th><th class='num'>nets</th>
 <th class='num'>inputs</th><th class='num'>depth</th>

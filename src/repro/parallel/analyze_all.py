@@ -58,7 +58,7 @@ def _analyze_one(spec: dict) -> dict:
         with observe(observer):
             result = TaintTracker(
                 program,
-                circuit=compiled_cpu(spec.get("engine", "dense")),
+                circuit=compiled_cpu(),
                 policy=_policy(spec["policy"]),
                 max_cycles=spec["max_cycles"],
                 budget=budget,
@@ -165,16 +165,13 @@ def run_analyze_all(
     policy: str = "untrusted",
     max_cycles: int = 1_000_000,
     budget: Optional[dict] = None,
-    engine: str = "dense",
 ) -> dict:
     """Analyze every workload (one serial analysis per worker process)
     and return the aggregate document.
 
     ``budget`` is an :class:`AnalysisBudget` kwargs dict applied *per
     workload* (each analysis gets its own fresh instance, so a deadline
-    bounds each workload, not the sweep).  ``engine`` selects the gate
-    evaluation engine (``dense`` | ``event``) for every workload;
-    verdicts are bit-identical either way.
+    bounds each workload, not the sweep).
     """
     jobs = max(1, int(jobs))
     specs = [
@@ -183,7 +180,6 @@ def run_analyze_all(
             "policy": policy,
             "max_cycles": max_cycles,
             "budget": dict(budget or {}),
-            "engine": engine,
         }
         for name in workloads
     ]
@@ -193,7 +189,7 @@ def run_analyze_all(
     # process-wide cache and skip their own levelization entirely.
     from repro.cpu import compiled_cpu
 
-    compiled_cpu(engine)
+    compiled_cpu()
 
     if jobs == 1 or len(specs) <= 1:
         results = [_analyze_one(spec) for spec in specs]
@@ -216,7 +212,6 @@ def run_analyze_all(
         "jobs": jobs,
         "policy": policy,
         "max_cycles": max_cycles,
-        "engine": engine,
         "budget": dict(budget or {}),
         "workloads": results,
         "metrics": merged.snapshot(),

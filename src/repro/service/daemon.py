@@ -234,12 +234,9 @@ class AnalysisService:
         max_cycles: int = 1_000_000,
         budget: Optional[Dict[str, Any]] = None,
         fault_injection: Optional[Dict[str, Any]] = None,
-        engine: str = "dense",
     ) -> JobRecord:
         if policy not in ("untrusted", "secret"):
             raise ValueError(f"unknown policy {policy!r} (untrusted|secret)")
-        if engine not in ("dense", "event"):
-            raise ValueError(f"unknown engine {engine!r} (dense|event)")
         with self.lock:
             if self.draining:
                 raise Draining("service is draining; resubmit elsewhere")
@@ -261,7 +258,6 @@ class AnalysisService:
                 ),
                 max_attempts=self.config.max_attempts,
                 fault_injection=fault_injection,
-                engine=engine,
             )
             self.jobs[record.job_id] = record
             fsync_start = time.perf_counter()
@@ -550,7 +546,6 @@ class AnalysisService:
             "policy": record.policy,
             "max_cycles": record.max_cycles,
             "budget": budget,
-            "engine": record.engine,
             "attempt": record.attempts + 1,
             "checkpoint": str(art / "checkpoint.ckpt"),
             "checkpoint_every": self.config.checkpoint_every,

@@ -111,8 +111,6 @@ class JobRecord:
     artifacts: Dict[str, str] = field(default_factory=dict)
     fault_injection: Optional[Dict[str, Any]] = None
     history: List[Dict[str, Any]] = field(default_factory=list)
-    #: simulator engine the worker runs (``dense`` | ``event``)
-    engine: str = "dense"
     #: latest heartbeat progress document from the running worker (the
     #: daemon refreshes it every tick; engines older than trace v4 and
     #: bare-touch heartbeats leave it None)
@@ -143,7 +141,6 @@ class JobRecord:
             "shed": self.shed,
             "submitted_unix": self.submitted_unix,
             "updated_unix": self.updated_unix,
-            "engine": self.engine,
             "progress": self.progress,
         }
 
@@ -159,7 +156,6 @@ def new_job(
     max_attempts: int,
     shed: bool = False,
     fault_injection: Optional[Dict[str, Any]] = None,
-    engine: str = "dense",
     now: Optional[float] = None,
 ) -> JobRecord:
     now = time.time() if now is None else now
@@ -178,7 +174,6 @@ def new_job(
         submitted_unix=now,
         updated_unix=now,
         fault_injection=fault_injection,
-        engine=engine,
     )
 
 

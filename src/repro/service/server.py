@@ -3,11 +3,12 @@
 Endpoints (JSON in, JSON out)::
 
     POST /jobs              submit {"source": ..., "name", "policy",
-                            "max_cycles", "budget", "engine"} ->
-                            202 {"id": ...}
+                            "max_cycles", "budget", "fault_injection"}
+                            -> 202 {"id": ...}
                             (or {"workload": "intAVG"} for a registry
-                            name); 429 when the queue is full, 503 when
-                            draining, 400/413 for bad input
+                            name); other keys are ignored; 429 when the
+                            queue is full, 503 when draining, 400/413
+                            for bad input
     GET  /jobs              every job's summary, newest last
     GET  /jobs/<id>         the full job record (minus the source body)
     GET  /jobs/<id>/report  the verdict document once terminal
@@ -263,7 +264,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 max_cycles=int(request.get("max_cycles", 1_000_000)),
                 budget=request.get("budget"),
                 fault_injection=request.get("fault_injection"),
-                engine=request.get("engine", "dense"),
             )
         except QueueFull as error:
             # 429: the backpressure verdict -- retriable by contract.

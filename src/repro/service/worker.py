@@ -196,7 +196,7 @@ def run_worker(spec: dict) -> int:
             tracker = TaintTracker(
                 program,
                 policy=_policy(spec.get("policy", "untrusted")),
-                circuit=compiled_cpu(spec.get("engine", "dense")),
+                circuit=compiled_cpu(),
                 max_cycles=int(spec.get("max_cycles", 1_000_000)),
                 budget=budget,
                 checkpointer=checkpointer,

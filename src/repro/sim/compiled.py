@@ -1,10 +1,10 @@
 """Compiled gate-level GLIFT simulator.
 
 A :class:`CompiledCircuit` turns a :class:`~repro.netlist.netlist.Netlist`
-into vectorised evaluation kernels:
+into one vectorised gate kernel:
 
-* the netlist is levelised once (:mod:`repro.netlist.levelize`);
-* within each level, gates are grouped by cell type;
+* the netlist is levelised once (:mod:`repro.netlist.levelize`), and each
+  topological rank becomes one group of gates;
 * each cell type's full ternary+taint behaviour -- the GLIFT semantics of
   :func:`repro.logic.glift.glift_eval` -- is baked into a lookup table over
   per-net *codes*.
@@ -13,33 +13,26 @@ A net's code packs its ternary value and taint into one byte::
 
     code = value * 2 + taint        # value in {0, 1, X=2}, taint in {0, 1}
 
-so a k-input gate's LUT has ``6**k`` entries, and evaluating a group of N
-same-type gates is one gather ``lut[idx]`` over an N-vector of base-6 packed
-input codes.  The per-cycle cost is a few dozen numpy operations regardless
-of gate count.
+Every gate is evaluated as a four-input gate.  An arity-k cell's table is
+broadcast to ``6**4 = 1296`` entries that ignore the last ``4 - k`` base-6
+digits, and its padded input columns repeat input 0, so the padding is
+don't-care and exact.  One concatenated table holds one such slice per
+cell type the netlist uses, and each gate carries the offset of its type's
+slice.  A rank then evaluates as::
 
-Two evaluation engines share these kernels (DESIGN.md section 13):
+    codes[outputs] = lut[codes[inputs] @ (216, 36, 6, 1) + offsets]
 
-* ``engine="dense"`` (the default) evaluates every gate group each pass
-  -- simple, and the correctness anchor;
-* ``engine="event"`` evaluates only gates whose inputs actually changed:
-  per-state dirty sets are seeded from changed boundary nets (ports,
-  flip-flop Qs, constants), a fanout index maps changed nets to affected
-  gates, and a write-back that detects "output unchanged" stops
-  propagation, so quiescent cones cost zero evaluations.  The engines
-  are lockstep bit-identical (``tests/sim/test_engine_equivalence.py``);
-  the event engine's external-write contract is that between evaluation
-  passes only *boundary* nets are written (true of every caller: ports
-  via :meth:`CompiledCircuit.set_input`, DFF Qs via
-  :meth:`CompiledCircuit.set_dff_state` / ``force_pc`` / clock edges).
+-- one gather, one product, one table lookup and one scatter per rank,
+whatever its mix of cell types (DESIGN.md section 13).  Full passes,
+cone-plan passes, provenance-recording passes and perf-timed passes all
+run that one kernel (:meth:`CompiledCircuit._sweep`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +40,7 @@ from repro.logic.glift import GATE_FUNCTIONS, glift_eval
 from repro.logic.ternary import UNKNOWN
 from repro.logic.words import TWord
 from repro.netlist.cells import CONSTANT_CELLS
-from repro.netlist.levelize import build_fanout_index, levelize
+from repro.netlist.levelize import levelize
 from repro.netlist.netlist import Netlist
 from repro.obs import get_observer
 from repro.obs.perf import get_perf
@@ -58,8 +51,15 @@ CODE_0 = 0  # value 0, untainted
 CODE_1 = 2  # value 1, untainted
 CODE_X = 4  # value X, untainted
 
-#: The evaluation engines :class:`CompiledCircuit` supports.
-ENGINES = ("dense", "event")
+#: Every gate is evaluated with this many (padded) inputs.
+MAX_ARITY = 4
+#: Entries in one cell type's slice of the shared table.
+LUT_SLICE = 6 ** MAX_ARITY
+#: Base-6 place values of a gate's input codes, input 0 most significant.
+_WEIGHTS = np.array(
+    [6 ** (MAX_ARITY - 1 - position) for position in range(MAX_ARITY)],
+    dtype=np.int32,
+)
 
 
 def code_of(value: int, taint: int) -> int:
@@ -116,200 +116,67 @@ def _lut_for(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
 _LUT_CACHE: Dict[Tuple[str, str], np.ndarray] = {}
 
 
-def _cached_lut(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
+def _padded_lut(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
+    """A cell type's table broadcast to :data:`MAX_ARITY` inputs.
+
+    Each entry of the arity-k table repeats over the ``6**(4 - k)``
+    values of the padded digits, so those inputs cannot change the
+    result.
+    """
     key = (cell_type, taint_mode)
     if key not in _LUT_CACHE:
-        _LUT_CACHE[key] = _lut_for(cell_type, taint_mode)
+        lut = _lut_for(cell_type, taint_mode)
+        _LUT_CACHE[key] = np.repeat(lut, LUT_SLICE // len(lut))
     return _LUT_CACHE[key]
 
 
-@dataclass
-class _Group:
-    """All gates of one cell type within one level."""
+class _Rank(NamedTuple):
+    """The gates of one topological rank (or a cone plan's subset).
 
-    lut: np.ndarray
-    inputs: List[np.ndarray]  # arity arrays of net ids
-    outputs: np.ndarray
-    cell_type: str = ""
-
-
-class _EventScratch:
-    """Per-state dirty bookkeeping for the event engine.
-
-    Travels with the :class:`CircuitState` (forks copy it, so each fork
-    propagates its own changes), never with the circuit: the circuit's
-    event tables are shared read-only across every state.
-
-    * ``shadow`` mirrors the boundary nets' codes as of the last
-      evaluation pass; diffing against it at pass start detects every
-      external write (ports, DFF restores, clock edges) without hooks.
-    * ``pending`` is one flag per global gate id: the gate's output may
-      be stale and it must be re-evaluated before it can be trusted.  A
-      cone-plan pass clears only its own gates' flags; the rest stay
-      pending for the next full pass.
-    * ``level_flags`` (a plain list -- scalar indexing is hotter than
-      numpy here) marks levels owning at least one pending gate, so a
-      quiescent level costs one boolean test.
+    Gates are ordered by cell type, then netlist order; provenance
+    ranks and the recorded edge stream depend on that order.
     """
 
-    __slots__ = (
-        "shadow", "pending", "level_flags",
-        "last_evals", "last_groups",
-    )
-
-    def __init__(self, boundary_codes: np.ndarray, num_gates: int,
-                 num_levels: int):
-        self.shadow = boundary_codes.copy()
-        self.pending = np.ones(num_gates, dtype=bool)
-        self.level_flags = [True] * num_levels
-        #: diagnostics: gates / groups evaluated by the most recent pass
-        self.last_evals = 0
-        self.last_groups = 0
-
-    def copy(self) -> "_EventScratch":
-        clone = _EventScratch.__new__(_EventScratch)
-        clone.shadow = self.shadow.copy()
-        clone.pending = self.pending.copy()
-        clone.level_flags = list(self.level_flags)
-        clone.last_evals = self.last_evals
-        clone.last_groups = self.last_groups
-        return clone
+    inputs: np.ndarray  # (n, MAX_ARITY) net ids, padded with input 0
+    outputs: np.ndarray  # (n,) net ids
+    offsets: np.ndarray  # (n,) start of each gate's table slice
+    cells: Tuple[Tuple[str, int], ...]  # (cell type, gates), sorted
 
 
-class _EventTables:
-    """Shared, derived lookup structure for the event engine.
+class _Plan:
+    """Ranks in evaluation order plus their per-pass gate counts."""
 
-    Built lazily on first event-mode evaluation and dropped by
-    ``__getstate__`` (cheap to rebuild, and id-keyed plan masks must not
-    cross process boundaries).
-    """
+    __slots__ = ("ranks", "gates_by_type", "total")
 
-    __slots__ = (
-        "levels", "fanout", "gate_level", "boundary",
-        "num_gates", "num_levels", "gid_of_net", "plan_masks",
-        "meta_memo", "burst_limit",
-    )
-
-    def __init__(self, circuit: "CompiledCircuit"):
-        # Global gate numbering: (level, group, row) in evaluation order.
-        # Each level entry is ``(lstart, lend, offsets, groups)``: the
-        # level's contiguous gid range, its groups' start offsets inside
-        # that range (numpy for searchsorted, +sentinel), and per-group
-        # ``(lut, inputs, outputs, cell_type, offset, size)`` tuples --
-        # shaped so one flatnonzero over the level's pending window plus
-        # one searchsorted splits the active rows between groups.
-        levels = []
-        edges = []
-        base = 0
-        gate_level_parts = []
-        gid_of_net = np.full(circuit.num_nets, -1, dtype=np.int64)
-        for level_index, groups in enumerate(circuit._levels):
-            lstart = base
-            entries = []
-            offsets = []
-            for group in groups:
-                size = len(group.outputs)
-                gids = np.arange(base, base + size, dtype=np.int64)
-                for column in group.inputs:
-                    edges.append((column, gids))
-                gid_of_net[group.outputs] = gids
-                offsets.append(base - lstart)
-                entries.append(
-                    (group.lut, group.inputs, group.outputs,
-                     group.cell_type, base - lstart, size)
-                )
-                gate_level_parts.append(
-                    np.full(size, level_index, dtype=np.int64)
-                )
-                base += size
-            offsets.append(base - lstart)
-            levels.append(
-                (lstart, base,
-                 np.array(offsets, dtype=np.int64), entries)
-            )
-        self.levels = levels
-        self.num_gates = base
-        self.num_levels = len(levels)
-        self.fanout = build_fanout_index(circuit.num_nets, edges)
-        self.gate_level = (
-            np.concatenate(gate_level_parts)
-            if gate_level_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        self.gid_of_net = gid_of_net
-        # Boundary nets: everything not produced by a combinational
-        # gate -- input ports, DFF Qs, constants, dangling nets.  These
-        # are the only nets external code writes between passes.
-        produced = np.zeros(circuit.num_nets, dtype=bool)
-        produced[gid_of_net >= 0] = True
-        self.boundary = np.nonzero(~produced)[0]
-        #: id(plan) -> (plan ref, bool mask over global gate ids);
-        #: the ref pins the plan so ids cannot be recycled
-        self.plan_masks: Dict[int, tuple] = {}
-        #: perf-attribution meta memo, same keying discipline
-        self.meta_memo: Dict[Optional[int], list] = {}
-        #: once a pass has evaluated this many gates, the sparse
-        #: bookkeeping (nonzero scans, fanout marking) costs more than
-        #: it saves; the rest of the pass completes densely.  ~6% of
-        #: the circuit is where the two engines' per-gate costs cross
-        #: over on the LP430 (measured; see DESIGN.md section 13).
-        self.burst_limit = max(64, self.num_gates // 16)
-
-    def plan_mask(self, plan) -> np.ndarray:
-        """Global-gate membership mask for a :meth:`cone_plan` plan."""
-        key = id(plan)
-        cached = self.plan_masks.get(key)
-        if cached is not None and cached[0] is plan:
-            return cached[1]
-        mask = np.zeros(self.num_gates, dtype=bool)
-        for groups in plan:
-            for group in groups:
-                gids = self.gid_of_net[group.outputs]
-                mask[gids] = True
-        self.plan_masks[key] = (plan, mask)
-        return mask
+    def __init__(self, ranks: List[_Rank]):
+        self.ranks = ranks
+        by_type: Dict[str, int] = {}
+        for rank in ranks:
+            for cell_type, count in rank.cells:
+                by_type[cell_type] = by_type.get(cell_type, 0) + count
+        self.gates_by_type = by_type
+        self.total = sum(by_type.values())
 
 
 class CircuitState:
-    """Per-net codes for one simulation state (mutable, cheap to copy).
+    """Per-net codes for one simulation state (mutable, cheap to copy)."""
 
-    ``ev`` is the event engine's per-state dirty bookkeeping (None until
-    the first event-mode evaluation, and always None under the dense
-    engine); forking a state with :meth:`copy` carries it along so both
-    branches keep propagating only their own changes.
-    """
+    __slots__ = ("codes",)
 
-    __slots__ = ("codes", "ev")
-
-    def __init__(self, codes: np.ndarray,
-                 ev: Optional[_EventScratch] = None):
+    def __init__(self, codes: np.ndarray):
         self.codes = codes
-        self.ev = ev
 
     def copy(self) -> "CircuitState":
-        return CircuitState(
-            self.codes.copy(),
-            self.ev.copy() if self.ev is not None else None,
-        )
+        return CircuitState(self.codes.copy())
 
 
 class CompiledCircuit:
     """A netlist compiled for fast ternary+taint cycle simulation."""
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        taint_mode: str = "glift",
-        engine: str = "dense",
-    ):
+    def __init__(self, netlist: Netlist, taint_mode: str = "glift"):
         netlist.validate()
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
         self.netlist = netlist
         self.taint_mode = taint_mode
-        self.engine = engine
         self.num_nets = netlist.num_nets
 
         self._const_nets: List[int] = []
@@ -323,50 +190,54 @@ class CompiledCircuit:
         self._const_nets_arr = np.array(self._const_nets, dtype=np.int64)
         self._const_codes_arr = np.array(self._const_codes, dtype=np.uint8)
 
-        self._levels: List[List[_Group]] = []
         with get_observer().span("levelize"):
-            for level in levelize(netlist)[1:]:
-                by_type: Dict[str, List] = {}
-                for gate in level:
-                    by_type.setdefault(gate.cell_type, []).append(gate)
-                groups = []
-                for cell_type, gates in sorted(by_type.items()):
-                    arity = len(gates[0].inputs)
-                    inputs = [
-                        np.array(
-                            [g.inputs[position] for g in gates],
-                            dtype=np.int64,
-                        )
-                        for position in range(arity)
-                    ]
-                    outputs = np.array(
-                        [g.output for g in gates], dtype=np.int64
-                    )
-                    groups.append(
-                        _Group(
-                            _cached_lut(cell_type, taint_mode),
-                            inputs,
-                            outputs,
-                            cell_type,
-                        )
-                    )
-                self._levels.append(groups)
-
-        #: per-cell-type gate totals for one full combinational pass,
-        #: used by the gate-eval counters
-        self._gates_by_type: Dict[str, int] = {}
-        for groups in self._levels:
-            for group in groups:
-                self._gates_by_type[group.cell_type] = (
-                    self._gates_by_type.get(group.cell_type, 0)
-                    + len(group.outputs)
-                )
-        self._total_gates = sum(self._gates_by_type.values())
-        #: cached per-plan gate totals, keyed by plan identity
-        self._plan_totals: Dict[int, Tuple[Dict[str, int], int]] = {}
-        #: cached (Counter, amount) increment lists keyed by
-        #: (registry id, totals id) -- avoids name lookups per eval pass
-        self._counter_cache: Dict[Tuple[int, int], list] = {}
+            levels = [
+                sorted(level, key=lambda gate: gate.cell_type)
+                for level in levelize(netlist)[1:]
+            ]
+        arity_of = {
+            gate.cell_type: len(gate.inputs)
+            for level in levels
+            for gate in level
+        }
+        #: cell types present, in table order: slice i of ``_lut``
+        #: (entries ``i * LUT_SLICE`` onwards) belongs to type i
+        self._cell_types = sorted(arity_of)
+        self._slice_arity = np.array(
+            [arity_of[cell_type] for cell_type in self._cell_types],
+            dtype=np.int64,
+        )
+        self._lut = np.concatenate(
+            [_padded_lut(cell_type, taint_mode)
+             for cell_type in self._cell_types]
+            or [np.zeros(0, dtype=np.uint8)]
+        )
+        offset_of = {
+            cell_type: index * LUT_SLICE
+            for index, cell_type in enumerate(self._cell_types)
+        }
+        ranks = []
+        for gates in levels:
+            inputs = np.array(
+                [
+                    list(gate.inputs)
+                    + [gate.inputs[0]] * (MAX_ARITY - len(gate.inputs))
+                    for gate in gates
+                ],
+                dtype=np.int64,
+            )
+            outputs = np.array([gate.output for gate in gates],
+                               dtype=np.int64)
+            offsets = np.array([offset_of[gate.cell_type] for gate in gates],
+                               dtype=np.int32)
+            ranks.append(self._rank(inputs, outputs, offsets))
+        self._full_plan = _Plan(ranks)
+        #: cone plans by output-port tuple (see :meth:`cone_plan`)
+        self._cone_plans: Dict[Tuple[str, ...], _Plan] = {}
+        #: gate-eval counter increments per plan, valid for
+        #: ``_counter_registry`` only (see :meth:`_count_gate_evals`)
+        self._counter_registry = None
+        self._counter_cache: Dict[_Plan, list] = {}
 
         self._dff_q = np.array([d.q for d in netlist.dffs], dtype=np.int64)
         self._dff_d = np.array([d.d for d in netlist.dffs], dtype=np.int64)
@@ -383,36 +254,31 @@ class CompiledCircuit:
             for name, nets in self._outputs.items()
         }
 
+    def _rank(self, inputs: np.ndarray, outputs: np.ndarray,
+              offsets: np.ndarray) -> _Rank:
+        slices, counts = np.unique(offsets // LUT_SLICE, return_counts=True)
+        cells = tuple(
+            (self._cell_types[index], count)
+            for index, count in zip(slices.tolist(), counts.tolist())
+        )
+        return _Rank(inputs, outputs, offsets, cells)
+
     # ------------------------------------------------------------------
     # Pickling (parallel-worker support)
     # ------------------------------------------------------------------
 
-    #: Derived attributes that must NOT ship across a pickle boundary:
-    #: either their keys are object ids from *this* process (meaningless
-    #: and potentially colliding in a worker) or they embed such ids
-    #: (the event tables' plan-mask memo).  All are rebuilt lazily, so a
-    #: worker pays at most one cheap reconstruction -- never a
-    #: re-levelization.  Auditing note: every new id-keyed or lazily
-    #: built cache added to this class belongs in this tuple;
-    #: ``tests/sim/test_engine_equivalence.py`` pins the round-trip.
-    _DERIVED_CACHES = ("_prod_tables", "_ev_tables")
+    #: Lazily built attributes that do not ship across a pickle
+    #: boundary; a worker rebuilds them on first use.  The gate-eval
+    #: counter cache is reset too: it holds this process's registry.
+    _DERIVED_CACHES = ("_prod_tables",)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_plan_totals"] = {}
+        state["_counter_registry"] = None
         state["_counter_cache"] = {}
         for name in self._DERIVED_CACHES:
             state.pop(name, None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Defensive re-reset: tolerate documents pickled by older code
-        # that did not strip a cache this version knows about.
-        state["_plan_totals"] = {}
-        state["_counter_cache"] = {}
-        for name in self._DERIVED_CACHES:
-            state.pop(name, None)
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # State management
@@ -510,417 +376,104 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     def eval_combinational(self, state: CircuitState) -> None:
         """Propagate codes through all combinational logic (one pass)."""
-        if self.engine == "event":
-            self._eval_event(state, plan=None)
-            return
+        self._evaluate(state, self._full_plan, "full")
+
+    def eval_plan(self, state: CircuitState, plan: _Plan) -> None:
+        """Evaluate a pre-grouped cone (see :meth:`cone_plan`)."""
+        self._evaluate(state, plan, "interface")
+
+    def _evaluate(self, state: CircuitState, plan: _Plan, kind: str) -> None:
+        """One pass over *plan*, recorded or timed when a provenance or
+        perf recorder is armed (provenance wins if both are)."""
         codes = state.codes
         if len(self._const_nets_arr):
             codes[self._const_nets_arr] = self._const_codes_arr
         recorder = get_recorder()
         perf = get_perf() if recorder is None else None
         if recorder is not None:
-            self._eval_levels_recording(codes, self._levels, recorder)
+            before = codes.copy()
+            self._sweep(codes, plan)
+            self._record_fresh_taint(codes, before, recorder)
         elif perf is not None:
-            self._eval_levels_timed(codes, self._levels, perf, "full")
             perf.ensure_bound(self)
-            perf.sample(codes)
+            slots = perf.group_slots(plan, kind)
+            pass_start = perf_counter()
+            self._sweep(codes, plan, slots)
+            perf.note_pass(kind, perf_counter() - pass_start)
+            if kind == "full":
+                perf.sample(codes)
         else:
-            for groups in self._levels:
-                for group in groups:
-                    index = codes[group.inputs[0]].astype(np.int32)
-                    for column in group.inputs[1:]:
-                        index *= 6
-                        index += codes[column]
-                    codes[group.outputs] = group.lut[index]
+            self._sweep(codes, plan)
         obs = get_observer()
         if obs.enabled:
-            self._count_gate_evals(obs, self._gates_by_type,
-                                   self._total_gates)
+            self._count_gate_evals(obs.metrics, plan)
 
-    # ------------------------------------------------------------------
-    # Event-driven evaluation
-    # ------------------------------------------------------------------
-    def _event_tables(self) -> _EventTables:
-        tables = getattr(self, "_ev_tables", None)
-        if tables is None:
-            tables = self._ev_tables = _EventTables(self)
-        return tables
-
-    def _event_scratch(
-        self, state: CircuitState, tables: _EventTables
-    ) -> _EventScratch:
-        """The state's dirty bookkeeping, created on first event pass.
-
-        Creation applies the constant cells (they are boundary nets the
-        dense engine rewrites every pass; here they are written exactly
-        once) and marks every gate pending, so the first pass is a full
-        one regardless of what the codes array currently holds.
-        """
-        scratch = state.ev
-        if (
-            scratch is None
-            or len(scratch.pending) != tables.num_gates
-            or len(scratch.shadow) != len(tables.boundary)
-        ):
-            if len(self._const_nets_arr):
-                state.codes[self._const_nets_arr] = self._const_codes_arr
-            scratch = state.ev = _EventScratch(
-                state.codes[tables.boundary],
-                tables.num_gates,
-                tables.num_levels,
-            )
-        return scratch
-
-    def _mark_fanout(
+    def _sweep(
         self,
-        tables: _EventTables,
-        scratch: _EventScratch,
-        changed_nets: np.ndarray,
+        codes: np.ndarray,
+        plan: _Plan,
+        slots: Optional[List[float]] = None,
     ) -> None:
-        """Flag every gate reading a changed net (and its level).
+        """The gate kernel: evaluate *plan*'s ranks in order.
 
-        Level flags live in a plain python list (scalar reads in the
-        sweep are ~3x cheaper than numpy element access), so small
-        batches loop directly while large ones -- fanout lists repeat
-        gates heavily during bursts -- are deduplicated to at most one
-        flag write per level via bincount, keeping the mark cost
-        O(batch) instead of O(batch) *python* iterations.
+        With *slots* (perf attribution), each rank's wall time is added
+        to its slot: one ``perf_counter`` call and one float add per
+        rank, benched under 15% by
+        ``benchmarks/bench_perf_attribution.py``.
         """
-        gids = tables.fanout.gather(changed_nets)
-        if len(gids) == 0:
-            return
-        scratch.pending[gids] = True
-        flags = scratch.level_flags
-        if len(gids) <= 16:
-            for level in tables.gate_level[gids].tolist():
-                flags[level] = True
-        else:
-            hit = np.bincount(
-                tables.gate_level[gids], minlength=tables.num_levels
-            )
-            for level in np.flatnonzero(hit).tolist():
-                flags[level] = True
-
-    def _eval_event(self, state: CircuitState, plan) -> None:
-        """One event-driven pass (full when *plan* is None, else the
-        cone-plan subset).
-
-        Phases: (1) seed -- diff the boundary nets against the shadow
-        snapshot and flag the fanout of every changed net; (2) sweep --
-        walk flagged levels in rank order evaluating only pending gates
-        (restricted to the plan's gates for a cone pass; non-plan gates
-        stay pending for the next full pass), writing back and flagging
-        fanout only where an output actually changed.  A provenance
-        recorder forces a dense recording pass over the same plan --
-        provenance is an explicitly paid-for diagnostic mode -- which
-        settles every gate it covers, so the pending flags it clears
-        keep the sparse invariant exact.
-        """
-        tables = self._event_tables()
-        scratch = self._event_scratch(state, tables)
-        codes = state.codes
-
-        # Phase 1: seed from externally written boundary nets.
-        boundary = tables.boundary
-        current = codes[boundary]
-        diff = current != scratch.shadow
-        if diff.any():
-            scratch.shadow[diff] = current[diff]
-            self._mark_fanout(tables, scratch, boundary[diff])
-
-        recorder = get_recorder()
-        if recorder is not None:
-            self._eval_levels_recording(
-                codes, self._levels if plan is None else plan, recorder
-            )
-            if plan is None:
-                scratch.pending[:] = False
-                scratch.level_flags = [False] * tables.num_levels
-            else:
-                scratch.pending &= ~tables.plan_mask(plan)
-            self._count_event_pass(plan, None, dense=True)
-            return
-
-        perf = get_perf()
-        kind = "full" if plan is None else "interface"
-        slots = None
-        if perf is not None:
-            slots = perf.group_slots(
-                tables.levels if plan is None else plan,
-                kind,
-                counted=True,
-                meta=self._event_perf_meta(tables, plan),
-            )
-            perf.ensure_bound(self)
-            pass_start = perf_counter()
-
-        plan_mask = None if plan is None else tables.plan_mask(plan)
-        pending = scratch.pending
-        flags = scratch.level_flags
-        evals = 0
-        groups_run = 0
-        by_type: Optional[Dict[str, int]] = None
-        if get_observer().enabled:
-            by_type = {}
-        for level_index, (lstart, lend, offsets, entries) in enumerate(
-            tables.levels
+        lut = self._lut
+        mark = perf_counter() if slots is not None else 0.0
+        for index, (inputs, outputs, offsets, _cells) in enumerate(
+            plan.ranks
         ):
-            if not flags[level_index]:
-                continue
-            if plan is None:
-                flags[level_index] = False
-            window = pending[lstart:lend]
-            rows_all = np.flatnonzero(window)
-            if plan_mask is not None and len(rows_all):
-                rows_all = rows_all[plan_mask[lstart:lend][rows_all]]
-            if not len(rows_all):
-                continue
-            window[rows_all] = False
-            cuts = np.searchsorted(rows_all, offsets).tolist()
-            changed_lists = []
-            for group_index, (lut, inputs, outputs, cell_type,
-                              offset, size) in enumerate(entries):
-                start, stop = cuts[group_index], cuts[group_index + 1]
-                active = stop - start
-                if not active:
-                    continue
-                if slots is not None:
-                    group_start = perf_counter()
-                if active == size:
-                    rows = slice(None)  # whole group: skip the gathers
-                else:
-                    rows = rows_all[start:stop] - offset
-                index = codes[inputs[0][rows]].astype(np.int32)
-                for column in inputs[1:]:
-                    index *= 6
-                    index += codes[column[rows]]
-                new_codes = lut[index]
-                outs = outputs[rows]
-                delta = codes[outs] != new_codes
-                codes[outs] = new_codes
-                if delta.any():
-                    changed_lists.append(outs[delta])
-                evals += active
-                groups_run += 1
-                if by_type is not None:
-                    by_type[cell_type] = (
-                        by_type.get(cell_type, 0) + active
-                    )
-                if slots is not None:
-                    slot = slots[level_index][group_index]
-                    slot[0] += perf_counter() - group_start
-                    slot[1] += active
-            if (
-                evals >= tables.burst_limit
-                and level_index + 1 < tables.num_levels
-            ):
-                # Activity burst: the sparse bookkeeping has stopped
-                # paying for itself; finish the pass densely.
-                if plan is None:
-                    # Evaluate the remaining levels in full (no marking
-                    # needed -- everything downstream runs) and settle
-                    # all their pending flags at once.
-                    evals, groups_run = self._finish_dense(
-                        tables, scratch, codes, level_index + 1,
-                        slots, by_type, evals, groups_run,
-                    )
-                    break
-                if slots is None:
-                    # Cone-plan burst: settle the *entire* circuit
-                    # densely.  Finishing just the cone would need
-                    # delta tracking to keep non-cone consumers of
-                    # changed cone nets pending; a full settle clears
-                    # every obligation at once, and the gates outside
-                    # the cone compute from already-settled inputs, so
-                    # the result is the same fixpoint the dense engine
-                    # reaches by the end of the cycle.  (Not taken
-                    # under perf attribution: a plan pass's counted
-                    # slots do not map onto a full sweep, and perf runs
-                    # are diagnostic anyway.)
-                    evals, groups_run = self._finish_dense(
-                        tables, scratch, codes, 0,
-                        None, by_type, evals, groups_run,
-                    )
-                    plan = None  # count against the full circuit
-                    break
-            if changed_lists:
-                self._mark_fanout(
-                    tables,
-                    scratch,
-                    changed_lists[0]
-                    if len(changed_lists) == 1
-                    else np.concatenate(changed_lists),
-                )
-        scratch.last_evals = evals
-        scratch.last_groups = groups_run
-        if perf is not None:
-            perf.note_pass(kind, perf_counter() - pass_start)
-            if plan is None:
-                perf.sample(codes)
-        self._count_event_pass(plan, (by_type, evals), dense=False)
-
-    def _finish_dense(
-        self, tables, scratch, codes, start, slots, by_type,
-        evals, groups_run,
-    ):
-        """Dense completion of a bursting full pass, from level *start*.
-
-        Every gate of every remaining level is evaluated (the plain
-        dense inner loop), which makes the pending flags for those
-        levels vacuously satisfied: they are cleared wholesale.  Levels
-        before *start* were already settled by the sparse sweep, so the
-        whole pass ends with the same invariant a quiet pass leaves --
-        no pending gate anywhere.
-        """
-        for level_index in range(start, tables.num_levels):
-            _lstart, _lend, _offsets, entries = tables.levels[level_index]
-            for group_index, (lut, inputs, outputs, cell_type,
-                              _offset, size) in enumerate(entries):
-                if slots is not None:
-                    group_start = perf_counter()
-                index = codes[inputs[0]].astype(np.int32)
-                for column in inputs[1:]:
-                    index *= 6
-                    index += codes[column]
-                codes[outputs] = lut[index]
-                evals += size
-                groups_run += 1
-                if by_type is not None:
-                    by_type[cell_type] = (
-                        by_type.get(cell_type, 0) + size
-                    )
-                if slots is not None:
-                    slot = slots[level_index][group_index]
-                    slot[0] += perf_counter() - group_start
-                    slot[1] += size
-        scratch.pending[tables.levels[start][0]:] = False
-        flags = scratch.level_flags
-        for level_index in range(start, tables.num_levels):
-            flags[level_index] = False
-        return evals, groups_run
-
-    def _event_perf_meta(self, tables: _EventTables, plan):
-        """(cell type, gates-per-pass) meta aligned with the event
-        sweep's (level, group) structure, for attribution reports.
-
-        For a cone plan the gate count is the number of *plan* gates in
-        each group, so the skipped-eval reconstruction compares actual
-        evaluations against what a dense pass over the same plan would
-        have cost.  Memoised: the perf recorder only reads it on first
-        sight, but it is requested every pass.
-        """
-        key = None if plan is None else id(plan)
-        meta = tables.meta_memo.get(key)
-        if meta is not None:
-            return meta
-        if plan is None:
-            meta = [
-                [(cell_type, size)
-                 for (_l, _i, _o, cell_type, _off, size) in entries]
-                for (_s, _e, _offs, entries) in tables.levels
-            ]
-        else:
-            mask = tables.plan_mask(plan)  # also pins the plan ref
-            meta = [
-                [
-                    (
-                        cell_type,
-                        int(mask[lstart + off:lstart + off + size].sum()),
-                    )
-                    for (_l, _i, _o, cell_type, off, size) in entries
-                ]
-                for (lstart, _e, _offs, entries) in tables.levels
-            ]
-        tables.meta_memo[key] = meta
-        return meta
-
-    def _count_event_pass(self, plan, counted, dense: bool) -> None:
-        """Gate-eval counters for an event pass.
-
-        The dense engine's counters reconstruct ``gates x passes``; the
-        event engine reports what actually ran plus an explicit
-        ``sim.gate_evals_skipped`` so the quiescence win is visible in
-        every metrics snapshot.
-        """
-        obs = get_observer()
-        if not obs.enabled:
-            return
-        if plan is None:
-            total_by_type, total = self._gates_by_type, self._total_gates
-        else:
-            total_by_type, total = self._totals_of_plan(plan)
-        if dense:
-            # Provenance fallback evaluated the whole plan.
-            self._count_gate_evals(obs, total_by_type, total)
-            return
-        by_type, evals = counted
-        metrics = obs.metrics
-        metrics.counter("sim.eval_passes").inc()
-        metrics.counter("sim.gate_evals").value += evals
-        # A burst-escalated pass can re-evaluate a few gates the sparse
-        # sweep already ran, pushing evals past the dense-pass total.
-        metrics.counter("sim.gate_evals_skipped").value += max(
-            0, total - evals
-        )
-        if by_type:
-            for cell_type, count in by_type.items():
-                metrics.counter(
-                    f"sim.gate_evals.{cell_type}"
-                ).value += count
+            codes[outputs] = lut[codes[inputs] @ _WEIGHTS + offsets]
+            if slots is not None:
+                now = perf_counter()
+                slots[index] += now - mark
+                mark = now
 
     def _producer_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-net fan-in table and topological rank for provenance.
 
         ``table`` is ``(num_nets, max_arity)``: row *n* holds the input
-        net ids of the gate driving net *n* (-1 padded; nets without a
-        combinational producer -- DFF Qs, ports, constants -- stay all
-        -1).  ``rank[n]`` is the driving gate's position in evaluation
-        order, used to emit a pass's edges cause-before-effect.  Built
-        lazily on the first provenance-recording pass.
+        net ids of the gate driving net *n* (-1 padded, including the
+        kernel's repeated padding inputs; nets without a combinational
+        producer -- DFF Qs, ports, constants -- stay all -1).
+        ``rank[n]`` is the driving gate's position in evaluation order,
+        used to emit a pass's edges cause-before-effect.  Built lazily
+        on the first provenance-recording pass.
         """
         cached = getattr(self, "_prod_tables", None)
         if cached is None:
-            max_arity = 1
-            for groups in self._levels:
-                for group in groups:
-                    max_arity = max(max_arity, len(group.inputs))
-            table = np.full((self.num_nets, max_arity), -1, dtype=np.int64)
+            width = int(self._slice_arity.max(initial=1))
+            table = np.full((self.num_nets, width), -1, dtype=np.int64)
             rank = np.zeros(self.num_nets, dtype=np.int64)
             counter = 0
-            for groups in self._levels:
-                for group in groups:
-                    for position, column in enumerate(group.inputs):
-                        table[group.outputs, position] = column
-                    rank[group.outputs] = np.arange(
-                        counter, counter + len(group.outputs)
-                    )
-                    counter += len(group.outputs)
+            for inputs, outputs, offsets, _cells in self._full_plan.ranks:
+                arity = self._slice_arity[offsets // LUT_SLICE]
+                for position in range(width):
+                    real = arity > position
+                    table[outputs[real], position] = inputs[real, position]
+                rank[outputs] = np.arange(counter, counter + len(outputs))
+                counter += len(outputs)
             cached = self._prod_tables = (table, rank)
         return cached
 
-    def _eval_levels_recording(
-        self, codes: np.ndarray, levels: List[List[_Group]], recorder
+    def _record_fresh_taint(
+        self, codes: np.ndarray, before: np.ndarray, recorder
     ) -> None:
-        """The evaluation loop with per-gate taint-provenance capture.
+        """Per-gate taint provenance for the pass that turned *before*
+        into *codes*.
 
-        The inner gate loop is identical to the plain path; provenance
-        costs two whole-array operations per pass -- snapshot the codes
-        before, diff the taint bits after -- plus fan-in resolution for
-        just the newly-tainted nets.  Each net is written at most once
-        per pass and its fan-ins come from earlier levels, so the
-        post-pass codes are exactly what the producing gate read, and
-        the diff attributes every new taint bit to the right edges.
+        Provenance costs two whole-array operations per pass -- the
+        snapshot taken before, the taint diff here -- plus fan-in
+        resolution for just the newly-tainted nets.  Each net is written
+        at most once per pass and its fan-ins come from earlier ranks,
+        so the post-pass codes are exactly what the producing gate read,
+        and the diff attributes every new taint bit to the right edges.
         Edges are emitted in the gates' evaluation order: the backward
         slicer relies on a cause being recorded before its effect.
         """
-        before = codes.copy()
-        for groups in levels:
-            for group in groups:
-                index = codes[group.inputs[0]].astype(np.int32)
-                for column in group.inputs[1:]:
-                    index *= 6
-                    index += codes[column]
-                codes[group.outputs] = group.lut[index]
         fresh = np.nonzero(codes & ~before & 1)[0]
         if len(fresh) == 0:
             return
@@ -937,148 +490,71 @@ class CompiledCircuit:
         if mask.any():
             recorder.record_gate(dst_flat[mask], src_flat[mask])
 
-    def _eval_levels_timed(
-        self, codes: np.ndarray, levels: List[List[_Group]], perf, kind: str
-    ) -> None:
-        """The evaluation loop with per-(rank, cell-type) timing.
+    def _count_gate_evals(self, metrics, plan: _Plan) -> None:
+        """Add one pass over *plan* to the gate-eval counters.
 
-        Identical numpy work to the plain path plus two ``perf_counter``
-        calls and one accumulator add per group (eval counts are
-        reconstructed from pass counts at report time) -- the overhead
-        is benched under 15% by
-        ``benchmarks/bench_perf_attribution.py``.
-        The pass total is timed separately so the dispatch overhead
-        (loop bookkeeping between groups) is attributable too.
+        The counter objects are cached per plan, and the cache belongs
+        to one registry held by reference: a new registry is a different
+        object even when it reuses a freed one's address, so a run's
+        increments never land in a dead registry's counters.
         """
-        slots = perf.group_slots(levels, kind)
-        pass_start = perf_counter()
-        for groups, level_slots in zip(levels, slots):
-            for group, slot in zip(groups, level_slots):
-                group_start = perf_counter()
-                index = codes[group.inputs[0]].astype(np.int32)
-                for column in group.inputs[1:]:
-                    index *= 6
-                    index += codes[column]
-                codes[group.outputs] = group.lut[index]
-                slot[0] += perf_counter() - group_start
-        perf.note_pass(kind, perf_counter() - pass_start)
-
-    def _count_gate_evals(self, obs, by_type: Dict[str, int],
-                          total: int) -> None:
-        metrics = obs.metrics
-        key = (id(metrics), id(by_type))
-        increments = self._counter_cache.get(key)
+        if self._counter_registry is not metrics:
+            self._counter_registry = metrics
+            self._counter_cache = {}
+        increments = self._counter_cache.get(plan)
         if increments is None:
             increments = [
                 (metrics.counter("sim.eval_passes"), 1),
-                (metrics.counter("sim.gate_evals"), total),
+                (metrics.counter("sim.gate_evals"), plan.total),
             ]
             increments.extend(
                 (metrics.counter(f"sim.gate_evals.{cell_type}"), count)
-                for cell_type, count in by_type.items()
+                for cell_type, count in plan.gates_by_type.items()
             )
-            self._counter_cache[key] = increments
+            self._counter_cache[plan] = increments
         for counter, amount in increments:
             counter.value += amount
 
-    def _totals_of_plan(
-        self, plan: List[List[_Group]]
-    ) -> Tuple[Dict[str, int], int]:
-        key = id(plan)
-        cached = self._plan_totals.get(key)
-        if cached is None:
-            by_type: Dict[str, int] = {}
-            for groups in plan:
-                for group in groups:
-                    by_type[group.cell_type] = (
-                        by_type.get(group.cell_type, 0) + len(group.outputs)
-                    )
-            cached = (by_type, sum(by_type.values()))
-            self._plan_totals[key] = cached
-        return cached
-
-    def cone_plan(self, port_names: Sequence[str]) -> List[List[_Group]]:
-        """Pre-group only the gates feeding the named output ports.
+    def cone_plan(self, port_names: Sequence[str]) -> _Plan:
+        """The rank rows feeding the named output ports.
 
         Used by the SoC's first evaluation pass, which only needs the
         memory-interface signals; the full pass runs after read data is
-        applied.
+        applied.  Memoised per port tuple, so every SoC on this circuit
+        shares one plan and the per-plan caches (gate-eval counters,
+        perf slots) stay bounded.
         """
-        wanted = set()
-        for name in port_names:
-            wanted.update(self._outputs[name])
-        producers: Dict[int, object] = {}
-        for groups in self._levels:
-            for group in groups:
-                for position, output in enumerate(group.outputs):
-                    producers[int(output)] = (group, position)
-        needed = set()
-        stack = list(wanted)
-        while stack:
-            net = stack.pop()
-            if net in needed:
-                continue
-            needed.add(net)
-            producer = producers.get(net)
-            if producer is None:
-                continue
-            group, position = producer
-            for column in group.inputs:
-                stack.append(int(column[position]))
-        plan: List[List[_Group]] = []
-        for groups in self._levels:
-            level_plan: List[_Group] = []
-            for group in groups:
-                keep = [
-                    i
-                    for i, output in enumerate(group.outputs)
-                    if int(output) in needed
-                ]
-                if not keep:
-                    continue
-                if len(keep) == len(group.outputs):
-                    level_plan.append(group)
-                else:
-                    level_plan.append(
-                        _Group(
-                            group.lut,
-                            [column[keep] for column in group.inputs],
-                            group.outputs[keep],
-                            group.cell_type,
-                        )
-                    )
-            if level_plan:
-                plan.append(level_plan)
+        key = tuple(port_names)
+        plan = self._cone_plans.get(key)
+        if plan is None:
+            plan = self._cone_plans[key] = self._build_cone_plan(key)
         return plan
 
-    def eval_plan(
-        self, state: CircuitState, plan: List[List[_Group]]
-    ) -> None:
-        """Evaluate a pre-grouped cone (see :meth:`cone_plan`)."""
-        if self.engine == "event":
-            self._eval_event(state, plan)
-            return
-        codes = state.codes
-        if len(self._const_nets_arr):
-            codes[self._const_nets_arr] = self._const_codes_arr
-        recorder = get_recorder()
-        perf = get_perf() if recorder is None else None
-        if recorder is not None:
-            self._eval_levels_recording(codes, plan, recorder)
-        elif perf is not None:
-            self._eval_levels_timed(codes, plan, perf, "interface")
-        else:
-            for groups in plan:
-                for group in groups:
-                    index = codes[group.inputs[0]].astype(np.int32)
-                    for column in group.inputs[1:]:
-                        index *= 6
-                        index += codes[column]
-                    codes[group.outputs] = group.lut[index]
-        obs = get_observer()
-        if obs.enabled:
-            by_type, total = self._totals_of_plan(plan)
-            self._count_gate_evals(obs, by_type, total)
+    def _build_cone_plan(self, port_names: Tuple[str, ...]) -> _Plan:
+        producers = {gate.output: gate.inputs for gate in self.netlist.gates}
+        needed = set()
+        stack = [net for name in port_names for net in self._outputs[name]]
+        while stack:
+            net = stack.pop()
+            if net not in needed:
+                needed.add(net)
+                stack.extend(producers.get(net, ()))
+        in_cone = np.zeros(self.num_nets, dtype=bool)
+        in_cone[list(needed)] = True
+        ranks = []
+        for rank in self._full_plan.ranks:
+            keep = in_cone[rank.outputs]
+            if keep.all():
+                ranks.append(rank)
+            elif keep.any():
+                ranks.append(
+                    self._rank(
+                        rank.inputs[keep],
+                        rank.outputs[keep],
+                        rank.offsets[keep],
+                    )
+                )
+        return _Plan(ranks)
 
     def clock_edge(self, state: CircuitState) -> None:
         """Latch every flip-flop: ``Q <= D``."""

@@ -136,3 +136,28 @@ class TestDisabledPath:
         assert bare.stats.forks == result.stats.forks
         assert bare.stats.cycles_simulated == result.stats.cycles_simulated
         assert len(bare.tree) == len(result.tree)
+
+
+class TestGateEvalCounters:
+    def test_every_fresh_observer_sees_a_full_pass(self):
+        """A finished observer's registry is freed and the next one
+        often reuses its address; the circuit's cached counters must
+        still land in the live registry, run after run."""
+        from repro.cpu import compiled_cpu
+        from repro.netlist.cells import CONSTANT_CELLS
+
+        circuit = compiled_cpu()
+        gates = sum(
+            1
+            for gate in circuit.netlist.gates
+            if gate.cell_type not in CONSTANT_CELLS
+        )
+        state = circuit.new_state()
+        for run in range(20):
+            observer = Observer()
+            with observe(observer):
+                circuit.eval_combinational(state)
+            counters = observer.snapshot()["metrics"]["counters"]
+            assert counters.get("sim.gate_evals") == gates, f"run {run}"
+            assert counters.get("sim.eval_passes") == 1, f"run {run}"
+            del observer, counters

@@ -78,20 +78,30 @@ class TestAttributionDocument:
         full_ranks = [
             rank for rank in document["ranks"] if rank["kind"] == "full"
         ]
-        assert len(full_ranks) == len(circuit._levels)
+        assert len(full_ranks) == len(circuit._full_plan.ranks)
         assert all(rank["evals"] > 0 for rank in full_ranks)
         assert all(rank["seconds"] >= 0.0 for rank in full_ranks)
 
     def test_cell_type_totals_match_rank_totals(self, document):
-        by_rank = sum(rank["seconds"] for rank in document["ranks"])
+        by_rank = sum(rank["evals"] for rank in document["ranks"])
         by_type = sum(
-            stats["seconds"]
+            stats["evals"]
             for stats in document["cell_types"].values()
         )
-        assert by_rank == pytest.approx(by_type)
-        assert by_rank == pytest.approx(
+        assert by_rank == by_type
+        seconds = sum(rank["seconds"] for rank in document["ranks"])
+        assert seconds == pytest.approx(
             document["attributed_group_seconds"]
         )
+
+    def test_cell_types_carry_counts_not_seconds(self, document):
+        """Schema 3: a rank runs every cell type in one kernel call, so
+        only ranks are timed."""
+        for stats in document["cell_types"].values():
+            assert set(stats) == {"evals"}
+        for rank in document["ranks"]:
+            for cell in rank["cells"].values():
+                assert set(cell) == {"evals", "gates"}
 
     def test_wall_decomposition_covers_the_run(self, document):
         # The acceptance bar: components sum to within 10% of wall.
@@ -132,79 +142,14 @@ class TestAttributionDocument:
 
 class TestDenseEvalReconstruction:
     def test_dense_counts_are_gates_times_passes(self, document):
-        """The dense engine has no eval counters: the document
-        reconstructs evals as gates x passes with nothing skipped."""
-        assert document["engine"] == "dense"
-        assert document["skipped_evals"] == 0
+        """Every pass evaluates every gate of its plan: the document
+        reconstructs evals as gates x passes."""
         passes = document["passes"]
         for rank in document["ranks"]:
             plan_passes = passes[rank["kind"]]
             assert rank["evals"] == rank["gates_per_pass"] * plan_passes
-            assert rank["skipped"] == 0
             for cell in rank["cells"].values():
                 assert cell["evals"] == cell["gates"] * plan_passes
-                assert cell["skipped"] == 0
-
-
-class TestEventEngineAttribution:
-    @pytest.fixture(scope="class")
-    def event_document(self):
-        recorder = PerfAttribution(sample_every=2)
-        run = PerfHarness(
-            GateRunner(
-                compiled_cpu("event"), assemble(LOOP, name="loop")
-            ),
-            recorder,
-        )
-        run.run(max_cycles=200)
-        return run.to_document("loop")
-
-    def test_engine_and_skips_are_reported(self, event_document):
-        assert event_document["engine"] == "event"
-        assert event_document["skipped_evals"] > 0
-
-    def test_counted_evals_never_exceed_dense_reconstruction(
-        self, event_document
-    ):
-        """evals + skipped = gates x passes per cell -- the counted
-        slots replace, and must stay consistent with, the dense
-        reconstruction."""
-        passes = event_document["passes"]
-        for rank in event_document["ranks"]:
-            plan_passes = passes[rank["kind"]]
-            for cell in rank["cells"].values():
-                dense_evals = cell["gates"] * plan_passes
-                # Burst-escalated passes may re-evaluate a gate, so
-                # evals can exceed the dense total; skipped is clamped.
-                assert cell["skipped"] == max(
-                    0, dense_evals - cell["evals"]
-                )
-
-    def test_skipped_gates_are_not_attributed_time(self, event_document):
-        """A rank the sweep never touched must report zero seconds:
-        time attribution follows actual evaluations, not the static
-        gate count."""
-        untouched = [
-            rank
-            for rank in event_document["ranks"]
-            if rank["evals"] == 0 and rank["gates_per_pass"] > 0
-        ]
-        assert untouched, "expected some fully-skipped ranks"
-        for rank in untouched:
-            assert rank["seconds"] == 0.0
-            assert rank["skipped"] > 0
-
-    def test_cell_type_aggregates_include_skips(self, event_document):
-        total = sum(
-            stats["skipped"]
-            for stats in event_document["cell_types"].values()
-        )
-        assert total == event_document["skipped_evals"]
-
-    def test_document_round_trips_through_json(self, event_document):
-        assert (
-            json.loads(json.dumps(event_document)) == event_document
-        )
 
 
 class TestUninstrumentedEquivalence:
@@ -266,29 +211,3 @@ class TestPerfCli:
         out = capsys.readouterr().out
         assert "hottest ranks" in out
         assert "cone quiescence" in out
-
-    def test_cmd_perf_event_engine_reports_skips(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.cli import main
-
-        monkeypatch.chdir(tmp_path)
-        code = main(
-            [
-                "perf",
-                "intavg",
-                "--max-cycles",
-                "150",
-                "--sample-every",
-                "4",
-                "--engine",
-                "event",
-            ]
-        )
-        assert code == 0
-        document = json.loads((tmp_path / "PERF_intAVG.json").read_text())
-        assert document["engine"] == "event"
-        assert document["skipped_evals"] > 0
-        out = capsys.readouterr().out
-        assert "event engine:" in out
-        assert "gate evaluations skipped" in out

@@ -76,7 +76,7 @@ def test_compiled_circuit_roundtrip_drops_caches_and_simulates():
     circuit = compiled_cpu()
     clone = _roundtrip(circuit)
     # derived caches are rebuilt lazily, not shipped
-    assert clone._plan_totals == {}
+    assert clone._counter_registry is None
     assert clone._counter_cache == {}
     # and the clone is a working simulation substrate
     program = assemble(SOURCE, name="pickle_probe")

@@ -62,6 +62,16 @@ class TestEndpoints:
         listing = client.jobs()
         assert [entry["id"] for entry in listing] == [job_id]
 
+    def test_engine_key_in_submission_is_ignored(self, served):
+        """Bodies from clients that still send ``engine`` are accepted;
+        the key has no effect."""
+        service, client = served
+        job_id = client.submit(source=TINY_INSECURE, engine="event")["id"]
+        drive(service, [service.get(job_id)])
+        final = client.job(job_id)
+        assert final["verdict"] == "insecure"
+        assert "engine" not in final
+
     def test_report_of_unfinished_job_is_202(self, served):
         service, client = served
         job_id = client.submit(source=TINY_SECURE)["id"]

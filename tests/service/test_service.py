@@ -1,6 +1,7 @@
 """End-to-end daemon behaviour with real worker subprocesses:
 verdicts, fail-fast, backpressure, shedding, crash recovery."""
 
+import json
 import sys
 
 import pytest
@@ -134,6 +135,34 @@ class TestCrashRecovery:
             assert recovered.state == "queued"
             drive(second, [recovered])
             assert recovered.verdict == "secure"
+        finally:
+            reap(second)
+
+    def test_journaled_engine_field_replays_and_runs(self, tmp_path):
+        """Journals written while jobs carried an ``engine`` field still
+        replay: the unknown key is dropped and the job runs to the same
+        verdict as a fresh submission."""
+        first = make_service(tmp_path)
+        record = first.submit(source=TINY_INSECURE, name="old-journal")
+        reap(first)
+        log = tmp_path / "jobs.log"
+        (line,) = log.read_text().splitlines()
+        document = json.loads(line)
+        document["engine"] = "event"
+        log.write_text(json.dumps(document, sort_keys=True) + "\n")
+
+        second = make_service(tmp_path)
+        try:
+            replayed = second.get(record.job_id)
+            assert replayed is not None
+            assert "engine" not in replayed.to_dict()
+            fresh = second.submit(source=TINY_INSECURE, name="fresh")
+            drive(second, [replayed, fresh])
+            assert replayed.state == fresh.state == "done"
+            assert replayed.verdict == fresh.verdict == "insecure"
+            assert second.report(replayed.job_id)["violations"] == (
+                second.report(fresh.job_id)["violations"]
+            )
         finally:
             reap(second)
 

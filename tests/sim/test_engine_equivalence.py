@@ -1,22 +1,23 @@
-"""Dense vs event engine: lockstep differential tests.
+"""The compiled evaluator against the reference GLIFT semantics.
 
-The event engine's contract is *bit-identical* results -- not "close",
-not "equivalent verdicts": the same codes array after every pass, the
-same violations, the same report text.  These tests enforce that
-contract at three granularities:
+:class:`CompiledCircuit` evaluates each topological rank with one fused
+table lookup.  These tests hold it, bit for bit, to an independent
+reference: a per-gate walk over ``levelize(netlist)`` that calls
+:func:`repro.logic.glift.glift_eval` for every gate.  The reference
+shares nothing with the kernel -- no tables, no slice offsets, no padded
+inputs -- so a wrong offset, a bad broadcast or a misordered rank shows
+up as a code mismatch.
 
-* SoC lockstep: two :class:`GateRunner`\\ s over the same workload,
-  stepped cycle by cycle with the full 3027-net codes array compared
-  after every cycle, for every forking Table 1 workload.
-* Analysis equivalence: full :class:`TaintTracker` runs (verdict,
-  violation tuples, normalized report text), including across
-  checkpoint/save/resume and under ``jobs=2``.
-* Random netlists: seeded random DAG circuits driven with random
-  ternary/tainted input sequences, dense vs event codes compared after
-  every combinational settle and clock edge.
-
-A pickle round-trip regression pins the ``_DERIVED_CACHES`` audit:
-id-keyed derived tables must not survive a pickle boundary.
+* Random netlists: seeded random DAGs over all 16 combinational cell
+  types (arity 1-4), in both taint modes, compared after every
+  cone-plan pass, full pass and clock edge.
+* SoC lockstep: the compiled LP430 against a reference-evaluated copy,
+  cycle by cycle, on every forking Table 1 workload and one clean one.
+* Analysis equivalence: arming the perf recorder (the kernel's timed
+  path) never changes a full analysis.
+* Pickle round trip: ``_DERIVED_CACHES`` and the gate-eval counter cache
+  do not cross a pickle boundary, and the clone still matches the
+  reference.
 """
 
 import pickle
@@ -28,17 +29,96 @@ import pytest
 
 from repro.core import TaintTracker
 from repro.cpu import compiled_cpu
+from repro.cpu.build import build_cpu
 from repro.isa.assembler import assemble
+from repro.logic.glift import GATE_FUNCTIONS, glift_eval
 from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
-from repro.resilience import (
-    AnalysisInterrupted,
-    Checkpointer,
-    read_checkpoint,
-)
-from repro.sim.compiled import CompiledCircuit
+from repro.netlist.cells import CELL_LIBRARY
+from repro.netlist.levelize import levelize
+from repro.obs import Observer, observe
+from repro.obs.perf import PerfAttribution, record_perf
+from repro.sim.compiled import CODE_0, CODE_1, CompiledCircuit, code_of
 from repro.sim.runner import GateRunner
 from repro.workloads.registry import BENCHMARKS, TABLE2_VIOLATORS
+
+TAINT_MODES = ("glift", "naive")
+NUM_INPUTS = 5
+
+
+class Reference:
+    """Per-gate ``glift_eval`` evaluation in ``levelize`` order.
+
+    Gate results are memoised on ``(cell type, input codes)``;
+    ``glift_eval`` is a pure function, so this only saves time.
+    """
+
+    def __init__(self, netlist, taint_mode="glift"):
+        levels = levelize(netlist)
+        self.constants = [
+            (gate.output, CODE_1 if gate.cell_type == "TIE1" else CODE_0)
+            for gate in levels[0]
+        ]
+        self.gates = [gate for level in levels[1:] for gate in level]
+        self.outputs = {port.name: port.nets for port in netlist.outputs}
+        self.naive = taint_mode == "naive"
+        self._memo = {}
+
+    def gate(self, cell_type, codes):
+        key = (cell_type, codes)
+        code = self._memo.get(key)
+        if code is None:
+            values = [c >> 1 for c in codes]
+            taints = [c & 1 for c in codes]
+            value, taint = glift_eval(
+                GATE_FUNCTIONS[cell_type], values, taints
+            )
+            if self.naive:
+                taint = 1 if any(taints) else 0
+            code = self._memo[key] = code_of(value, taint)
+        return code
+
+    def cone(self, port_names):
+        """Every net feeding the named output ports."""
+        drivers = {gate.output: gate.inputs for gate in self.gates}
+        nets = set()
+        stack = [net for name in port_names for net in self.outputs[name]]
+        while stack:
+            net = stack.pop()
+            if net not in nets:
+                nets.add(net)
+                stack.extend(drivers.get(net, ()))
+        return frozenset(nets)
+
+    def evaluate(self, codes, nets=None):
+        """One pass over *codes* in place; with *nets*, only the gates
+        driving them (a cone-plan pass)."""
+        work = codes.tolist()
+        for net, code in self.constants:
+            work[net] = code
+        for gate in self.gates:
+            if nets is None or gate.output in nets:
+                work[gate.output] = self.gate(
+                    gate.cell_type, tuple(work[net] for net in gate.inputs)
+                )
+        codes[:] = work
+
+
+class ReferenceCircuit(CompiledCircuit):
+    """A compiled circuit whose every pass runs the reference walk."""
+
+    def __init__(self, netlist):
+        super().__init__(netlist)
+        self.reference = Reference(netlist)
+
+    def cone_plan(self, port_names):
+        return self.reference.cone(port_names)
+
+    def eval_plan(self, state, plan):
+        self.reference.evaluate(state.codes, nets=plan)
+
+    def eval_combinational(self, state):
+        self.reference.evaluate(state.codes)
 
 
 def _program(name):
@@ -51,213 +131,30 @@ def _normalize(report):
     return re.sub(r"wall=\S+", "wall=<t>", report)
 
 
-def _violation_key(violation):
-    # Violation is a frozen dataclass: directly comparable.
-    return violation
-
-
-LOCKSTEP_CYCLES = 400
-
-
-class TestSoCLockstep:
-    """Cycle-by-cycle codes equality on the forking Table 1 workloads."""
-
-    @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
-    def test_codes_bit_identical(self, name):
-        program = _program(name)
-        dense = GateRunner(compiled_cpu("dense"), program)
-        event = GateRunner(compiled_cpu("event"), program)
-        for cycle in range(LOCKSTEP_CYCLES):
-            dense.step()
-            event.step()
-            assert np.array_equal(
-                dense.soc.state.codes, event.soc.state.codes
-            ), f"{name}: codes diverged at cycle {cycle}"
-
-    def test_codes_bit_identical_nonforking(self):
-        """A clean kernel too -- quiescent workloads exercise the
-        zero-activity fast path the violators' forks never hit."""
-        program = _program("mult")
-        dense = GateRunner(compiled_cpu("dense"), program)
-        event = GateRunner(compiled_cpu("event"), program)
-        for cycle in range(LOCKSTEP_CYCLES):
-            dense.step()
-            event.step()
-            assert np.array_equal(
-                dense.soc.state.codes, event.soc.state.codes
-            ), f"mult: codes diverged at cycle {cycle}"
-
-
-#: Full-analysis results are expensive (seconds per engine); share them
-#: across the verdict/violations/report assertions of this module.
-_RESULT_CACHE = {}
-
-
-def _analysis(name, engine):
-    key = (name, engine)
-    if key not in _RESULT_CACHE:
-        tracker = TaintTracker(
-            _program(name), circuit=compiled_cpu(engine)
-        )
-        _RESULT_CACHE[key] = tracker.run()
-    return _RESULT_CACHE[key]
-
-
-class TestAnalysisEquivalence:
-    """Full TaintTracker runs must be indistinguishable per engine."""
-
-    @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
-    def test_verdict_violations_report(self, name):
-        dense = _analysis(name, "dense")
-        event = _analysis(name, "event")
-        assert event.verdict == dense.verdict
-        assert list(event.violations) == list(dense.violations)
-        assert event.stats.paths == dense.stats.paths
-        assert event.stats.forks == dense.stats.forks
-        assert event.stats.merges == dense.stats.merges
-        assert (
-            event.stats.cycles_simulated == dense.stats.cycles_simulated
-        )
-        assert _normalize(event.report()) == _normalize(dense.report())
-
-
-FORKY = """
-.task sys trusted
-start:
-    mov &P3IN, r4
-    bit #1, r4
-    jz even
-    mov #1, &P2OUT
-    halt
-even:
-    mov #2, &P2OUT
-    halt
-"""
-
-
-def _forky_tracker(engine, **kwargs):
-    program = assemble(FORKY, name="forky")
-    return TaintTracker(
-        program, circuit=compiled_cpu(engine), **kwargs
-    )
-
-
-class TestCheckpointEquivalence:
-    """Interrupt the event-engine analysis, resume it, and compare the
-    stitched result against an uninterrupted dense baseline."""
-
-    def _interrupt_after(self, tracker, paths):
-        original = tracker._explore_path
-        fired = []
-
-        def wrapper(*args, **kwargs):
-            original(*args, **kwargs)
-            if not fired and tracker.stats.paths >= paths:
-                fired.append(True)
-                tracker.request_interrupt("test")
-
-        tracker._explore_path = wrapper
-        return tracker
-
-    def test_resume_matches_dense_baseline(self, tmp_path):
-        dense = _forky_tracker("dense").run()
-
-        ckpt = tmp_path / "event.ckpt"
-        interrupted = self._interrupt_after(
-            _forky_tracker("event", checkpointer=Checkpointer(ckpt)),
-            paths=1,
-        )
-        with pytest.raises(AnalysisInterrupted):
-            interrupted.run()
-        assert ckpt.exists()
-
-        fresh = _forky_tracker("event")
-        payload = read_checkpoint(ckpt, fresh.config_digest())
-        fresh.restore_checkpoint(payload)
-        event = fresh.run()
-
-        assert event.verdict == dense.verdict
-        assert list(event.violations) == list(dense.violations)
-        assert event.stats.paths == dense.stats.paths
-        assert _normalize(event.report()) == _normalize(dense.report())
-
-    def test_table1_resume_matches(self, tmp_path):
-        """The same interrupt/resume stitch on a real forking workload."""
-        name = "binSearch"
-        dense = _analysis(name, "dense")
-
-        ckpt = tmp_path / "table1.ckpt"
-        interrupted = self._interrupt_after(
-            TaintTracker(
-                _program(name),
-                circuit=compiled_cpu("event"),
-                checkpointer=Checkpointer(ckpt),
-            ),
-            paths=2,
-        )
-        with pytest.raises(AnalysisInterrupted):
-            interrupted.run()
-
-        fresh = TaintTracker(
-            _program(name), circuit=compiled_cpu("event")
-        )
-        payload = read_checkpoint(ckpt, fresh.config_digest())
-        fresh.restore_checkpoint(payload)
-        event = fresh.run()
-
-        assert event.verdict == dense.verdict
-        assert list(event.violations) == list(dense.violations)
-        assert _normalize(event.report()) == _normalize(dense.report())
-
-
-class TestParallelEquivalence:
-    """--jobs parallel exploration must stay engine-agnostic."""
-
-    def test_jobs2_matches_dense_serial(self):
-        name = "tHold"
-        dense = _analysis(name, "dense")
-        event = TaintTracker(
-            _program(name), circuit=compiled_cpu("event"), jobs=2
-        ).run()
-        assert event.verdict == dense.verdict
-        assert list(event.violations) == list(dense.violations)
-        assert event.stats.paths == dense.stats.paths
-        assert _normalize(event.report()) == _normalize(dense.report())
-
-
 # ---------------------------------------------------------------------------
 # Random netlists
 # ---------------------------------------------------------------------------
-def random_netlist(seed, num_inputs=5, num_regs=4, num_gates=60):
-    """A seeded random layered DAG with registers and a reset."""
+def random_netlist(seed, num_regs=4, num_gates=80):
+    """A seeded random layered DAG with registers and a reset, using
+    every combinational cell type at least once."""
     rng = random.Random(seed)
     b = CircuitBuilder(f"rand{seed}")
     rst = b.input("rst", 1)[0]
-    pool = [b.input(f"in{i}", 1)[0] for i in range(num_inputs)]
+    pool = [b.input(f"in{i}", 1)[0] for i in range(NUM_INPUTS)]
     regs = [b.reg(f"r{i}", 1) for i in range(num_regs)]
     pool += [r.q[0] for r in regs]
     pool += [b.bit0(), b.bit1()]
-    for _ in range(num_gates):
-        op = rng.choice(
-            ("not", "and", "or", "xor", "xnor", "nand", "nor", "mux")
-        )
-        a, c, d = (rng.choice(pool) for _ in range(3))
-        if op == "not":
-            out = b.not_bit(a)
-        elif op == "and":
-            out = b.and_bit(a, c)
-        elif op == "or":
-            out = b.or_bit(a, c)
-        elif op == "xor":
-            out = b.xor_bit(a, c)
-        elif op == "xnor":
-            out = b.xnor_bit(a, c)
-        elif op == "nand":
-            out = b.nand_bit(a, c)
-        elif op == "nor":
-            out = b.nor_bit(a, c)
-        else:
-            out = b.mux_bit(a, c, d)
+    cell_types = sorted(GATE_FUNCTIONS)
+    kinds = cell_types + [
+        rng.choice(cell_types) for _ in range(num_gates - len(cell_types))
+    ]
+    rng.shuffle(kinds)
+    for cell_type in kinds:
+        inputs = [
+            rng.choice(pool) for _ in range(CELL_LIBRARY[cell_type].arity)
+        ]
+        out = b.netlist.add_net()
+        b.netlist.add_gate(cell_type, inputs, out)
         pool.append(out)
     for reg in regs:
         b.drive(reg, Sig([rng.choice(pool)]), rst=rst)
@@ -273,39 +170,108 @@ def _random_word(rng):
     return TWord(rng.randrange(2), 0, rng.randrange(2), 1)
 
 
+def _lockstep(netlist, circuit, seed, cycles=40):
+    """Drive *circuit* and the reference with the same random inputs,
+    comparing the whole code array after every pass and clock edge."""
+    reference = Reference(netlist, circuit.taint_mode)
+    cone, reference_cone = circuit.cone_plan(["out"]), reference.cone(["out"])
+    state, expected = circuit.new_state(), circuit.new_state()
+    rng = random.Random(1000 + seed)
+    for cycle in range(cycles):
+        words = {"rst": TWord.const(1 if cycle == 0 else 0, 1)}
+        # Change a random subset of inputs (sometimes none).
+        for index in range(NUM_INPUTS):
+            if rng.random() < 0.6:
+                words[f"in{index}"] = _random_word(rng)
+        for name, word in words.items():
+            circuit.set_input(state, name, word)
+            circuit.set_input(expected, name, word)
+        circuit.eval_plan(state, cone)
+        reference.evaluate(expected.codes, nets=reference_cone)
+        assert np.array_equal(state.codes, expected.codes), (
+            f"seed {seed} ({circuit.taint_mode}): cone pass diverged, "
+            f"cycle {cycle}"
+        )
+        circuit.eval_combinational(state)
+        reference.evaluate(expected.codes)
+        assert np.array_equal(state.codes, expected.codes), (
+            f"seed {seed} ({circuit.taint_mode}): full pass diverged, "
+            f"cycle {cycle}"
+        )
+        circuit.clock_edge(state)
+        circuit.clock_edge(expected)
+        circuit.eval_combinational(state)
+        reference.evaluate(expected.codes)
+        assert np.array_equal(state.codes, expected.codes), (
+            f"seed {seed} ({circuit.taint_mode}): diverged after clock "
+            f"edge, cycle {cycle}"
+        )
+
+
 class TestRandomNetlists:
+    def test_every_cell_type_is_exercised(self):
+        used = {gate.cell_type for gate in random_netlist(0).gates}
+        assert set(GATE_FUNCTIONS) <= used
+
     @pytest.mark.parametrize("seed", range(8))
     def test_lockstep_on_random_dag(self, seed):
         netlist = random_netlist(seed)
-        dense = CompiledCircuit(netlist, engine="dense")
-        event = CompiledCircuit(netlist, engine="event")
-        dstate = dense.new_state()
-        estate = event.new_state()
-        rng = random.Random(1000 + seed)
-        inputs = [f"in{i}" for i in range(5)]
-        for cycle in range(40):
-            rst = TWord.const(1 if cycle == 0 else 0, 1)
-            for circuit, state in ((dense, dstate), (event, estate)):
-                circuit.set_input(state, "rst", rst)
-            # Change a random subset of inputs (sometimes none: the
-            # quiescent pass must also match).
-            for name in inputs:
-                if rng.random() < 0.6:
-                    word = _random_word(rng)
-                    dense.set_input(dstate, name, word)
-                    event.set_input(estate, name, word)
-            dense.eval_combinational(dstate)
-            event.eval_combinational(estate)
-            assert np.array_equal(dstate.codes, estate.codes), (
-                f"seed {seed}: diverged after eval, cycle {cycle}"
-            )
-            dense.clock_edge(dstate)
-            event.clock_edge(estate)
-            dense.eval_combinational(dstate)
-            event.eval_combinational(estate)
-            assert np.array_equal(dstate.codes, estate.codes), (
-                f"seed {seed}: diverged after clock edge, cycle {cycle}"
-            )
+        for taint_mode in TAINT_MODES:
+            _lockstep(netlist, CompiledCircuit(netlist, taint_mode), seed)
+
+
+# ---------------------------------------------------------------------------
+# SoC lockstep on the LP430
+# ---------------------------------------------------------------------------
+LOCKSTEP_CYCLES = 400
+
+
+@pytest.fixture(scope="module")
+def reference_cpu():
+    return ReferenceCircuit(build_cpu())
+
+
+def _soc_lockstep(name, reference_cpu):
+    program = _program(name)
+    fused = GateRunner(compiled_cpu(), program)
+    reference = GateRunner(reference_cpu, program)
+    for cycle in range(LOCKSTEP_CYCLES):
+        fused.step()
+        reference.step()
+        assert np.array_equal(
+            fused.soc.state.codes, reference.soc.state.codes
+        ), f"{name}: codes diverged at cycle {cycle}"
+
+
+class TestSoCLockstep:
+    """Cycle-by-cycle codes equality on the Table 1 workloads."""
+
+    @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
+    def test_codes_bit_identical(self, name, reference_cpu):
+        _soc_lockstep(name, reference_cpu)
+
+    def test_codes_bit_identical_nonforking(self, reference_cpu):
+        _soc_lockstep("mult", reference_cpu)
+
+
+class TestAnalysisEquivalence:
+    """The perf-timed path runs the same kernel as the plain one: arming
+    the recorder must not change any part of a full analysis."""
+
+    @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
+    def test_verdict_violations_report(self, name):
+        plain = TaintTracker(_program(name), circuit=compiled_cpu()).run()
+        with record_perf(PerfAttribution()):
+            timed = TaintTracker(
+                _program(name), circuit=compiled_cpu()
+            ).run()
+        assert timed.verdict == plain.verdict
+        assert list(timed.violations) == list(plain.violations)
+        assert timed.stats.paths == plain.stats.paths
+        assert timed.stats.forks == plain.stats.forks
+        assert timed.stats.merges == plain.stats.merges
+        assert timed.stats.cycles_simulated == plain.stats.cycles_simulated
+        assert _normalize(timed.report()) == _normalize(plain.report())
 
 
 # ---------------------------------------------------------------------------
@@ -313,82 +279,23 @@ class TestRandomNetlists:
 # ---------------------------------------------------------------------------
 class TestPickleRoundTrip:
     def test_derived_caches_do_not_cross_pickle(self):
-        netlist = random_netlist(3)
-        circuit = CompiledCircuit(netlist, engine="event")
-        state = circuit.new_state()
-        circuit.set_input(state, "rst", TWord.const(0, 1))
-        for i in range(5):
-            circuit.set_input(state, f"in{i}", TWord.const(i & 1, 1))
-        circuit.eval_combinational(state)
+        circuit = CompiledCircuit(random_netlist(3), "naive")
+        with observe(Observer()):
+            circuit.eval_combinational(circuit.new_state())
+        circuit._producer_tables()
         # The lazy caches exist in the source process...
-        assert getattr(circuit, "_ev_tables", None) is not None
-        circuit.cone_plan(["out"])
+        assert circuit._counter_registry is not None
+        assert getattr(circuit, "_prod_tables", None) is not None
 
         clone = pickle.loads(pickle.dumps(circuit))
-        # ...and must be absent after the round trip: their keys embed
-        # object ids from the source process.
+        # ...and are absent after the round trip.
         for name in CompiledCircuit._DERIVED_CACHES:
             assert getattr(clone, name, None) is None, name
-        assert clone._plan_totals == {}
+        assert clone._counter_registry is None
         assert clone._counter_cache == {}
-        assert clone.engine == "event"
+        assert clone.taint_mode == "naive"
 
     def test_pickled_circuit_still_bit_identical(self):
         netlist = random_netlist(4)
-        dense = CompiledCircuit(netlist, engine="dense")
-        event = pickle.loads(
-            pickle.dumps(CompiledCircuit(netlist, engine="event"))
-        )
-        dstate = dense.new_state()
-        estate = event.new_state()
-        rng = random.Random(99)
-        for cycle in range(20):
-            dense.set_input(dstate, "rst", TWord.const(0, 1))
-            event.set_input(estate, "rst", TWord.const(0, 1))
-            for i in range(5):
-                word = _random_word(rng)
-                dense.set_input(dstate, f"in{i}", word)
-                event.set_input(estate, f"in{i}", word)
-            dense.eval_combinational(dstate)
-            event.eval_combinational(estate)
-            dense.clock_edge(dstate)
-            event.clock_edge(estate)
-            dense.eval_combinational(dstate)
-            event.eval_combinational(estate)
-            assert np.array_equal(dstate.codes, estate.codes), (
-                f"pickled circuit diverged at cycle {cycle}"
-            )
-
-    def test_event_state_survives_circuit_state_pickle(self):
-        """CircuitState round-trips with its dirty bookkeeping intact:
-        a resumed state must not silently skip pending work."""
-        netlist = random_netlist(5)
-        event = CompiledCircuit(netlist, engine="event")
-        dense = CompiledCircuit(netlist, engine="dense")
-        estate = event.new_state()
-        dstate = dense.new_state()
-        rng = random.Random(7)
-        for circuit, state in ((event, estate), (dense, dstate)):
-            circuit.set_input(state, "rst", TWord.const(0, 1))
-        for i in range(5):
-            word = _random_word(rng)
-            event.set_input(estate, f"in{i}", word)
-            dense.set_input(dstate, f"in{i}", word)
-        event.eval_combinational(estate)
-        dense.eval_combinational(dstate)
-
-        resumed = pickle.loads(pickle.dumps(estate))
-        # Continue both; the resumed event state must keep matching.
-        for cycle in range(10):
-            word = _random_word(rng)
-            event.set_input(resumed, "in0", word)
-            dense.set_input(dstate, "in0", word)
-            event.eval_combinational(resumed)
-            dense.eval_combinational(dstate)
-            event.clock_edge(resumed)
-            dense.clock_edge(dstate)
-            event.eval_combinational(resumed)
-            dense.eval_combinational(dstate)
-            assert np.array_equal(resumed.codes, dstate.codes), (
-                f"resumed state diverged at cycle {cycle}"
-            )
+        clone = pickle.loads(pickle.dumps(CompiledCircuit(netlist)))
+        _lockstep(netlist, clone, seed=4, cycles=20)
