@@ -8,7 +8,6 @@ get the verdict, the diagnostics and (optionally) the repaired binary.
     python -m repro.cli analyze  app.s43 --deadline 3600 \\
         --checkpoint run.ckpt --checkpoint-every 16   # resumable
     python -m repro.cli analyze  app.s43 --resume run.ckpt
-    python -m repro.cli analyze  app.s43 --jobs 4   # bit-identical, parallel
     python -m repro.cli analyze-all --jobs 4 -o results.json  # Table 1 sweep
     python -m repro.cli repair   app.s43 -o app_secure.s43
     python -m repro.cli run      app.s43 --max-cycles 20000
@@ -229,7 +228,6 @@ def cmd_analyze(args) -> int:
         checkpointer=checkpointer,
         obs=observer,
         provenance=recorder,
-        jobs=getattr(args, "jobs", 1),
     )
     if args.resume:
         payload = read_checkpoint(
@@ -1339,15 +1337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the gate-level analysis")
     common(p)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for path-level parallel exploration "
-        "(results are bit-identical to --jobs 1; --provenance forces "
-        "serial mode)",
-    )
     p.add_argument(
         "--tree", action="store_true", help="print the execution tree"
     )

@@ -332,33 +332,6 @@ class PolicyChecker:
                     )
 
     # ------------------------------------------------------------------
-    # Parallel support
-    # ------------------------------------------------------------------
-    def new_violations_since(self, mark: int) -> List[Tuple[Tuple, Violation]]:
-        """The ``(dedupe_key, violation)`` pairs recorded after *mark*
-        (a previous ``len(self._violations)``); insertion order."""
-        if mark >= len(self._violations):
-            return []
-        return list(self._violations.items())[mark:]
-
-    def violation_count(self) -> int:
-        return len(self._violations)
-
-    def adopt(self, pairs) -> None:
-        """Replay ``(dedupe_key, violation)`` pairs captured by a worker's
-        local checker.  First occurrence wins, exactly like the serial
-        :meth:`_record` dedup: a key already present keeps its (earlier)
-        record.  Every probe is pure per call -- the only cross-call state
-        is this dedup dict and the watchdog latch, which mirrors the
-        ``(WATCHDOG_TAINTED,)`` key -- so consume-order replay of segment
-        diffs reproduces the serial checker bit-for-bit."""
-        for key, violation in pairs:
-            if key not in self._violations:
-                self._violations[key] = violation
-            if key == (ViolationKind.WATCHDOG_TAINTED,):
-                self._watchdog_flagged = True
-
-    # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
     def export_state(self) -> dict:

@@ -313,8 +313,7 @@ def build_runner(
 ) -> GateRunner:
     """The analysis substrate: a gate-level SoC with the policy's taints
     applied (input/output port labels, tainted code words, tainted RAM
-    regions).  Shared by :class:`TaintTracker` and the parallel workers,
-    so both simulate the exact same machine."""
+    regions)."""
     space = AddressSpace(
         tainted_input_ports=tuple(policy.tainted_input_ports),
         tainted_output_ports=tuple(policy.tainted_output_ports),
@@ -354,7 +353,6 @@ class TaintTracker:
         checkpointer=None,
         provenance: Optional[ProvenanceRecorder] = None,
         timeline: Optional[TimelineRecorder] = None,
-        jobs: int = 1,
         progress: Optional[ProgressEstimator] = None,
     ):
         self.program = program
@@ -382,8 +380,7 @@ class TaintTracker:
         #: process-wide for the duration of :meth:`run`
         self.timeline = timeline
         #: optional :class:`repro.resilience.ProgressEstimator` taking
-        #: periodic exploration snapshots (serial mode only: the parallel
-        #: coordinator owns its own worklist)
+        #: periodic exploration snapshots
         self.progress = progress
         if progress is not None:
             progress.attach(self)
@@ -394,9 +391,6 @@ class TaintTracker:
         #: this budget simulate precisely (so clean kernels verify clean);
         #: anything longer converges through the conservative merge.
         self.exact_branch_visits = exact_branch_visits
-        #: worker processes for path-level parallel exploration (1 =
-        #: classic serial mode); see :mod:`repro.parallel`
-        self.jobs = max(1, int(jobs))
         self._visit_counts: Dict[object, int] = {}
 
         self.runner = build_runner(program, self.policy, self.circuit)
@@ -580,14 +574,7 @@ class TaintTracker:
         )
         try:
             with obs.span("explore"), recording, flight:
-                if self._parallel_jobs() > 1:
-                    from repro.parallel.coordinator import (
-                        run_worklist_parallel,
-                    )
-
-                    run_worklist_parallel(self)
-                else:
-                    self._run_worklist_serial(worklist, budget)
+                self._run_worklist(worklist, budget)
         finally:
             self.stats.wall_seconds += CLOCK.wall() - start_time
 
@@ -610,10 +597,19 @@ class TaintTracker:
             circuit=self.circuit,
         )
 
-    def _run_worklist_serial(
+    def _run_worklist(
         self, worklist: List[_WorkItem], budget: AnalysisBudget
     ) -> None:
-        """The classic sequential drain of the fork tree."""
+        """Drain the fork tree depth-first.
+
+        The order is part of the result: the worklist is a LIFO stack
+        (fork children are pushed in successor order, so the last one
+        runs first), and merge-table visits, forks and checker records
+        happen in the order this loop reaches them.  Merges widen the
+        stored state in visit order and the checker keeps the first
+        record per dedup key, so any explorer that evaluates several
+        items at once must apply their effects in this same order to
+        reproduce the verdict, statistics and tree bit-for-bit."""
         soc = self.runner.soc
         while worklist:
             if self._interrupt_reason is not None:
@@ -648,48 +644,6 @@ class TaintTracker:
                     paths=self.stats.paths,
                     node=item.node_id,
                 ) from error
-
-    def _parallel_jobs(self) -> int:
-        """The worker count actually used, after the documented
-        serial-forcing restrictions.
-
-        Provenance recording hooks every gate evaluation process-wide
-        and its edge ring is ordered by global cycle, so it cannot ride
-        along with speculative out-of-order workers: recording forces
-        serial mode (with a warning).  Fault injection likewise arms a
-        process-global seeded hook whose firing schedule *is* the test
-        vector -- replaying it across workers would change it."""
-        if self.jobs <= 1:
-            return 1
-        import warnings
-
-        if self.provenance is not None:
-            warnings.warn(
-                "provenance recording forces serial exploration; "
-                f"ignoring jobs={self.jobs} (see DESIGN.md, "
-                "'Parallel exploration')",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return 1
-        if self.timeline is not None:
-            warnings.warn(
-                "timeline recording forces serial exploration; "
-                f"ignoring jobs={self.jobs} (frame order is the "
-                "timeline -- speculative workers would scramble it)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return 1
-        if get_injector() is not None:
-            warnings.warn(
-                "fault injection forces serial exploration; "
-                f"ignoring jobs={self.jobs}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return 1
-        return self.jobs
 
     # ------------------------------------------------------------------
     # Resilience: interrupts, degradation, checkpoint/resume

@@ -1,28 +1,6 @@
-"""Parallel path exploration for the GLIFT tracker.
+"""Workload-level parallelism across analyses.
 
-Two layers, both deterministic:
-
-* :mod:`repro.parallel.coordinator` / :mod:`repro.parallel.worker` --
-  path-level parallelism *inside* one analysis (``TaintTracker(...,
-  jobs=N)``).  Workers speculatively simulate path segments; the
-  coordinator alone applies merges, in serial order, so results are
-  bit-identical to ``jobs=1``.
-* :mod:`repro.parallel.analyze_all` -- workload-level parallelism
-  *across* analyses (``repro analyze-all --jobs N``): each worker runs
-  one workload's full serial analysis and the parent aggregates the
-  per-workload documents.
+:mod:`repro.parallel.analyze_all` backs ``repro analyze-all --jobs N``:
+each worker process runs one workload's full serial analysis and the
+parent aggregates the per-workload documents.
 """
-
-from repro.parallel.protocol import (
-    ChainResult,
-    MAX_CHAIN_CYCLES,
-    MAX_CHAIN_SEGMENTS,
-    SegmentRecord,
-)
-
-__all__ = [
-    "ChainResult",
-    "SegmentRecord",
-    "MAX_CHAIN_CYCLES",
-    "MAX_CHAIN_SEGMENTS",
-]

@@ -1,10 +1,9 @@
 """Workload-level parallelism: ``repro analyze-all --jobs N``.
 
-The second, coarser layer of :mod:`repro.parallel`: instead of splitting
-one exploration across workers, fan the Table 1 workload registry over a
-process pool -- one workload per worker, each running the classic serial
-analysis -- and aggregate the per-workload verdict documents, exit codes
-and timing into one JSON report.
+Fan the Table 1 workload registry over a process pool -- one workload
+per worker, each running the serial analysis -- and aggregate the
+per-workload verdict documents, exit codes and timing into one JSON
+report.
 
 Per-workload runs are fully independent (own program, own tracker, own
 budget instance built from the same spec), so the aggregate document is

@@ -143,28 +143,6 @@ class AnalysisBudget:
         return False
 
     # ------------------------------------------------------------------
-    def worker_view(self) -> "AnalysisBudget":
-        """The slice of this budget a parallel worker enforces itself.
-
-        Workers run speculative path segments in their own processes, so
-        the axes a single runaway chain can blow through locally -- the
-        wall-clock deadline (same anchor: ``time.monotonic`` is per-boot,
-        and workers live on the same host) and the RSS ceiling (checked
-        against the *worker's* RSS) -- travel with the work.  The global
-        axes (paths, cycles, merged states) stay with the coordinator,
-        which alone owns the exploration totals.  On exhaustion a worker
-        pauses its chain at the next fetch boundary and ships the state
-        back; the coordinator then degrades soundly exactly as the
-        serial tracker does.
-        """
-        view = AnalysisBudget(
-            deadline_seconds=self.deadline_seconds,
-            max_rss_mb=self.max_rss_mb,
-        )
-        view._started_at = self._started_at
-        return view
-
-    # ------------------------------------------------------------------
     def describe(self) -> dict:
         """JSON-ready description of the configured ceilings."""
         return {

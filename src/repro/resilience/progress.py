@@ -37,8 +37,6 @@ ultimately ``GET /jobs/<id>/events`` and ``repro watch``.
 
 Exploration determinism is untouched: the estimator only reads tracker
 state, and nothing downstream of it feeds back into exploration order.
-(Path-parallel mode bypasses the estimator: the coordinator owns the
-worklist there, and the service always runs its workers serial.)
 """
 
 from __future__ import annotations
@@ -207,7 +205,7 @@ class ProgressEstimator:
         tracker = self._tracker
         stats = tracker.stats
         merged_states = tracker._merged_states
-        violations = tracker.checker.violation_count()
+        violations = len(tracker.checker.violations())
         fractions = self._budget_fractions(stats, merged_states)
 
         # Frontier estimate: the popped item being explored is neither

@@ -264,23 +264,6 @@ class CompiledCircuit:
         return _Rank(inputs, outputs, offsets, cells)
 
     # ------------------------------------------------------------------
-    # Pickling (parallel-worker support)
-    # ------------------------------------------------------------------
-
-    #: Lazily built attributes that do not ship across a pickle
-    #: boundary; a worker rebuilds them on first use.  The gate-eval
-    #: counter cache is reset too: it holds this process's registry.
-    _DERIVED_CACHES = ("_prod_tables",)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_counter_registry"] = None
-        state["_counter_cache"] = {}
-        for name in self._DERIVED_CACHES:
-            state.pop(name, None)
-        return state
-
-    # ------------------------------------------------------------------
     # State management
     # ------------------------------------------------------------------
     def new_state(self) -> CircuitState:

@@ -1,7 +1,9 @@
 """Property-based tests for the code-lattice merge algebra.
 
-The parallel coordinator's determinism argument leans on the merge
-being a well-behaved join: ``codes_merge`` must be a commutative,
+The tracker's merge table keeps one conservative state per site,
+widened by every visit in serial order, and stops a path once that
+state covers it; checkpoints save the table and a resumed run keeps
+widening it.  That is sound only if ``codes_merge`` is a commutative,
 associative, idempotent least upper bound under the ``codes_cover``
 partial order, and the drain-time ``_widen_to_top`` state must cover
 everything.  Hypothesis hunts for counterexamples over the full code

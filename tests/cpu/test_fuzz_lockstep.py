@@ -147,11 +147,11 @@ def test_concrete_lockstep(source):
 )
 @given(source=random_program())
 def test_concrete_lockstep_through_pickled_handoffs(source):
-    """Lockstep oracle through the parallel worker hand-off path: the
-    gate-level run is sliced into segments and the SoC snapshot is
-    round-tripped through pickle between slices -- exactly what the
-    coordinator/worker protocol does to a path state.  Serialization
-    must be invisible to the architectural result."""
+    """Lockstep oracle through checkpoint hand-offs: the gate-level run
+    is sliced into segments and the SoC snapshot is round-tripped
+    through pickle between slices -- what a checkpoint save and resume
+    does to a worklist state.  Serialization must be invisible to the
+    architectural result."""
     import pickle
 
     program = assemble(source, name="fuzz")

@@ -121,16 +121,3 @@ def test_seek_bit_identical_across_checkpoint_resume(name):
     result = resumed.run()
     timeline = resumed_recorder.to_timeline(result.violations)
     _assert_lockstep(timeline, _raw_frames(name), f"{name} (resumed)")
-
-
-def test_timeline_forces_serial_with_warning():
-    """Documented restriction: the frame sequence *is* the timeline, so
-    speculative out-of-order workers cannot ride along."""
-    recorder = TimelineRecorder()
-    tracker = _tracker("intAVG", timeline=recorder, jobs=4)
-    with pytest.warns(RuntimeWarning, match="forces serial"):
-        assert tracker._parallel_jobs() == 1
-        result = tracker.run()
-    reference = _tracker("intAVG").run()
-    assert result.verdict == reference.verdict
-    assert recorder.num_frames > 0

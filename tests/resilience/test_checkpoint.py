@@ -1,8 +1,11 @@
 """Checkpoint/resume: determinism, validation, cadence."""
 
+import pickle
+
 import pytest
 
 from repro.core import TaintTracker, default_policy
+from repro.core.tracker import _state_digest
 from repro.isa.assembler import assemble
 from repro.resilience import (
     CHECKPOINT_VERSION,
@@ -219,3 +222,54 @@ class TestCadence:
         assert result.verdict == "secure"
         assert checkpointer.saves >= 1
         assert ckpt.exists()
+
+
+PORT_COPY = """
+.task sys trusted
+start:
+    mov #0x0FFE, sp
+    call #app
+    jmp start
+.task app untrusted
+app:
+    mov &P1IN, r4
+    and #0x0003, r4
+    mov r4, &P2OUT
+    ret
+"""
+
+
+def _pickle_roundtrip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class TestSnapshotPickle:
+    """A checkpoint file pickles the worklist and merge-table
+    ``SoCState``s.  Resume re-keys the concrete-visit dedup table by
+    ``_state_digest``, so a snapshot must keep its digest across the
+    round trip and continue exactly like the original; otherwise a
+    resumed run would silently diverge from an uninterrupted one."""
+
+    def test_soc_state_roundtrip_preserves_digest(self):
+        soc = _tracker(PORT_COPY, "pickle_probe").runner.soc
+        for _ in range(25):
+            soc.step()
+            state = soc.snapshot()
+            clone = _pickle_roundtrip(state)
+            assert _state_digest(clone) == _state_digest(state)
+            assert clone.cycle == state.cycle
+            assert clone.pending_por == state.pending_por
+
+    def test_soc_state_roundtrip_resumes_identically(self):
+        soc = _tracker(PORT_COPY, "pickle_probe").runner.soc
+        for _ in range(10):
+            soc.step()
+        state = soc.snapshot()
+        for _ in range(10):
+            soc.step()
+        after_original = _state_digest(soc.snapshot())
+
+        soc.restore(_pickle_roundtrip(state))
+        for _ in range(10):
+            soc.step()
+        assert _state_digest(soc.snapshot()) == after_original

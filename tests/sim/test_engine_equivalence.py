@@ -15,12 +15,8 @@ up as a code mismatch.
   cycle by cycle, on every forking Table 1 workload and one clean one.
 * Analysis equivalence: arming the perf recorder (the kernel's timed
   path) never changes a full analysis.
-* Pickle round trip: ``_DERIVED_CACHES`` and the gate-eval counter cache
-  do not cross a pickle boundary, and the clone still matches the
-  reference.
 """
 
-import pickle
 import random
 import re
 
@@ -36,7 +32,6 @@ from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.cells import CELL_LIBRARY
 from repro.netlist.levelize import levelize
-from repro.obs import Observer, observe
 from repro.obs.perf import PerfAttribution, record_perf
 from repro.sim.compiled import CODE_0, CODE_1, CompiledCircuit, code_of
 from repro.sim.runner import GateRunner
@@ -272,30 +267,3 @@ class TestAnalysisEquivalence:
         assert timed.stats.merges == plain.stats.merges
         assert timed.stats.cycles_simulated == plain.stats.cycles_simulated
         assert _normalize(timed.report()) == _normalize(plain.report())
-
-
-# ---------------------------------------------------------------------------
-# Pickle round-trip (the _DERIVED_CACHES audit)
-# ---------------------------------------------------------------------------
-class TestPickleRoundTrip:
-    def test_derived_caches_do_not_cross_pickle(self):
-        circuit = CompiledCircuit(random_netlist(3), "naive")
-        with observe(Observer()):
-            circuit.eval_combinational(circuit.new_state())
-        circuit._producer_tables()
-        # The lazy caches exist in the source process...
-        assert circuit._counter_registry is not None
-        assert getattr(circuit, "_prod_tables", None) is not None
-
-        clone = pickle.loads(pickle.dumps(circuit))
-        # ...and are absent after the round trip.
-        for name in CompiledCircuit._DERIVED_CACHES:
-            assert getattr(clone, name, None) is None, name
-        assert clone._counter_registry is None
-        assert clone._counter_cache == {}
-        assert clone.taint_mode == "naive"
-
-    def test_pickled_circuit_still_bit_identical(self):
-        netlist = random_netlist(4)
-        clone = pickle.loads(pickle.dumps(CompiledCircuit(netlist)))
-        _lockstep(netlist, clone, seed=4, cycles=20)
