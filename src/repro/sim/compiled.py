@@ -13,19 +13,24 @@ A net's code packs its ternary value and taint into one byte::
 
     code = value * 2 + taint        # value in {0, 1, X=2}, taint in {0, 1}
 
-Every gate is evaluated as a four-input gate.  An arity-k cell's table is
-broadcast to ``6**4 = 1296`` entries that ignore the last ``4 - k`` base-6
-digits, and its padded input columns repeat input 0, so the padding is
-don't-care and exact.  One concatenated table holds one such slice per
-cell type the netlist uses, and each gate carries the offset of its type's
-slice.  A rank then evaluates as::
+Every gate is evaluated as a four-input gate whose padded input columns
+repeat input 0; an arity-k cell's table ignores those inputs, so the
+padding is don't-care and exact.  A gate's *key* is eight bytes read as
+one little-endian 64-bit integer, so it does not depend on host byte
+order: its four input codes, a type code (``6 + type index``, above
+every net code) and three zero bytes.  The type codes and the zero byte
+sit in a constant suffix of the state buffer past the nets, so one
+gather reads all eight bytes, and a rank evaluates as::
 
-    codes[outputs] = lut[codes[inputs] @ (216, 36, 6, 1) + offsets]
+    buffer[outputs] = table[buffer[columns].view('<i8') % HASH_MODULUS]
 
--- one gather, one product, one table lookup and one scatter per rank,
-whatever its mix of cell types (DESIGN.md section 13).  Full passes,
-cone-plan passes, provenance-recording passes and perf-timed passes all
-run that one kernel (:meth:`CompiledCircuit._sweep`).
+-- one gather, one modulo, one table lookup and one scatter per rank,
+whatever its mix of cell types (DESIGN.md section 13).  ``HASH_MODULUS``
+is the smallest modulus that is injective over the keys of every library
+cell type, so any netlist's table has ``HASH_MODULUS`` entries and needs
+no search at set-up.  Full passes, cone-plan passes, provenance-recording
+passes and perf-timed passes all run that one kernel
+(:meth:`CompiledCircuit._sweep`).
 """
 
 from __future__ import annotations
@@ -53,12 +58,34 @@ CODE_X = 4  # value X, untainted
 
 #: Every gate is evaluated with this many (padded) inputs.
 MAX_ARITY = 4
-#: Entries in one cell type's slice of the shared table.
-LUT_SLICE = 6 ** MAX_ARITY
-#: Base-6 place values of a gate's input codes, input 0 most significant.
-_WEIGHTS = np.array(
-    [6 ** (MAX_ARITY - 1 - position) for position in range(MAX_ARITY)],
-    dtype=np.int32,
+#: Entries in one cell type's padded table (every input-code combination).
+LUT_ENTRIES = 6 ** MAX_ARITY
+#: Combinational cell types in type-index order; a gate's type code is
+#: ``6 + index``, above every net code.
+CELL_TYPES: Tuple[str, ...] = tuple(sorted(GATE_FUNCTIONS))
+#: Bytes in a gate key: MAX_ARITY input codes, the type code, zero bytes.
+KEY_BYTES = 8
+#: Smallest modulus under which ``key % HASH_MODULUS`` is injective over
+#: every key of every type in :data:`CELL_TYPES`; it is the table size.
+HASH_MODULUS = 32515
+#: ``HASH_MODULUS`` as a numpy scalar: the kernel converts nothing per rank.
+_MODULUS = np.int64(HASH_MODULUS)
+#: A key's eight bytes as one little-endian integer.  Every key is below
+#: ``2**40``, so the signed reading equals the unsigned one, and a signed
+#: key indexes the table without numpy's uint64-to-intp index cast.
+_KEY = np.dtype("<i8")
+#: Key of each padded-table index with a zero type byte: input code *i*
+#: is byte *i*, matching the base-6 index order of :func:`_padded_lut`.
+_CODE_KEYS = np.array(
+    [
+        sum(code << (8 * position) for position, code in enumerate(codes))
+        for codes in itertools.product(range(6), repeat=MAX_ARITY)
+    ],
+    dtype=np.int64,
+)
+#: The state buffer's suffix past the nets: every type code, then a zero.
+_SUFFIX = np.array(
+    [6 + index for index in range(len(CELL_TYPES))] + [0], dtype=np.uint8
 )
 
 
@@ -126,7 +153,7 @@ def _padded_lut(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
     key = (cell_type, taint_mode)
     if key not in _LUT_CACHE:
         lut = _lut_for(cell_type, taint_mode)
-        _LUT_CACHE[key] = np.repeat(lut, LUT_SLICE // len(lut))
+        _LUT_CACHE[key] = np.repeat(lut, LUT_ENTRIES // len(lut))
     return _LUT_CACHE[key]
 
 
@@ -139,7 +166,8 @@ class _Rank(NamedTuple):
 
     inputs: np.ndarray  # (n, MAX_ARITY) net ids, padded with input 0
     outputs: np.ndarray  # (n,) net ids
-    offsets: np.ndarray  # (n,) start of each gate's table slice
+    columns: np.ndarray  # (n * KEY_BYTES,) buffer index of each key byte
+    types: np.ndarray  # (n,) index into CELL_TYPES
     cells: Tuple[Tuple[str, int], ...]  # (cell type, gates), sorted
 
 
@@ -159,15 +187,20 @@ class _Plan:
 
 
 class CircuitState:
-    """Per-net codes for one simulation state (mutable, cheap to copy)."""
+    """Per-net codes for one simulation state (mutable, cheap to copy).
 
-    __slots__ = ("codes",)
+    ``buffer`` holds the net codes followed by the constant key suffix
+    the gate kernel gathers from; ``codes`` is a view of just the nets.
+    """
 
-    def __init__(self, codes: np.ndarray):
-        self.codes = codes
+    __slots__ = ("buffer", "codes")
+
+    def __init__(self, buffer: np.ndarray, num_nets: int):
+        self.buffer = buffer
+        self.codes = buffer[:num_nets]
 
     def copy(self) -> "CircuitState":
-        return CircuitState(self.codes.copy())
+        return CircuitState(self.buffer.copy(), len(self.codes))
 
 
 class CompiledCircuit:
@@ -195,27 +228,27 @@ class CompiledCircuit:
                 sorted(level, key=lambda gate: gate.cell_type)
                 for level in levelize(netlist)[1:]
             ]
+        type_of = {
+            cell_type: index for index, cell_type in enumerate(CELL_TYPES)
+        }
         arity_of = {
             gate.cell_type: len(gate.inputs)
             for level in levels
             for gate in level
         }
-        #: cell types present, in table order: slice i of ``_lut``
-        #: (entries ``i * LUT_SLICE`` onwards) belongs to type i
-        self._cell_types = sorted(arity_of)
-        self._slice_arity = np.array(
-            [arity_of[cell_type] for cell_type in self._cell_types],
+        #: arity of each cell type, by type index (0 for types not present)
+        self._arity = np.array(
+            [arity_of.get(cell_type, 0) for cell_type in CELL_TYPES],
             dtype=np.int64,
         )
-        self._lut = np.concatenate(
-            [_padded_lut(cell_type, taint_mode)
-             for cell_type in self._cell_types]
-            or [np.zeros(0, dtype=np.uint8)]
-        )
-        offset_of = {
-            cell_type: index * LUT_SLICE
-            for index, cell_type in enumerate(self._cell_types)
-        }
+        #: the hashed table: entry ``key % HASH_MODULUS`` is the output
+        #: code of the gate whose key is *key*
+        self._table = np.zeros(HASH_MODULUS, dtype=np.uint8)
+        for index in np.flatnonzero(self._arity).tolist():
+            keys = _CODE_KEYS | (6 + index) << 32
+            self._table[keys % HASH_MODULUS] = _padded_lut(
+                CELL_TYPES[index], taint_mode
+            )
         ranks = []
         for gates in levels:
             inputs = np.array(
@@ -228,9 +261,9 @@ class CompiledCircuit:
             )
             outputs = np.array([gate.output for gate in gates],
                                dtype=np.int64)
-            offsets = np.array([offset_of[gate.cell_type] for gate in gates],
-                               dtype=np.int32)
-            ranks.append(self._rank(inputs, outputs, offsets))
+            types = np.array([type_of[gate.cell_type] for gate in gates],
+                             dtype=np.int64)
+            ranks.append(self._rank(inputs, outputs, types))
         self._full_plan = _Plan(ranks)
         #: cone plans by output-port tuple (see :meth:`cone_plan`)
         self._cone_plans: Dict[Tuple[str, ...], _Plan] = {}
@@ -255,13 +288,18 @@ class CompiledCircuit:
         }
 
     def _rank(self, inputs: np.ndarray, outputs: np.ndarray,
-              offsets: np.ndarray) -> _Rank:
-        slices, counts = np.unique(offsets // LUT_SLICE, return_counts=True)
+              types: np.ndarray) -> _Rank:
+        columns = np.empty((len(outputs), KEY_BYTES), dtype=np.int64)
+        columns[:, :MAX_ARITY] = inputs
+        columns[:, MAX_ARITY] = self.num_nets + types
+        columns[:, MAX_ARITY + 1:] = self.num_nets + len(CELL_TYPES)
+        counts = np.bincount(types, minlength=len(CELL_TYPES)).tolist()
         cells = tuple(
-            (self._cell_types[index], count)
-            for index, count in zip(slices.tolist(), counts.tolist())
+            (cell_type, count)
+            for cell_type, count in zip(CELL_TYPES, counts)
+            if count
         )
-        return _Rank(inputs, outputs, offsets, cells)
+        return _Rank(inputs, outputs, columns.ravel(), types, cells)
 
     # ------------------------------------------------------------------
     # State management
@@ -272,8 +310,10 @@ class CompiledCircuit:
         This is Algorithm 1 line 2: "initialize all memory cells and all
         gates in design_netlist to untainted X".
         """
-        codes = np.full(self.num_nets, CODE_X, dtype=np.uint8)
-        return CircuitState(codes)
+        buffer = np.concatenate(
+            [np.full(self.num_nets, CODE_X, dtype=np.uint8), _SUFFIX]
+        )
+        return CircuitState(buffer, self.num_nets)
 
     def dff_state(self, state: CircuitState) -> np.ndarray:
         """The flip-flop snapshot (copy) -- the circuit's true state."""
@@ -375,41 +415,42 @@ class CompiledCircuit:
         perf = get_perf() if recorder is None else None
         if recorder is not None:
             before = codes.copy()
-            self._sweep(codes, plan)
+            self._sweep(state.buffer, plan)
             self._record_fresh_taint(codes, before, recorder)
         elif perf is not None:
             perf.ensure_bound(self)
             slots = perf.group_slots(plan, kind)
             pass_start = perf_counter()
-            self._sweep(codes, plan, slots)
+            self._sweep(state.buffer, plan, slots)
             perf.note_pass(kind, perf_counter() - pass_start)
             if kind == "full":
                 perf.sample(codes)
         else:
-            self._sweep(codes, plan)
+            self._sweep(state.buffer, plan)
         obs = get_observer()
         if obs.enabled:
             self._count_gate_evals(obs.metrics, plan)
 
     def _sweep(
         self,
-        codes: np.ndarray,
+        buffer: np.ndarray,
         plan: _Plan,
         slots: Optional[List[float]] = None,
     ) -> None:
-        """The gate kernel: evaluate *plan*'s ranks in order.
+        """The gate kernel: evaluate *plan*'s ranks in order on a state
+        *buffer* (net codes plus the key suffix).
 
         With *slots* (perf attribution), each rank's wall time is added
         to its slot: one ``perf_counter`` call and one float add per
         rank, benched under 15% by
         ``benchmarks/bench_perf_attribution.py``.
         """
-        lut = self._lut
+        table = self._table
         mark = perf_counter() if slots is not None else 0.0
-        for index, (inputs, outputs, offsets, _cells) in enumerate(
+        for index, (_inputs, outputs, columns, _types, _cells) in enumerate(
             plan.ranks
         ):
-            codes[outputs] = lut[codes[inputs] @ _WEIGHTS + offsets]
+            buffer[outputs] = table[buffer[columns].view(_KEY) % _MODULUS]
             if slots is not None:
                 now = perf_counter()
                 slots[index] += now - mark
@@ -428,12 +469,14 @@ class CompiledCircuit:
         """
         cached = getattr(self, "_prod_tables", None)
         if cached is None:
-            width = int(self._slice_arity.max(initial=1))
+            width = int(self._arity.max(initial=1))
             table = np.full((self.num_nets, width), -1, dtype=np.int64)
             rank = np.zeros(self.num_nets, dtype=np.int64)
             counter = 0
-            for inputs, outputs, offsets, _cells in self._full_plan.ranks:
-                arity = self._slice_arity[offsets // LUT_SLICE]
+            for inputs, outputs, _columns, types, _cells in (
+                self._full_plan.ranks
+            ):
+                arity = self._arity[types]
                 for position in range(width):
                     real = arity > position
                     table[outputs[real], position] = inputs[real, position]
@@ -534,7 +577,7 @@ class CompiledCircuit:
                     self._rank(
                         rank.inputs[keep],
                         rank.outputs[keep],
-                        rank.offsets[keep],
+                        rank.types[keep],
                     )
                 )
         return _Plan(ranks)

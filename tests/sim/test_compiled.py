@@ -1,20 +1,37 @@
 """Tests for the compiled gate-level GLIFT simulator."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpu import compiled_cpu
+from repro.isa.assembler import assemble
+from repro.logic.glift import GATE_FUNCTIONS
 from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
+from repro.netlist.cells import CELL_LIBRARY
+from repro.obs.timeline import TimelineRecorder, record_timeline
 from repro.sim.compiled import (
+    _CODE_KEYS,
+    _SUFFIX,
+    CELL_TYPES,
     CODE_0,
     CODE_1,
     CODE_X,
+    HASH_MODULUS,
+    LUT_ENTRIES,
     CompiledCircuit,
+    _lut_for,
+    _padded_lut,
     code_of,
     decode_code,
 )
+from repro.sim.runner import GateRunner
+from repro.workloads.registry import BENCHMARKS
 
 
 def adder_circuit(width=4):
@@ -215,3 +232,160 @@ class TestFigure7:
         # Cycle 4: untainted reset fully de-taints.
         self.run_cycle(circuit, state, TWord.unknown(1), TWord.const(1, 1))
         assert circuit.read_output(state, "S").bit(0) == (ZERO, 0)
+
+
+# ---------------------------------------------------------------------------
+# The hashed gate table
+# ---------------------------------------------------------------------------
+def _type_keys(num_types):
+    """Every gate key of the first *num_types* type codes, type-major."""
+    type_codes = np.arange(6, 6 + num_types, dtype=np.int64)
+    return (_CODE_KEYS[None, :] | type_codes[:, None] << 32).ravel()
+
+
+def _injective(keys, modulus):
+    return np.bincount(keys % modulus, minlength=modulus).max() < 2
+
+
+def every_cell_circuit(taint_mode):
+    """One rank holding every input combination of every cell type.
+
+    Six input nets carry the six net codes; each gate of an arity-k
+    type reads one of the ``6**k`` code combinations from them.
+    Returns the circuit, the code-carrying input word and, per cell
+    type, its gates' output nets in base-6 combination order.
+    """
+    builder = CircuitBuilder("every_cell")
+    sources = builder.input("codes", 6)
+    outputs = {}
+    for cell_type in sorted(GATE_FUNCTIONS):
+        arity = CELL_LIBRARY[cell_type].arity
+        nets = []
+        for combo in itertools.product(range(6), repeat=arity):
+            out = builder.netlist.add_net()
+            builder.netlist.add_gate(
+                cell_type, [sources[code] for code in combo], out
+            )
+            nets.append(out)
+        outputs[cell_type] = nets
+        builder.output(cell_type, Sig(nets))
+    # bit i carries code i: value i >> 1 (X for 2), taint i & 1
+    word = TWord(0b001100, 0b110000, 0b101010, 6)
+    return CompiledCircuit(builder.build(), taint_mode), word, outputs
+
+
+class TestHashedTable:
+    def test_modulus_is_injective_over_every_cell_type(self):
+        """Every key of every library cell type lands in its own table
+        entry -- and not of one type more, so a 17th type needs a new
+        modulus."""
+        assert len(CELL_TYPES) == len(GATE_FUNCTIONS)
+        assert _injective(_type_keys(len(CELL_TYPES)), HASH_MODULUS)
+        assert not _injective(_type_keys(len(CELL_TYPES) + 1), HASH_MODULUS)
+
+    def test_modulus_is_the_smallest_injective_one(self):
+        keys = _type_keys(len(CELL_TYPES))
+        assert all(
+            not _injective(keys, modulus)
+            for modulus in range(len(keys), HASH_MODULUS)
+        )
+
+    @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
+    def test_table_holds_every_padded_lut(self, taint_mode):
+        circuit, _word, _outputs = every_cell_circuit(taint_mode)
+        for index, cell_type in enumerate(CELL_TYPES):
+            keys = _CODE_KEYS | (6 + index) << 32
+            entries = circuit._table[keys % HASH_MODULUS]
+            assert len(entries) == LUT_ENTRIES
+            assert np.array_equal(
+                entries, _padded_lut(cell_type, taint_mode)
+            ), cell_type
+
+    @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
+    def test_kernel_evaluates_every_input_combination(self, taint_mode):
+        circuit, word, outputs = every_cell_circuit(taint_mode)
+        assert len(circuit._full_plan.ranks) == 1
+        state = circuit.new_state()
+        circuit.set_input(state, "codes", word)
+        circuit.eval_combinational(state)
+        for cell_type, nets in outputs.items():
+            assert np.array_equal(
+                state.codes[nets], _lut_for(cell_type, taint_mode)
+            ), cell_type
+
+
+# ---------------------------------------------------------------------------
+# The key suffix past the nets
+# ---------------------------------------------------------------------------
+def _mult_runner():
+    program = assemble(BENCHMARKS["mult"].service_source, name="mult")
+    return GateRunner(compiled_cpu(), program)
+
+
+def _assert_suffix_intact(circuit, state):
+    assert len(state.codes) == circuit.num_nets
+    assert np.shares_memory(state.codes, state.buffer)
+    assert np.array_equal(state.buffer[circuit.num_nets:], _SUFFIX)
+
+
+class TestKeySuffix:
+    def test_codes_cover_exactly_the_nets(self):
+        circuit = adder_circuit()
+        state = circuit.new_state()
+        _assert_suffix_intact(circuit, state)
+        assert (state.codes == CODE_X).all()
+
+    def test_fractions_ignore_the_suffix(self):
+        circuit = adder_circuit()
+        state = circuit.new_state()
+        state.codes[:] = code_of(UNKNOWN, 1)
+        assert circuit.taint_fraction(state) == 1.0
+        assert circuit.unknown_fraction(state) == 1.0
+        state.codes[:] = CODE_0
+        assert circuit.taint_fraction(state) == 0.0
+        assert circuit.unknown_fraction(state) == 0.0
+
+    def test_dff_state_reads_only_flip_flops(self):
+        circuit = figure7_circuit()
+        state = circuit.new_state()
+        assert np.array_equal(
+            circuit.dff_state(state), state.codes[circuit.dff_nets()]
+        )
+        assert len(circuit.dff_state(state)) == circuit.num_dffs
+
+    def test_copy_keeps_suffix_and_evaluates_identically(self):
+        circuit = adder_circuit()
+        state = circuit.new_state()
+        circuit.set_input(state, "a", TWord.unknown(4, tmask=0b0101))
+        circuit.set_input(state, "b", TWord.const(9, 4))
+        twin = state.copy()
+        _assert_suffix_intact(circuit, twin)
+        assert not np.shares_memory(twin.buffer, state.buffer)
+        circuit.eval_combinational(state)
+        circuit.eval_combinational(twin)
+        assert np.array_equal(twin.buffer, state.buffer)
+
+    def test_soc_snapshot_restore_keeps_suffix(self):
+        runner = _mult_runner()
+        soc, circuit = runner.soc, runner.soc.circuit
+        for _ in range(20):
+            runner.step()
+        snapshot = soc.snapshot()
+        first = [runner.step() for _ in range(10)]
+        after = soc.state.codes.copy()
+        soc.restore(snapshot)
+        _assert_suffix_intact(circuit, soc.state)
+        again = [runner.step() for _ in range(10)]
+        assert again == first
+        assert np.array_equal(soc.state.codes, after)
+
+    def test_timeline_frames_hold_only_nets(self):
+        runner = _mult_runner()
+        recorder = TimelineRecorder(keyframe_interval=4)
+        with record_timeline(recorder):
+            for _ in range(10):
+                runner.step()
+        timeline = recorder.to_timeline()
+        assert timeline.num_frames == 10
+        for frame in range(timeline.num_frames):
+            assert len(timeline.seek(frame)) == runner.soc.circuit.num_nets

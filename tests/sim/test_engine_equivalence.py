@@ -1,12 +1,13 @@
 """The compiled evaluator against the reference GLIFT semantics.
 
-:class:`CompiledCircuit` evaluates each topological rank with one fused
-table lookup.  These tests hold it, bit for bit, to an independent
-reference: a per-gate walk over ``levelize(netlist)`` that calls
-:func:`repro.logic.glift.glift_eval` for every gate.  The reference
-shares nothing with the kernel -- no tables, no slice offsets, no padded
-inputs -- so a wrong offset, a bad broadcast or a misordered rank shows
-up as a code mismatch.
+:class:`CompiledCircuit` evaluates each topological rank with one
+hashed table lookup.  These tests hold it, bit for bit, to an
+independent reference: a per-gate walk over ``levelize(netlist)`` that
+calls :func:`repro.logic.glift.glift_eval` for every gate.  The
+reference shares nothing with the kernel -- no tables, no gate keys or
+type codes, no hash modulus, no padded inputs -- so a wrong type code, a
+colliding modulus, a bad broadcast or a misordered rank shows up as a
+code mismatch.
 
 * Random netlists: seeded random DAGs over all 16 combinational cell
   types (arity 1-4), in both taint modes, compared after every
