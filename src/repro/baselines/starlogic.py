@@ -79,6 +79,8 @@ def star_logic_analysis(
         tainted_output_ports=tuple(policy.tainted_output_ports),
     )
     runner = GateRunner(circuit, program, space=space)
+    # The fractions below read every net, not just the cut roots.
+    runner.soc.state.every_net = True
     for region in policy.tainted_memory:
         space.ram.taint_region(region.low, region.high)
 

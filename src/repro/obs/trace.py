@@ -208,6 +208,25 @@ def _jsonable(value):
     return str(value)
 
 
+def _record_encoder():
+    """``json.dumps(record, default=_jsonable)`` as one reusable callable.
+
+    ``json.dumps`` with ``default=`` builds a new encoder on every call;
+    trace records are encoded once per cycle, so the C encoder (where
+    the interpreter has one) is built once here.  It skips the
+    circular-reference check: a record is a fresh flat dict of event
+    fields.
+    """
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.JSONEncoder(default=_jsonable).encode
+    encode = make(
+        None, _jsonable, json.encoder.encode_basestring_ascii, None,
+        ": ", ", ", False, False, True,
+    )
+    return lambda record: "".join(encode(record, 0))
+
+
 class TraceRecorder:
     """Appends typed events to a JSONL sink (path or file-like object)."""
 
@@ -225,6 +244,7 @@ class TraceRecorder:
             self._owns_file = False
         self._clock = clock
         self._start = clock.wall()
+        self._encode = _record_encoder()
         self.events_written = 0
         #: next event's ``seq``; runs ahead of ``events_written`` after a
         #: checkpoint restore so resumed runs continue the original
@@ -257,11 +277,10 @@ class TraceRecorder:
             "wall": round(self._clock.wall() - self._start, 6),
             "v": TRACE_SCHEMA_VERSION,
             "seq": self.sequence,
+            **self.context,
+            **fields,
         }
-        if self.context:
-            record.update(self.context)
-        record.update(fields)
-        self._file.write(json.dumps(record, default=_jsonable) + "\n")
+        self._file.write(self._encode(record) + "\n")
         self.events_written += 1
         self.sequence += 1
 

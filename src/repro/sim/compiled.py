@@ -1,92 +1,110 @@
 """Compiled gate-level GLIFT simulator.
 
 A :class:`CompiledCircuit` turns a :class:`~repro.netlist.netlist.Netlist`
-into one vectorised gate kernel:
-
-* the netlist is levelised once (:mod:`repro.netlist.levelize`), and each
-  topological rank becomes one group of gates;
-* each cell type's full ternary+taint behaviour -- the GLIFT semantics of
-  :func:`repro.logic.glift.glift_eval` -- is baked into a lookup table over
-  per-net *codes*.
-
-A net's code packs its ternary value and taint into one byte::
+into one vectorised table-lookup kernel.  A net's code packs its ternary
+value and taint into one byte::
 
     code = value * 2 + taint        # value in {0, 1, X=2}, taint in {0, 1}
 
-Every gate is evaluated as a four-input gate whose padded input columns
-repeat input 0; an arity-k cell's table ignores those inputs, so the
-padding is don't-care and exact.  A gate's *key* is eight bytes read as
-one little-endian 64-bit integer, so it does not depend on host byte
-order: its four input codes, a type code (``6 + type index``, above
-every net code) and three zero bytes.  The type codes and the zero byte
-sit in a constant suffix of the state buffer past the nets, so one
-gather reads all eight bytes, and a rank evaluates as::
+Each cell type's full ternary+taint behaviour -- the GLIFT semantics of
+:func:`repro.logic.glift.glift_eval` -- is baked into a lookup table over
+its input codes (:func:`_lut_for`).
 
-    buffer[outputs] = table[buffer[columns].view('<i8') % HASH_MODULUS]
+The circuit holds two plans of the same logic (DESIGN.md section 13):
+
+* the **per-gate** plan: each topological rank of
+  :func:`~repro.netlist.levelize.levelize` is one group, every gate one
+  lookup, and a pass writes every net (65 ranks on the LP430);
+* the **cut-mapped** plan: a depth-oriented priority-cut pass, as FPGA
+  K-LUT mappers do (FlowMap, Cong & Ding 1994), covers the logic
+  feeding every flip-flop D and every output-port net with cuts of at
+  most four leaves (30 ranks on the LP430).  A cut's table composes its
+  gates' tables over every leaf-code combination, so each root gets the
+  per-gate code bit for bit; nets inside a cut are not written.
+
+A pass runs the mapped plan unless something reads nets inside the cuts
+(:meth:`CompiledCircuit.pass_plan`).
+
+Every gate or cut evaluates as a four-input function whose padded input
+columns repeat input 0; its table ignores them, so the padding is exact.
+Its *key* is eight bytes read as one little-endian 64-bit integer, so it
+does not depend on host byte order: the four input codes, then the four
+bytes of its function's *suffix word*.  The suffix words sit past the
+nets in the state buffer, so one gather reads a whole key, and a rank
+evaluates as::
+
+    buffer[outputs] = table[buffer[columns].view('<i8') % modulus]
 
 -- one gather, one modulo, one table lookup and one scatter per rank,
-whatever its mix of cell types (DESIGN.md section 13).  ``HASH_MODULUS``
-is the smallest modulus that is injective over the keys of every library
-cell type, so any netlist's table has ``HASH_MODULUS`` entries and needs
-no search at set-up.  Full passes, cone-plan passes, provenance-recording
-passes and perf-timed passes all run that one kernel
-(:meth:`CompiledCircuit._sweep`).
+whatever its mix of functions.  The modulus is built, not searched for:
+with F functions (the library cell types plus the netlist's distinct
+multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
+smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
+congruent to ``codes + f * CODE_MODULUS``, so no two keys share an entry
+(:func:`_suffix_words`).  Full passes, cone-plan passes,
+provenance-recording passes and perf-timed passes all run that one
+kernel (:meth:`CompiledCircuit._sweep`).
 """
 
 from __future__ import annotations
 
-import itertools
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.logic.glift import GATE_FUNCTIONS, glift_eval
+from repro.logic.glift import GATE_FUNCTIONS
 from repro.logic.ternary import UNKNOWN
 from repro.logic.words import TWord
-from repro.netlist.cells import CONSTANT_CELLS
+from repro.netlist.cells import CELL_LIBRARY, CONSTANT_CELLS
 from repro.netlist.levelize import levelize
-from repro.netlist.netlist import Netlist
+from repro.netlist.netlist import Gate, Netlist
 from repro.obs import get_observer
 from repro.obs.perf import get_perf
 from repro.obs.provenance import get_recorder
+from repro.obs.timeline import get_timeline
 
 #: Codes for common states.
 CODE_0 = 0  # value 0, untainted
 CODE_1 = 2  # value 1, untainted
 CODE_X = 4  # value X, untainted
 
-#: Every gate is evaluated with this many (padded) inputs.
+#: Every gate and cut is evaluated with this many (padded) inputs.
 MAX_ARITY = 4
-#: Entries in one cell type's padded table (every input-code combination).
+#: Entries in one function's padded table (every input-code combination).
 LUT_ENTRIES = 6 ** MAX_ARITY
-#: Combinational cell types in type-index order; a gate's type code is
-#: ``6 + index``, above every net code.
+#: Combinational cell types; a cell type's function index is its index
+#: here, and cut functions follow them.
 CELL_TYPES: Tuple[str, ...] = tuple(sorted(GATE_FUNCTIONS))
-#: Bytes in a gate key: MAX_ARITY input codes, the type code, zero bytes.
+#: Bytes in a key: MAX_ARITY input codes, then the function's suffix word.
 KEY_BYTES = 8
-#: Smallest modulus under which ``key % HASH_MODULUS`` is injective over
-#: every key of every type in :data:`CELL_TYPES`; it is the table size.
-HASH_MODULUS = 32515
-#: ``HASH_MODULUS`` as a numpy scalar: the kernel converts nothing per rank.
-_MODULUS = np.int64(HASH_MODULUS)
+#: Bytes in a function's suffix word.
+SUFFIX_BYTES = KEY_BYTES - MAX_ARITY
+#: The smallest modulus under which the input-code half of every key
+#: (the LUT_ENTRIES combinations of four codes) is injective.
+CODE_MODULUS = 1535
+#: Most gates one cut's expression may hold (8 is the LP430's largest).
+MAX_CUT_GATES = 16
+#: Taint semantics a circuit can bake into its tables.
+TAINT_MODES = ("glift", "naive")
 #: A key's eight bytes as one little-endian integer.  Every key is below
-#: ``2**40``, so the signed reading equals the unsigned one, and a signed
+#: ``2**63``, so the signed reading equals the unsigned one, and a signed
 #: key indexes the table without numpy's uint64-to-intp index cast.
 _KEY = np.dtype("<i8")
-#: Key of each padded-table index with a zero type byte: input code *i*
-#: is byte *i*, matching the base-6 index order of :func:`_padded_lut`.
-_CODE_KEYS = np.array(
-    [
-        sum(code << (8 * position) for position, code in enumerate(codes))
-        for codes in itertools.product(range(6), repeat=MAX_ARITY)
-    ],
-    dtype=np.int64,
+#: Input codes of every padded-table index, one column per input, in the
+#: base-6 order of :func:`_lut_for` (input 0 most significant).
+_CODE_DIGITS = np.indices((6,) * MAX_ARITY, dtype=np.int64).reshape(
+    MAX_ARITY, -1
+).T
+#: The input-code half of each padded-table index's key: code *i* is
+#: byte *i*.
+_CODE_KEYS = _CODE_DIGITS @ np.array(
+    [1 << (8 * position) for position in range(MAX_ARITY)], dtype=np.int64
 )
-#: The state buffer's suffix past the nets: every type code, then a zero.
-_SUFFIX = np.array(
-    [6 + index for index in range(len(CELL_TYPES))] + [0], dtype=np.uint8
-)
+
+#: A cut's expression: a leaf (net id, or leaf position once relabelled)
+#: or a cell type applied to its inputs' expressions.
+Expr = Union[int, tuple]
 
 
 def code_of(value: int, taint: int) -> int:
@@ -119,25 +137,61 @@ def _lut_for(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
     study to show why value-awareness is load-bearing (a naive tracker
     can never verify the masking repair: AND with an untainted constant
     would stay tainted).
+
+    The table is computed on bitmasks over the cell's ``2**k`` concrete
+    input assignments (assignment *a* gives input *i* bit *i* of *a*),
+    one numpy pass per input over all ``6**k`` code combinations:
+
+    * the output value is known iff the function is constant over the
+      assignments consistent with every known input value;
+    * the output is tainted iff, among the assignments consistent with
+      the known *untainted* inputs, two that differ only in tainted
+      inputs give different outputs -- ``glift_eval``'s definition.
     """
+    if taint_mode not in TAINT_MODES:
+        raise ValueError(f"unknown taint mode {taint_mode!r}")
     func = GATE_FUNCTIONS[cell_type]
-    arity = 1 if cell_type in ("BUF", "NOT") else (
-        3 if cell_type == "MUX2" else int(cell_type[-1])
+    arity = CELL_LIBRARY[cell_type].arity
+    assignments = range(1 << arity)
+    full = (1 << len(assignments)) - 1
+    ones = sum(
+        1 << a
+        for a in assignments
+        if func(*((a >> i) & 1 for i in range(arity)))
     )
-    lut = np.zeros(6 ** arity, dtype=np.uint8)
-    for codes in itertools.product(range(6), repeat=arity):
-        values = [c >> 1 for c in codes]
-        taints = [c & 1 for c in codes]
-        index = 0
-        for code in codes:
-            index = index * 6 + code
-        value, taint = glift_eval(func, values, taints)
-        if taint_mode == "naive":
-            taint = 1 if any(taints) else 0
-        elif taint_mode != "glift":
-            raise ValueError(f"unknown taint mode {taint_mode!r}")
-        lut[index] = code_of(value, taint)
-    return lut
+    # Every code combination of k inputs: the first 6**k rows of the
+    # four-input digits, whose leading digits are 0.
+    codes = _CODE_DIGITS[: 6 ** arity, MAX_ARITY - arity:]
+    values, taints = codes >> 1, codes & 1
+    high = [  # assignments whose input i is 1
+        sum(1 << a for a in assignments if (a >> i) & 1)
+        for i in range(arity)
+    ]
+    consistent = np.full(len(codes), full, dtype=np.int64)
+    steady = consistent.copy()  # consistent with the untainted inputs
+    for i in range(arity):
+        allowed = np.where(values[:, i] == 1, high[i], full ^ high[i])
+        allowed[values[:, i] == UNKNOWN] = full
+        consistent &= allowed
+        steady &= np.where(taints[:, i] == 1, full, allowed)
+    lifted = consistent & ones
+    value = np.where(
+        lifted == consistent, 1, np.where(lifted == 0, 0, UNKNOWN)
+    )
+    if taint_mode == "naive":
+        taint = taints.any(axis=1)
+    else:
+        # Close the steady 1-assignments under flipping tainted inputs;
+        # a steady 0-assignment in the closure is a tainted flow.
+        reach = steady & ones
+        for i in range(arity):
+            shift = 1 << i
+            flipped = ((reach & (full ^ high[i])) << shift) | (
+                (reach & high[i]) >> shift
+            )
+            reach = np.where(taints[:, i] == 1, reach | flipped, reach)
+        taint = (reach & steady & (full ^ ones)) != 0
+    return (value * 2 + taint).astype(np.uint8)
 
 
 _LUT_CACHE: Dict[Tuple[str, str], np.ndarray] = {}
@@ -157,27 +211,157 @@ def _padded_lut(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
     return _LUT_CACHE[key]
 
 
-class _Rank(NamedTuple):
-    """The gates of one topological rank (or a cone plan's subset).
+def _table_modulus(num_functions: int) -> int:
+    """The table size for *num_functions* functions: ``CODE_MODULUS``
+    times the smallest odd number not below *num_functions*."""
+    return CODE_MODULUS * (num_functions | 1)
 
-    Gates are ordered by cell type, then netlist order; provenance
-    ranks and the recorded edge stream depend on that order.
+
+def _suffix_words(num_functions: int) -> np.ndarray:
+    """Each function's suffix word, ``f * CODE_MODULUS / 2**32`` modulo
+    :func:`_table_modulus`.
+
+    The word is the key's upper four bytes, so a key of function *f* is
+    congruent to ``codes + f * CODE_MODULUS`` modulo the table size M
+    (M is odd, so ``2**32`` is invertible).  M is a multiple of
+    ``CODE_MODULUS``, so an entry index modulo ``CODE_MODULUS`` is
+    ``codes % CODE_MODULUS``, which fixes the codes; what remains,
+    ``f * CODE_MODULUS`` modulo M, fixes *f* because ``f < M /
+    CODE_MODULUS``.  So every key of every function has its own entry.
+    """
+    modulus = _table_modulus(num_functions)
+    step = CODE_MODULUS * pow(1 << 32, -1, modulus) % modulus
+    return np.array(
+        [f * step % modulus for f in range(num_functions)], dtype="<u4"
+    )
+
+
+def _map_cuts(
+    gates: Sequence[Gate], num_nets: int, roots: Sequence[int]
+) -> Dict[int, Tuple[int, Tuple[int, ...], Expr]]:
+    """Cover the logic feeding *roots* with cuts of at most
+    :data:`MAX_ARITY` leaves, minimising depth.
+
+    A depth-oriented priority-cut pass keeping one cut per net.  In
+    topological order, a gate whose deepest inputs (its *critical*
+    inputs) sit at depth *d* takes the cut that replaces each critical
+    input by that input's cut, at depth *d* -- no merge of input cuts
+    goes lower -- when it has at most :data:`MAX_ARITY` leaves, and its
+    own inputs, at depth *d + 1*, otherwise.  Sources (ports, flip-flop
+    Qs, constants) have depth 0.  A cut carries its expression (the cell
+    type applied to its inputs' expressions, a leaf being its net id),
+    so its table needs no second walk; a merge whose expression would
+    hold more than :data:`MAX_CUT_GATES` gates is refused, which bounds
+    tabulation where reconvergent logic would double the tree at every
+    level.  The cover then takes each
+    root's cut and, recursively, the cuts of its gate-driven leaves.
+    Returns ``{net: (depth, sorted leaves, expression)}`` for every net
+    of the cover.
+    """
+    depth = [0] * num_nets
+    # each gate-driven net's cut: its leaves, expression and gate count
+    cut_leaves: List[Optional[Tuple[int, ...]]] = [None] * num_nets
+    cut_expr: List[Expr] = [0] * num_nets
+    cut_size = [0] * num_nets
+    for gate in gates:
+        inputs = gate.inputs
+        critical = max([depth[net] for net in inputs])
+        leaves = inputs
+        expr = (gate.cell_type,) + inputs
+        size = 1
+        if critical:
+            merged = set()
+            exprs = [gate.cell_type]
+            grown = 1
+            for net in inputs:
+                if depth[net] == critical:
+                    merged.update(cut_leaves[net])
+                    exprs.append(cut_expr[net])
+                    grown += cut_size[net]
+                else:
+                    merged.add(net)
+                    exprs.append(net)
+            if len(merged) <= MAX_ARITY and grown <= MAX_CUT_GATES:
+                leaves, expr, size = tuple(merged), tuple(exprs), grown
+            else:
+                critical += 1
+        else:
+            critical = 1
+        out = gate.output
+        depth[out] = critical
+        cut_leaves[out], cut_expr[out], cut_size[out] = leaves, expr, size
+    cover: Dict[int, Tuple[int, Tuple[int, ...], Expr]] = {}
+    stack = [net for net in roots if cut_leaves[net] is not None]
+    while stack:
+        net = stack.pop()
+        if net not in cover:
+            leaves = cut_leaves[net]
+            cover[net] = (depth[net], tuple(sorted(set(leaves))),
+                          cut_expr[net])
+            stack.extend(
+                leaf for leaf in leaves if cut_leaves[leaf] is not None
+            )
+    return cover
+
+
+def _relabel(expr: Expr, position: Dict[int, int]) -> Expr:
+    """*expr* with each leaf net replaced by its leaf position."""
+    return (expr[0],) + tuple([
+        position[child] if child.__class__ is int
+        else _relabel(child, position)
+        for child in expr[1:]
+    ])
+
+
+def _tabulate(structure: Expr, taint_mode: str) -> np.ndarray:
+    """A cut's padded table: its gates' padded tables composed over
+    every leaf-code combination, in :data:`_CODE_DIGITS` order.
+
+    Leaves past the cut's own repeat leaf 0 and are never read, so they
+    are don't-care exactly as a gate's padded inputs are.  Per-gate
+    composition is what the per-gate plan computes; a cut's precise
+    whole-function GLIFT would be more precise and change verdicts.
+    """
+    index = 0
+    for child in structure[1:]:
+        index = index * 6 + (
+            _CODE_DIGITS[:, child] if child.__class__ is int
+            else _tabulate(child, taint_mode)
+        )
+    # The arity-k index scaled past the padded digits, which repeat the
+    # entry (see _padded_lut).
+    index *= 6 ** (MAX_ARITY + 1 - len(structure))
+    return _padded_lut(structure[0], taint_mode)[index].astype(np.int64)
+
+
+class _Rank(NamedTuple):
+    """The gates (or cuts) of one rank, or a cone plan's subset.
+
+    In a per-gate rank, gates are ordered by cell type, then netlist
+    order; provenance ranks and the recorded edge stream depend on that
+    order.
     """
 
     inputs: np.ndarray  # (n, MAX_ARITY) net ids, padded with input 0
     outputs: np.ndarray  # (n,) net ids
     columns: np.ndarray  # (n * KEY_BYTES,) buffer index of each key byte
-    types: np.ndarray  # (n,) index into CELL_TYPES
-    cells: Tuple[Tuple[str, int], ...]  # (cell type, gates), sorted
+    functions: np.ndarray  # (n,) function index (a CELL_TYPES index)
+    cells: Tuple[Tuple[str, int], ...]  # (cell type, gates), per-gate only
 
 
 class _Plan:
-    """Ranks in evaluation order plus their per-pass gate counts."""
+    """Ranks in evaluation order plus their per-pass gate counts.
 
-    __slots__ = ("ranks", "gates_by_type", "total")
+    A per-gate plan carries its cut-mapped form in ``mapped``; the gate
+    counts are always the per-gate plan's, so gate-eval counters count
+    netlist gates whichever form runs.
+    """
 
-    def __init__(self, ranks: List[_Rank]):
+    __slots__ = ("ranks", "gates_by_type", "total", "mapped")
+
+    def __init__(self, ranks: List[_Rank], mapped: Optional["_Plan"] = None):
         self.ranks = ranks
+        self.mapped = mapped
         by_type: Dict[str, int] = {}
         for rank in ranks:
             for cell_type, count in rank.cells:
@@ -189,18 +373,26 @@ class _Plan:
 class CircuitState:
     """Per-net codes for one simulation state (mutable, cheap to copy).
 
-    ``buffer`` holds the net codes followed by the constant key suffix
+    ``buffer`` holds the net codes followed by the constant suffix words
     the gate kernel gathers from; ``codes`` is a view of just the nets.
+    ``every_net`` says whether this state's readers may read any net
+    (the default) or only flip-flops and ports, which lets passes run the
+    cut-mapped plan (see :meth:`CompiledCircuit.pass_plan`).
     """
 
-    __slots__ = ("buffer", "codes")
+    __slots__ = ("buffer", "codes", "every_net")
 
-    def __init__(self, buffer: np.ndarray, num_nets: int):
+    def __init__(
+        self, buffer: np.ndarray, num_nets: int, every_net: bool = True
+    ):
         self.buffer = buffer
         self.codes = buffer[:num_nets]
+        self.every_net = every_net
 
     def copy(self) -> "CircuitState":
-        return CircuitState(self.buffer.copy(), len(self.codes))
+        return CircuitState(
+            self.buffer.copy(), len(self.codes), self.every_net
+        )
 
 
 class CompiledCircuit:
@@ -223,7 +415,8 @@ class CompiledCircuit:
         self._const_nets_arr = np.array(self._const_nets, dtype=np.int64)
         self._const_codes_arr = np.array(self._const_codes, dtype=np.uint8)
 
-        with get_observer().span("levelize"):
+        obs = get_observer()
+        with obs.span("levelize"):
             levels = [
                 sorted(level, key=lambda gate: gate.cell_type)
                 for level in levelize(netlist)[1:]
@@ -231,40 +424,38 @@ class CompiledCircuit:
         type_of = {
             cell_type: index for index, cell_type in enumerate(CELL_TYPES)
         }
-        arity_of = {
-            gate.cell_type: len(gate.inputs)
-            for level in levels
-            for gate in level
-        }
-        #: arity of each cell type, by type index (0 for types not present)
+        #: arity of each cell type, by type index
         self._arity = np.array(
-            [arity_of.get(cell_type, 0) for cell_type in CELL_TYPES],
+            [CELL_LIBRARY[cell_type].arity for cell_type in CELL_TYPES],
             dtype=np.int64,
         )
-        #: the hashed table: entry ``key % HASH_MODULUS`` is the output
-        #: code of the gate whose key is *key*
-        self._table = np.zeros(HASH_MODULUS, dtype=np.uint8)
-        for index in np.flatnonzero(self._arity).tolist():
-            keys = _CODE_KEYS | (6 + index) << 32
-            self._table[keys % HASH_MODULUS] = _padded_lut(
-                CELL_TYPES[index], taint_mode
+        roots = [dff.d for dff in netlist.dffs] + [
+            net for port in netlist.outputs for net in port.nets
+        ]
+        with obs.span("map_cuts"):
+            cover = _map_cuts(
+                [gate for level in levels for gate in level],
+                self.num_nets,
+                roots,
             )
+        with obs.span("tabulate_cuts"):
+            tables = [
+                _padded_lut(cell_type, taint_mode) for cell_type in CELL_TYPES
+            ]
+            mapped_rows = self._cut_rows(cover, tables, type_of)
+            self._build_table(tables)
+
         ranks = []
         for gates in levels:
             inputs = np.array(
-                [
-                    list(gate.inputs)
-                    + [gate.inputs[0]] * (MAX_ARITY - len(gate.inputs))
-                    for gate in gates
-                ],
-                dtype=np.int64,
+                [_padded(gate.inputs) for gate in gates], dtype=np.int64
             )
             outputs = np.array([gate.output for gate in gates],
                                dtype=np.int64)
-            types = np.array([type_of[gate.cell_type] for gate in gates],
-                             dtype=np.int64)
-            ranks.append(self._rank(inputs, outputs, types))
-        self._full_plan = _Plan(ranks)
+            functions = np.array([type_of[gate.cell_type] for gate in gates],
+                                 dtype=np.int64)
+            ranks.append(self._rank(inputs, outputs, functions))
+        self._full_plan = _Plan(ranks, _Plan(self._mapped_ranks(mapped_rows)))
         #: cone plans by output-port tuple (see :meth:`cone_plan`)
         self._cone_plans: Dict[Tuple[str, ...], _Plan] = {}
         #: gate-eval counter increments per plan, valid for
@@ -287,19 +478,107 @@ class CompiledCircuit:
             for name, nets in self._outputs.items()
         }
 
+    def _cut_rows(
+        self,
+        cover: Dict[int, Tuple[int, Tuple[int, ...], Expr]],
+        tables: List[np.ndarray],
+        type_of: Dict[str, int],
+    ) -> List[Tuple[int, int, int, Tuple[int, ...]]]:
+        """One ``(depth, function, root, padded leaves)`` row per cut.
+
+        A one-gate cut is its cell type over the gate's own inputs.  A
+        larger cut's leaves are sorted, its expression is relabelled to
+        leaf positions (its *structure*), and each new structure is
+        tabulated once; structures with equal tables share a function,
+        appended to *tables*.  ``_cut_structures`` keeps one structure
+        per cut function, in function order.
+        """
+        function_of: Dict[Expr, int] = {}
+        by_table = {
+            table.tobytes(): index for index, table in enumerate(tables)
+        }
+        self._cut_structures: List[Expr] = []
+        rows = []
+        for root, (depth, leaves, expr) in cover.items():
+            if all(isinstance(child, int) for child in expr[1:]):
+                function, inputs = type_of[expr[0]], expr[1:]
+            else:
+                inputs = leaves
+                structure = _relabel(
+                    expr, {leaf: index for index, leaf in enumerate(leaves)}
+                )
+                function = function_of.get(structure)
+                if function is None:
+                    table = _tabulate(structure, self.taint_mode).astype(
+                        np.uint8
+                    )
+                    function = by_table.setdefault(
+                        table.tobytes(), len(tables)
+                    )
+                    if function == len(tables):
+                        tables.append(table)
+                        self._cut_structures.append(structure)
+                    function_of[structure] = function
+            rows.append((depth, function, root, _padded(inputs)))
+        return rows
+
+    def _build_table(self, tables: List[np.ndarray]) -> None:
+        """The table, modulus and suffix words for *tables* (one padded
+        table per function, in function order)."""
+        words = _suffix_words(len(tables))
+        modulus = _table_modulus(len(tables))
+        #: the table size, as a numpy scalar: the kernel converts nothing
+        self._modulus = np.int64(modulus)
+        #: the state buffer's suffix past the nets: each function's word
+        self._suffix = words.view(np.uint8)
+        #: entry ``key % modulus`` is the output code of the key's
+        #: function at the key's input codes
+        self._table = np.zeros(modulus, dtype=np.uint8)
+        for word, table in zip(words.tolist(), tables):
+            self._table[(_CODE_KEYS + (word << 32)) % modulus] = table
+
+    def _mapped_ranks(
+        self, rows: List[Tuple[int, int, int, Tuple[int, ...]]]
+    ) -> List[_Rank]:
+        """Cut rows grouped into ranks by depth, each rank sorted by
+        function, then root net."""
+        by_depth: Dict[int, list] = {}
+        for depth, function, root, inputs in sorted(rows):
+            by_depth.setdefault(depth, []).append((function, root, inputs))
+        ranks = []
+        for depth in sorted(by_depth):
+            functions, outputs, inputs = zip(*by_depth[depth])
+            ranks.append(
+                self._rank(
+                    np.array(inputs, dtype=np.int64),
+                    np.array(outputs, dtype=np.int64),
+                    np.array(functions, dtype=np.int64),
+                    per_gate=False,
+                )
+            )
+        return ranks
+
     def _rank(self, inputs: np.ndarray, outputs: np.ndarray,
-              types: np.ndarray) -> _Rank:
+              functions: np.ndarray, per_gate: bool = True) -> _Rank:
+        """A rank; its ``inputs`` are a view of its key columns."""
         columns = np.empty((len(outputs), KEY_BYTES), dtype=np.int64)
         columns[:, :MAX_ARITY] = inputs
-        columns[:, MAX_ARITY] = self.num_nets + types
-        columns[:, MAX_ARITY + 1:] = self.num_nets + len(CELL_TYPES)
-        counts = np.bincount(types, minlength=len(CELL_TYPES)).tolist()
-        cells = tuple(
-            (cell_type, count)
-            for cell_type, count in zip(CELL_TYPES, counts)
-            if count
+        columns[:, MAX_ARITY:] = (
+            self.num_nets
+            + SUFFIX_BYTES * functions[:, None]
+            + np.arange(SUFFIX_BYTES)
         )
-        return _Rank(inputs, outputs, columns.ravel(), types, cells)
+        cells: Tuple[Tuple[str, int], ...] = ()
+        if per_gate:
+            counts = np.bincount(functions, minlength=len(CELL_TYPES))
+            cells = tuple(
+                (cell_type, count)
+                for cell_type, count in zip(CELL_TYPES, counts.tolist())
+                if count
+            )
+        return _Rank(
+            columns[:, :MAX_ARITY], outputs, columns.ravel(), functions, cells
+        )
 
     # ------------------------------------------------------------------
     # State management
@@ -311,7 +590,7 @@ class CompiledCircuit:
         gates in design_netlist to untainted X".
         """
         buffer = np.concatenate(
-            [np.full(self.num_nets, CODE_X, dtype=np.uint8), _SUFFIX]
+            [np.full(self.num_nets, CODE_X, dtype=np.uint8), self._suffix]
         )
         return CircuitState(buffer, self.num_nets)
 
@@ -405,28 +684,50 @@ class CompiledCircuit:
         """Evaluate a pre-grouped cone (see :meth:`cone_plan`)."""
         self._evaluate(state, plan, "interface")
 
+    def pass_plan(self, state: CircuitState, plan: _Plan) -> _Plan:
+        """The form of the per-gate *plan* a pass on *state* runs.
+
+        The cut-mapped form writes only cut roots -- flip-flop Ds and
+        output ports -- which is all the tracker, the checker and the
+        runner read.  A reader of other nets gets the per-gate plan,
+        which writes every net: the state's own owner when
+        ``state.every_net`` is set (direct circuit users, the *-logic
+        baseline) or an armed provenance recorder, timeline or perf
+        recorder.
+        """
+        if (
+            state.every_net
+            or get_recorder() is not None
+            or get_timeline() is not None
+            or get_perf() is not None
+        ):
+            return plan
+        return plan.mapped
+
     def _evaluate(self, state: CircuitState, plan: _Plan, kind: str) -> None:
-        """One pass over *plan*, recorded or timed when a provenance or
-        perf recorder is armed (provenance wins if both are)."""
+        """One pass over *plan* (or its mapped form, see
+        :meth:`pass_plan`), recorded or timed when a provenance or perf
+        recorder is armed (provenance wins if both are)."""
         codes = state.codes
         if len(self._const_nets_arr):
             codes[self._const_nets_arr] = self._const_codes_arr
+        runs = self.pass_plan(state, plan)
         recorder = get_recorder()
         perf = get_perf() if recorder is None else None
         if recorder is not None:
             before = codes.copy()
-            self._sweep(state.buffer, plan)
+            self._sweep(state.buffer, runs)
             self._record_fresh_taint(codes, before, recorder)
         elif perf is not None:
             perf.ensure_bound(self)
-            slots = perf.group_slots(plan, kind)
+            slots = perf.group_slots(runs, kind)
             pass_start = perf_counter()
-            self._sweep(state.buffer, plan, slots)
+            self._sweep(state.buffer, runs, slots)
             perf.note_pass(kind, perf_counter() - pass_start)
             if kind == "full":
                 perf.sample(codes)
         else:
-            self._sweep(state.buffer, plan)
+            self._sweep(state.buffer, runs)
         obs = get_observer()
         if obs.enabled:
             self._count_gate_evals(obs.metrics, plan)
@@ -438,7 +739,7 @@ class CompiledCircuit:
         slots: Optional[List[float]] = None,
     ) -> None:
         """The gate kernel: evaluate *plan*'s ranks in order on a state
-        *buffer* (net codes plus the key suffix).
+        *buffer* (net codes plus the suffix words).
 
         With *slots* (perf attribution), each rank's wall time is added
         to its slot: one ``perf_counter`` call and one float add per
@@ -446,11 +747,12 @@ class CompiledCircuit:
         ``benchmarks/bench_perf_attribution.py``.
         """
         table = self._table
+        modulus = self._modulus
         mark = perf_counter() if slots is not None else 0.0
-        for index, (_inputs, outputs, columns, _types, _cells) in enumerate(
-            plan.ranks
+        for index, (_inputs, outputs, columns, _functions, _cells) in (
+            enumerate(plan.ranks)
         ):
-            buffer[outputs] = table[buffer[columns].view(_KEY) % _MODULUS]
+            buffer[outputs] = table[buffer[columns].view(_KEY) % modulus]
             if slots is not None:
                 now = perf_counter()
                 slots[index] += now - mark
@@ -465,18 +767,19 @@ class CompiledCircuit:
         producer -- DFF Qs, ports, constants -- stay all -1).
         ``rank[n]`` is the driving gate's position in evaluation order,
         used to emit a pass's edges cause-before-effect.  Built lazily
-        on the first provenance-recording pass.
+        on the first provenance-recording pass, from the per-gate plan
+        such passes run.
         """
         cached = getattr(self, "_prod_tables", None)
         if cached is None:
-            width = int(self._arity.max(initial=1))
+            ranks = self._full_plan.ranks
+            used = np.concatenate([rank.functions for rank in ranks])
+            width = int(self._arity[used].max(initial=1))
             table = np.full((self.num_nets, width), -1, dtype=np.int64)
             rank = np.zeros(self.num_nets, dtype=np.int64)
             counter = 0
-            for inputs, outputs, _columns, types, _cells in (
-                self._full_plan.ranks
-            ):
-                arity = self._arity[types]
+            for inputs, outputs, _columns, functions, _cells in ranks:
+                arity = self._arity[functions]
                 for position in range(width):
                     real = arity > position
                     table[outputs[real], position] = inputs[real, position]
@@ -557,6 +860,8 @@ class CompiledCircuit:
         return plan
 
     def _build_cone_plan(self, port_names: Tuple[str, ...]) -> _Plan:
+        """The gates feeding *port_names*, with its mapped form: the cuts
+        rooted in that cone, whose leaves lie in it too."""
         producers = {gate.output: gate.inputs for gate in self.netlist.gates}
         needed = set()
         stack = [net for name in port_names for net in self._outputs[name]]
@@ -567,8 +872,15 @@ class CompiledCircuit:
                 stack.extend(producers.get(net, ()))
         in_cone = np.zeros(self.num_nets, dtype=bool)
         in_cone[list(needed)] = True
+        return _Plan(
+            self._cone_ranks(self._full_plan, in_cone),
+            _Plan(self._cone_ranks(self._full_plan.mapped, in_cone)),
+        )
+
+    def _cone_ranks(self, plan: _Plan, in_cone: np.ndarray) -> List[_Rank]:
+        """*plan*'s rank rows whose outputs are *in_cone*."""
         ranks = []
-        for rank in self._full_plan.ranks:
+        for rank in plan.ranks:
             keep = in_cone[rank.outputs]
             if keep.all():
                 ranks.append(rank)
@@ -577,10 +889,11 @@ class CompiledCircuit:
                     self._rank(
                         rank.inputs[keep],
                         rank.outputs[keep],
-                        rank.types[keep],
+                        rank.functions[keep],
+                        per_gate=bool(rank.cells),
                     )
                 )
-        return _Plan(ranks)
+        return ranks
 
     def clock_edge(self, state: CircuitState) -> None:
         """Latch every flip-flop: ``Q <= D``."""
@@ -604,9 +917,20 @@ class CompiledCircuit:
         return self._dff_q
 
     def taint_fraction(self, state: CircuitState) -> float:
-        """Fraction of nets currently tainted (used by the *-logic study)."""
+        """Fraction of nets currently tainted (used by the *-logic study).
+
+        Like :meth:`unknown_fraction`, it reads every net, so it is
+        meaningful on a state whose passes run the per-gate plan
+        (``state.every_net``, the default).
+        """
         return float(np.mean(state.codes & 1))
 
     def unknown_fraction(self, state: CircuitState) -> float:
         """Fraction of nets currently unknown."""
         return float(np.mean(state.codes >= 4))
+
+
+def _padded(inputs: Sequence[int]) -> Tuple[int, ...]:
+    """*inputs* padded to :data:`MAX_ARITY` by repeating input 0."""
+    return tuple(inputs) + (inputs[0],) * (MAX_ARITY - len(inputs))
+

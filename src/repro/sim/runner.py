@@ -139,9 +139,13 @@ class GateRunner:
             return -1  # the FSM itself has unknown state bits
         return PHASE_F
 
-    def at_halt(self) -> bool:
-        """True when executing the idle self-loop (``jmp $``)."""
-        if self.phase() != PHASE_J:
+    def at_halt(self, phase: Optional[int] = None) -> bool:
+        """True when executing the idle self-loop (``jmp $``).
+
+        *phase* is the current :meth:`phase` when the caller has just
+        read it.
+        """
+        if (self.phase() if phase is None else phase) != PHASE_J:
             return False
         ir = self.soc.instruction_register()
         if not ir.is_concrete:
@@ -156,18 +160,27 @@ class GateRunner:
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> CycleEvents:
+        return self._step()[0]
+
+    def _step(self) -> Tuple[CycleEvents, Optional[int]]:
+        """One cycle, plus the FSM phase after it when its trace event
+        read the phase (else ``None``)."""
         events = self.soc.step()
         self.events.append(events)
+        phase = None
         obs = get_observer()
         if obs.enabled and obs.trace is not None:
             cycle = self.soc.cycle
             if self.trace_interval and cycle % self.trace_interval == 0:
-                self._emit_step(obs, cycle, events)
-        return events
+                phase = self.phase()
+                self._emit_step(obs, cycle, events, phase)
+        return events, phase
 
-    def _emit_step(self, obs, cycle: int, events: CycleEvents) -> None:
-        """One per-cycle summary trace event."""
-        phase = self.phase()
+    def _emit_step(
+        self, obs, cycle: int, events: CycleEvents, phase: int
+    ) -> None:
+        """One per-cycle summary trace event, written straight to the
+        trace recorder."""
         fields = {}
         recorder = get_recorder()
         if recorder is not None:
@@ -175,7 +188,7 @@ class GateRunner:
         timeline = get_timeline()
         if timeline is not None:
             fields["timeline_frames"] = timeline.num_frames
-        obs.emit(
+        obs.trace.emit(
             "step",
             cycle=cycle,
             phase=PHASE_NAMES[phase] if phase >= 0 else "X",
@@ -192,9 +205,10 @@ class GateRunner:
     ) -> int:
         """Step until the idle loop (or *max_cycles*); returns cycles run."""
         start = self.soc.cycle
+        phase = None  # the traced step event's phase read, reused here
         with get_observer().span("gate_run"):
             while self.soc.cycle - start < max_cycles:
-                if stop_at_halt and self.at_halt():
+                if stop_at_halt and self.at_halt(phase):
                     break
-                self.step()
+                phase = self._step()[1]
         return self.soc.cycle - start

@@ -323,6 +323,9 @@ class SoC:
         self.rom = rom if rom is not None else Rom()
         self.space = space if space is not None else AddressSpace()
         self.state: CircuitState = circuit.new_state()
+        # The tracker, checker and runner read only ports and flip-flops,
+        # so passes may run the cut-mapped plan.
+        self.state.every_net = False
         self.pending_por: Tuple[int, int] = (ZERO, 0)
         self.cycle = 0
         # Pass 1 only needs the (register-sourced) memory interface.

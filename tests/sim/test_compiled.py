@@ -1,32 +1,38 @@
 """Tests for the compiled gate-level GLIFT simulator."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.starlogic import star_logic_analysis
 from repro.cpu import compiled_cpu
+from repro.cpu.build import build_cpu
 from repro.isa.assembler import assemble
-from repro.logic.glift import GATE_FUNCTIONS
+from repro.logic.glift import GATE_FUNCTIONS, glift_eval
 from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.cells import CELL_LIBRARY
+from repro.obs.perf import PerfAttribution, record_perf
+from repro.obs.provenance import ProvenanceRecorder, record_provenance
 from repro.obs.timeline import TimelineRecorder, record_timeline
 from repro.sim.compiled import (
     _CODE_KEYS,
-    _SUFFIX,
     CELL_TYPES,
     CODE_0,
     CODE_1,
+    CODE_MODULUS,
     CODE_X,
-    HASH_MODULUS,
     LUT_ENTRIES,
     CompiledCircuit,
     _lut_for,
     _padded_lut,
+    _table_modulus,
+    _tabulate,
     code_of,
     decode_code,
 )
@@ -237,14 +243,36 @@ class TestFigure7:
 # ---------------------------------------------------------------------------
 # The hashed gate table
 # ---------------------------------------------------------------------------
-def _type_keys(num_types):
-    """Every gate key of the first *num_types* type codes, type-major."""
-    type_codes = np.arange(6, 6 + num_types, dtype=np.int64)
-    return (_CODE_KEYS[None, :] | type_codes[:, None] << 32).ravel()
+def _function_keys(circuit):
+    """Every key of every function of *circuit*, function-major."""
+    words = circuit._suffix.view("<u4").astype(np.int64)
+    return (_CODE_KEYS[None, :] + (words[:, None] << 32)).ravel()
 
 
 def _injective(keys, modulus):
     return np.bincount(keys % modulus, minlength=modulus).max() < 2
+
+
+def _keys_built_on(code_modulus, num_functions):
+    """The constructive keys with *code_modulus* in place of
+    ``CODE_MODULUS``, and their table size.
+
+    Solves ``word * 2**32 == f * code_modulus`` modulo the table size
+    for each function *f*, dividing out the common power of two, so it
+    also builds an even *code_modulus*.
+    """
+    modulus = code_modulus * (num_functions | 1)
+    common = math.gcd(1 << 32, modulus)
+    inverse = pow((1 << 32) // common, -1, modulus // common)
+    words = np.array(
+        [
+            f * code_modulus // common * inverse % (modulus // common)
+            for f in range(num_functions)
+        ],
+        dtype=np.int64,
+    )
+    keys = (_CODE_KEYS[None, :] + (words[:, None] << 32)).ravel()
+    return keys, modulus, words
 
 
 def every_cell_circuit(taint_mode):
@@ -274,32 +302,83 @@ def every_cell_circuit(taint_mode):
     return CompiledCircuit(builder.build(), taint_mode), word, outputs
 
 
-class TestHashedTable:
-    def test_modulus_is_injective_over_every_cell_type(self):
-        """Every key of every library cell type lands in its own table
-        entry -- and not of one type more, so a 17th type needs a new
-        modulus."""
-        assert len(CELL_TYPES) == len(GATE_FUNCTIONS)
-        assert _injective(_type_keys(len(CELL_TYPES)), HASH_MODULUS)
-        assert not _injective(_type_keys(len(CELL_TYPES) + 1), HASH_MODULUS)
+@pytest.fixture(scope="module")
+def lp430():
+    return compiled_cpu()
 
-    def test_modulus_is_the_smallest_injective_one(self):
-        keys = _type_keys(len(CELL_TYPES))
-        assert all(
-            not _injective(keys, modulus)
-            for modulus in range(len(keys), HASH_MODULUS)
+
+@pytest.fixture(scope="module")
+def lp430_naive():
+    return CompiledCircuit(build_cpu(), "naive")
+
+
+class TestHashedTable:
+    @pytest.mark.parametrize("netlist", ["lp430", "every_cell"])
+    def test_constructive_modulus_is_injective(self, netlist, lp430):
+        """Every key of every function of the circuit -- library cell
+        types and cut functions -- lands in its own table entry."""
+        if netlist == "lp430":
+            circuit = lp430
+        else:
+            circuit = every_cell_circuit("glift")[0]
+        num_functions = len(circuit._suffix) // 4
+        assert num_functions >= len(CELL_TYPES)
+        assert int(circuit._modulus) == _table_modulus(num_functions)
+        assert int(circuit._modulus) % 2 == 1
+        keys = _function_keys(circuit)
+        assert len(keys) == num_functions * LUT_ENTRIES
+        assert _injective(keys, int(circuit._modulus))
+        # The identity the construction rests on.
+        _keys, modulus, words = _keys_built_on(CODE_MODULUS, num_functions)
+        assert np.array_equal(
+            words, circuit._suffix.view("<u4").astype(np.int64)
         )
+        codes = np.tile(_CODE_KEYS, num_functions)
+        functions = np.repeat(np.arange(num_functions), LUT_ENTRIES)
+        assert np.array_equal(
+            keys % modulus, (codes + functions * CODE_MODULUS) % modulus
+        )
+
+    def test_code_modulus_is_the_smallest_injective_one(self):
+        assert _injective(_CODE_KEYS, CODE_MODULUS)
+        assert not any(
+            _injective(_CODE_KEYS, modulus)
+            for modulus in range(LUT_ENTRIES, CODE_MODULUS)
+        )
+
+    def test_construction_built_on_1534_collides(self, lp430):
+        num_functions = len(lp430._suffix) // 4
+        keys, modulus, _words = _keys_built_on(1534, num_functions)
+        assert not _injective(keys, modulus)
+        keys, modulus, _words = _keys_built_on(CODE_MODULUS, num_functions)
+        assert _injective(keys, modulus)
 
     @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
     def test_table_holds_every_padded_lut(self, taint_mode):
         circuit, _word, _outputs = every_cell_circuit(taint_mode)
+        entries = circuit._table[
+            _function_keys(circuit) % int(circuit._modulus)
+        ].reshape(-1, LUT_ENTRIES)
         for index, cell_type in enumerate(CELL_TYPES):
-            keys = _CODE_KEYS | (6 + index) << 32
-            entries = circuit._table[keys % HASH_MODULUS]
-            assert len(entries) == LUT_ENTRIES
             assert np.array_equal(
-                entries, _padded_lut(cell_type, taint_mode)
+                entries[index], _padded_lut(cell_type, taint_mode)
             ), cell_type
+
+    @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
+    def test_table_holds_every_cut_table(
+        self, taint_mode, lp430, lp430_naive
+    ):
+        circuit = lp430 if taint_mode == "glift" else lp430_naive
+        entries = circuit._table[
+            _function_keys(circuit) % int(circuit._modulus)
+        ].reshape(-1, LUT_ENTRIES)
+        structures = circuit._cut_structures
+        assert len(structures) == len(entries) - len(CELL_TYPES) > 50
+        for index, structure in enumerate(structures):
+            assert np.array_equal(
+                entries[len(CELL_TYPES) + index],
+                _tabulate(structure, taint_mode),
+            ), structure
 
     @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
     def test_kernel_evaluates_every_input_combination(self, taint_mode):
@@ -314,6 +393,99 @@ class TestHashedTable:
             ), cell_type
 
 
+class TestCutMapping:
+    def test_reconvergent_chain_bounds_cut_size(self):
+        """``x = AND(x, x)`` doubles a cut's gate tree at every level;
+        the mapper caps it (four levels per cut here) instead of
+        tabulating exponentially large trees."""
+        builder = CircuitBuilder("doubling")
+        net = builder.input("a", 1)[0]
+        for _ in range(3000):
+            out = builder.netlist.add_net()
+            builder.netlist.add_gate("AND2", [net, net], out)
+            net = out
+        builder.output("out", Sig([net]))
+        circuit = CompiledCircuit(builder.build())
+        assert len(circuit._full_plan.mapped.ranks) == 750
+        state = circuit.new_state()
+        state.every_net = False
+        for word in (TWord.const(1, 1, tmask=1), TWord.unknown(1)):
+            circuit.set_input(state, "a", word)
+            circuit.eval_combinational(state)
+            assert circuit.read_output(state, "out") == word
+
+
+class TestLutFor:
+    @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
+    @pytest.mark.parametrize("cell_type", CELL_TYPES)
+    def test_matches_glift_eval_enumeration(self, cell_type, taint_mode):
+        """The bitmask construction equals a glift_eval call per input
+        code combination, indexed base-6 with input 0 most significant."""
+        func = GATE_FUNCTIONS[cell_type]
+        arity = CELL_LIBRARY[cell_type].arity
+        expected = []
+        for codes in itertools.product(range(6), repeat=arity):
+            values = [code >> 1 for code in codes]
+            taints = [code & 1 for code in codes]
+            value, taint = glift_eval(func, values, taints)
+            if taint_mode == "naive":
+                taint = 1 if any(taints) else 0
+            expected.append(code_of(value, taint))
+        assert _lut_for(cell_type, taint_mode).tolist() == expected
+
+
+class TestPlanChoice:
+    """One method picks the plan a pass runs: the cut-mapped one unless
+    something reads nets inside the cuts."""
+
+    @staticmethod
+    def _soc_plans():
+        runner = _mult_runner()
+        soc = runner.soc
+        return soc, soc.circuit._full_plan, soc._interface_plan
+
+    def test_plain_soc_runs_the_mapped_plans(self):
+        soc, full, cone = self._soc_plans()
+        assert soc.circuit.pass_plan(soc.state, full) is full.mapped
+        assert soc.circuit.pass_plan(soc.state, cone) is cone.mapped
+        assert len(full.mapped.ranks) < len(full.ranks)
+
+    @pytest.mark.parametrize("armed", ["provenance", "timeline", "perf"])
+    def test_whole_net_readers_run_the_per_gate_plans(self, armed):
+        soc, full, cone = self._soc_plans()
+        recorders = {
+            "provenance": lambda: record_provenance(ProvenanceRecorder()),
+            "timeline": lambda: record_timeline(TimelineRecorder()),
+            "perf": lambda: record_perf(PerfAttribution()),
+        }
+        with recorders[armed]():
+            assert soc.circuit.pass_plan(soc.state, full) is full
+            assert soc.circuit.pass_plan(soc.state, cone) is cone
+        assert soc.circuit.pass_plan(soc.state, full) is full.mapped
+
+    def test_direct_circuit_states_read_every_net(self):
+        circuit = adder_circuit()
+        state = circuit.new_state()
+        assert state.every_net and state.copy().every_net
+        plan = circuit._full_plan
+        assert circuit.pass_plan(state, plan) is plan
+
+    def test_star_logic_reads_every_net(self, monkeypatch):
+        seen = []
+        original = CompiledCircuit.pass_plan
+
+        def spy(self, state, plan):
+            chosen = original(self, state, plan)
+            seen.append(chosen is plan)
+            return chosen
+
+        monkeypatch.setattr(CompiledCircuit, "pass_plan", spy)
+        program = assemble(BENCHMARKS["mult"].service_source, name="mult")
+        star_logic_analysis(program, cycles=3)
+        # Two reset cycles run before the baseline arms every_net.
+        assert seen[4:] and all(seen[4:])
+
+
 # ---------------------------------------------------------------------------
 # The key suffix past the nets
 # ---------------------------------------------------------------------------
@@ -325,7 +497,7 @@ def _mult_runner():
 def _assert_suffix_intact(circuit, state):
     assert len(state.codes) == circuit.num_nets
     assert np.shares_memory(state.codes, state.buffer)
-    assert np.array_equal(state.buffer[circuit.num_nets:], _SUFFIX)
+    assert np.array_equal(state.buffer[circuit.num_nets:], circuit._suffix)
 
 
 class TestKeySuffix:

@@ -1,21 +1,25 @@
 """The compiled evaluator against the reference GLIFT semantics.
 
-:class:`CompiledCircuit` evaluates each topological rank with one
-hashed table lookup.  These tests hold it, bit for bit, to an
-independent reference: a per-gate walk over ``levelize(netlist)`` that
-calls :func:`repro.logic.glift.glift_eval` for every gate.  The
-reference shares nothing with the kernel -- no tables, no gate keys or
-type codes, no hash modulus, no padded inputs -- so a wrong type code, a
-colliding modulus, a bad broadcast or a misordered rank shows up as a
-code mismatch.
+:class:`CompiledCircuit` evaluates each rank with one hashed table
+lookup, over a per-gate plan or a plan of 4-input cuts.  These tests
+hold both, bit for bit, to an independent reference: a per-gate walk
+over ``levelize(netlist)`` that calls
+:func:`repro.logic.glift.glift_eval` for every gate.  The reference
+shares nothing with the kernel -- no tables, no cuts, no gate keys or
+suffix words, no modulus, no padded inputs -- so a wrong suffix word, a
+colliding modulus, a bad broadcast, a misordered rank or a mis-tabulated
+cut shows up as a code mismatch.  A per-gate pass is compared on every
+net; a cut-mapped pass on every net it keeps fresh (:func:`root_nets`).
 
 * Random netlists: seeded random DAGs over all 16 combinational cell
-  types (arity 1-4), in both taint modes, compared after every
-  cone-plan pass, full pass and clock edge.
-* SoC lockstep: the compiled LP430 against a reference-evaluated copy,
-  cycle by cycle, on every forking Table 1 workload and one clean one.
-* Analysis equivalence: arming the perf recorder (the kernel's timed
-  path) never changes a full analysis.
+  types (arity 1-4), shallow and deep, in both taint modes and both
+  plans, compared after every cone-plan pass, full pass and clock edge.
+* SoC lockstep: the compiled LP430 (cut-mapped, as analyses run it)
+  against a reference-evaluated copy, cycle by cycle, on every forking
+  Table 1 workload and one clean one.
+* LP430 mapping: rank counts, and every net read by name is a root.
+* Analysis equivalence: a perf-armed analysis (per-gate plan) equals a
+  plain one (cut-mapped plan).
 """
 
 import random
@@ -127,12 +131,34 @@ def _normalize(report):
     return re.sub(r"wall=\S+", "wall=<t>", report)
 
 
+def root_nets(circuit):
+    """Every net a cut-mapped pass keeps fresh: the cut roots, the
+    flip-flop Qs and the port nets."""
+    netlist = circuit.netlist
+    nets = [rank.outputs for rank in circuit._full_plan.mapped.ranks]
+    nets.append(circuit.dff_nets())
+    nets.extend(
+        np.array(port.nets) for port in netlist.inputs + netlist.outputs
+    )
+    return np.unique(np.concatenate(nets))
+
+
+def _depth(structure):
+    """Gate levels of a cut structure (a leaf position is 0)."""
+    if isinstance(structure, int):
+        return 0
+    return 1 + max(_depth(child) for child in structure[1:])
+
+
 # ---------------------------------------------------------------------------
 # Random netlists
 # ---------------------------------------------------------------------------
-def random_netlist(seed, num_regs=4, num_gates=80):
+def random_netlist(seed, num_regs=4, num_gates=80, recent=None):
     """A seeded random layered DAG with registers and a reset, using
-    every combinational cell type at least once."""
+    every combinational cell type at least once.  With *recent*, each
+    gate input comes from the last *recent* nets created with
+    probability 0.8, which builds long chains: deep logic whose
+    multi-level cones the cut mapper folds into single cuts."""
     rng = random.Random(seed)
     b = CircuitBuilder(f"rand{seed}")
     rst = b.input("rst", 1)[0]
@@ -147,7 +173,10 @@ def random_netlist(seed, num_regs=4, num_gates=80):
     rng.shuffle(kinds)
     for cell_type in kinds:
         inputs = [
-            rng.choice(pool) for _ in range(CELL_LIBRARY[cell_type].arity)
+            rng.choice(
+                pool[-recent:] if recent and rng.random() < 0.8 else pool
+            )
+            for _ in range(CELL_LIBRARY[cell_type].arity)
         ]
         out = b.netlist.add_net()
         b.netlist.add_gate(cell_type, inputs, out)
@@ -166,12 +195,20 @@ def _random_word(rng):
     return TWord(rng.randrange(2), 0, rng.randrange(2), 1)
 
 
-def _lockstep(netlist, circuit, seed, cycles=40):
+def _lockstep(netlist, circuit, seed, every_net, cycles=40):
     """Drive *circuit* and the reference with the same random inputs,
-    comparing the whole code array after every pass and clock edge."""
+    comparing after every pass and clock edge: the whole code array for
+    the per-gate plan (*every_net*), every root net for the cut-mapped
+    plan."""
     reference = Reference(netlist, circuit.taint_mode)
     cone, reference_cone = circuit.cone_plan(["out"]), reference.cone(["out"])
     state, expected = circuit.new_state(), circuit.new_state()
+    state.every_net = every_net
+    full = circuit._full_plan
+    assert circuit.pass_plan(state, full) is (
+        full if every_net else full.mapped
+    )
+    nets = slice(None) if every_net else root_nets(circuit)
     rng = random.Random(1000 + seed)
     for cycle in range(cycles):
         words = {"rst": TWord.const(1 if cycle == 0 else 0, 1)}
@@ -184,13 +221,13 @@ def _lockstep(netlist, circuit, seed, cycles=40):
             circuit.set_input(expected, name, word)
         circuit.eval_plan(state, cone)
         reference.evaluate(expected.codes, nets=reference_cone)
-        assert np.array_equal(state.codes, expected.codes), (
+        assert np.array_equal(state.codes[nets], expected.codes[nets]), (
             f"seed {seed} ({circuit.taint_mode}): cone pass diverged, "
             f"cycle {cycle}"
         )
         circuit.eval_combinational(state)
         reference.evaluate(expected.codes)
-        assert np.array_equal(state.codes, expected.codes), (
+        assert np.array_equal(state.codes[nets], expected.codes[nets]), (
             f"seed {seed} ({circuit.taint_mode}): full pass diverged, "
             f"cycle {cycle}"
         )
@@ -198,10 +235,17 @@ def _lockstep(netlist, circuit, seed, cycles=40):
         circuit.clock_edge(expected)
         circuit.eval_combinational(state)
         reference.evaluate(expected.codes)
-        assert np.array_equal(state.codes, expected.codes), (
+        assert np.array_equal(state.codes[nets], expected.codes[nets]), (
             f"seed {seed} ({circuit.taint_mode}): diverged after clock "
             f"edge, cycle {cycle}"
         )
+
+
+def _both_plans(netlist, seed):
+    for taint_mode in TAINT_MODES:
+        circuit = CompiledCircuit(netlist, taint_mode)
+        for every_net in (True, False):
+            _lockstep(netlist, circuit, seed, every_net)
 
 
 class TestRandomNetlists:
@@ -211,9 +255,16 @@ class TestRandomNetlists:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lockstep_on_random_dag(self, seed):
-        netlist = random_netlist(seed)
-        for taint_mode in TAINT_MODES:
-            _lockstep(netlist, CompiledCircuit(netlist, taint_mode), seed)
+        _both_plans(random_netlist(seed), seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lockstep_on_deep_random_dag(self, seed):
+        netlist = random_netlist(seed, num_gates=160, recent=6)
+        circuit = CompiledCircuit(netlist)
+        mapped = circuit._full_plan.mapped
+        assert len(mapped.ranks) < len(circuit._full_plan.ranks) / 1.5
+        assert max(map(_depth, circuit._cut_structures)) >= 3
+        _both_plans(netlist, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +282,15 @@ def _soc_lockstep(name, reference_cpu):
     program = _program(name)
     fused = GateRunner(compiled_cpu(), program)
     reference = GateRunner(reference_cpu, program)
+    circuit, full = fused.soc.circuit, fused.soc.circuit._full_plan
+    assert circuit.pass_plan(fused.soc.state, full) is full.mapped
+    nets = root_nets(circuit)
     for cycle in range(LOCKSTEP_CYCLES):
         fused.step()
         reference.step()
         assert np.array_equal(
-            fused.soc.state.codes, reference.soc.state.codes
-        ), f"{name}: codes diverged at cycle {cycle}"
+            fused.soc.state.codes[nets], reference.soc.state.codes[nets]
+        ), f"{name}: root codes diverged at cycle {cycle}"
 
 
 class TestSoCLockstep:
@@ -250,9 +304,35 @@ class TestSoCLockstep:
         _soc_lockstep("mult", reference_cpu)
 
 
+class TestLP430Mapping:
+    def test_rank_counts(self):
+        circuit = compiled_cpu()
+        cone = circuit.cone_plan(["pmem_addr", "dmem_addr", "dmem_ren"])
+        assert len(circuit._full_plan.ranks) == 65
+        assert len(circuit._full_plan.mapped.ranks) <= 32
+        assert len(cone.mapped.ranks) <= 22
+        assert len(circuit._cut_structures) > 0
+
+    def test_named_reads_are_roots(self):
+        """``GateRunner.read_named`` reads register nets and the SoC
+        reads output ports; a cut-mapped pass keeps all of them fresh."""
+        circuit = compiled_cpu()
+        roots = set(root_nets(circuit).tolist())
+        registers = [
+            net
+            for net, name in enumerate(circuit.netlist.net_names)
+            if name.startswith("rf/")
+        ]
+        assert len(registers) == 208
+        assert set(registers) <= set(circuit.dff_nets().tolist())
+        for port in circuit.netlist.outputs:
+            assert set(port.nets) <= roots, port.name
+
+
 class TestAnalysisEquivalence:
-    """The perf-timed path runs the same kernel as the plain one: arming
-    the recorder must not change any part of a full analysis."""
+    """The perf-timed path runs the per-gate plan, a plain analysis the
+    cut-mapped one: arming the recorder must not change any part of a
+    full analysis."""
 
     @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
     def test_verdict_violations_report(self, name):
