@@ -566,101 +566,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# perf (simulator hot-path attribution)
-# ---------------------------------------------------------------------------
-def cmd_perf(args) -> int:
-    """Run a workload on the gate-level SoC with the attribution
-    profiler armed; write the typed JSON document and the HTML
-    treemap/quiescence report."""
-    from repro.cpu import compiled_cpu
-    from repro.obs.perf import PerfAttribution, PerfHarness
-    from repro.obs.perfview import build_perf_report
-    from repro.sim.runner import GateRunner
-
-    source, name = _resolve_workload(args.workload)
-    try:
-        program = assemble(source, name=name)
-    except AssemblyError as error:
-        raise InputError(
-            f"cannot assemble workload {args.workload!r}: {error}",
-            path=args.workload,
-        ) from error
-    circuit = compiled_cpu()
-    runner = GateRunner(circuit, program)
-    recorder = PerfAttribution(sample_every=args.sample_every)
-    harness = PerfHarness(runner, recorder)
-    harness.run(max_cycles=args.max_cycles)
-    document = harness.to_document(name)
-
-    json_out = Path(args.out or f"PERF_{name}.json")
-    html_out = Path(args.html or f"perf_{name}.html")
-    try:
-        json_out.write_text(format_json(document) + "\n")
-        html_out.write_text(build_perf_report(document))
-    except OSError as error:
-        raise SystemExit(f"cannot write perf artifacts: {error}")
-
-    if args.json:
-        print(format_json(document))
-        return 0
-    ranks = sorted(
-        document["ranks"], key=lambda rank: -rank["seconds"]
-    )[:8]
-    rows = [
-        (
-            f"{rank['kind']}:{rank['rank']}",
-            rank["gates_per_pass"],
-            f"{rank['seconds'] * 1e3:.2f}",
-            f"{100 * rank['seconds'] / max(document['attributed_group_seconds'], 1e-12):.1f}%",
-        )
-        for rank in ranks
-    ]
-    print(
-        format_table(
-            ["rank", "gates/pass", "wall (ms)", "share"],
-            rows,
-            title=f"hottest ranks of {name!r} "
-            f"({document['cycles']} cycles, "
-            f"{document['cycles_per_second']:.0f} cyc/s)",
-        )
-    )
-    print()
-    cones = sorted(
-        document["cones"],
-        key=lambda cone: -(cone["quiescent_fraction"] or 0.0),
-    )
-    cone_rows = [
-        (
-            cone["port"],
-            cone["member_nets"],
-            f"{100 * cone['quiescent_fraction']:.1f}%"
-            if cone["quiescent_fraction"] is not None
-            else "-",
-            f"{100 * cone['toggle_rate']:.2f}%"
-            if cone["toggle_rate"] is not None
-            else "-",
-        )
-        for cone in cones
-    ]
-    print(
-        format_table(
-            ["port cone", "nets", "quiescent", "toggle rate"],
-            cone_rows,
-            title="cone quiescence map "
-            f"({document['activity']['samples']} samples)",
-        )
-    )
-    print()
-    fraction = document["attributed_fraction"]
-    print(
-        f"attributed {document['attributed_seconds']:.3f}s of "
-        f"{document['wall_seconds']:.3f}s wall "
-        f"({100 * fraction:.1f}%); documents: {json_out}, {html_out}"
-    )
-    return 0
-
-
 def cmd_bench(args) -> int:
     """Run benchmark modules, extend the BENCH_history.jsonl ledger,
     check the new points against the series' own history, render the
@@ -1468,50 +1373,6 @@ def build_parser() -> argparse.ArgumentParser:
     budget_flags(p)
     obs_flags(p)
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "perf",
-        help="run a workload on the gate-level SoC with the "
-        "attribution profiler armed: per-rank/per-cell-type timing, "
-        "cone quiescence map, JSON + self-contained HTML report",
-    )
-    p.add_argument(
-        "workload",
-        help="a benchmark name (e.g. viterbi, intavg; case-insensitive) "
-        "or an LP430 source file",
-    )
-    p.add_argument(
-        "--max-cycles",
-        type=int,
-        default=4_000,
-        help="gate-level cycles to simulate (default 4000)",
-    )
-    p.add_argument(
-        "--sample-every",
-        type=int,
-        default=16,
-        metavar="N",
-        help="cone-activity sampling period in full evaluation passes "
-        "(default 16; smaller = finer quiescence map, more overhead)",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        metavar="PATH",
-        help="attribution JSON document (default PERF_<workload>.json)",
-    )
-    p.add_argument(
-        "--html",
-        metavar="PATH",
-        help="HTML report (default perf_<workload>.html)",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the attribution document to stdout instead of the "
-        "summary tables",
-    )
-    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser(
         "bench",

@@ -20,6 +20,13 @@ to the process-wide current observer::
     with observe(observer):
         result = TaintTracker(program).run()
     print(observer.snapshot()["metrics"]["counters"]["tree.nodes"])
+
+Two opt-in whole-net recorders sit beside the facade, each installed
+process-wide: :mod:`repro.obs.provenance` (per-gate taint flows, for
+``repro explain``) and :mod:`repro.obs.timeline` (the flight recorder
+behind ``repro record``/``view``).  Per-layer timing of a full analysis
+is not recorded in-process: ``verdictbench/run.py --trace 1`` wraps
+public functions from outside ``src/`` and attributes the wall time.
 """
 
 from __future__ import annotations
@@ -35,21 +42,12 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.perf import (
-    PERF_SCHEMA,
-    PerfAttribution,
-    PerfHarness,
-    get_perf,
-    install_perf,
-    record_perf,
-)
 from repro.obs.exposition import (
     CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
     escape_label_value,
     render_prometheus,
     sanitize_metric_name,
 )
-from repro.obs.perfview import build_perf_report
 from repro.obs.profiler import Profiler
 from repro.obs.provenance import (
     FlowEdge,
@@ -266,13 +264,6 @@ __all__ = [
     "CORRELATION_FIELDS",
     "EVENT_SCHEMAS",
     "TRACE_SCHEMA_VERSION",
-    "PERF_SCHEMA",
-    "PerfAttribution",
-    "PerfHarness",
-    "get_perf",
-    "install_perf",
-    "record_perf",
-    "build_perf_report",
     "PROMETHEUS_CONTENT_TYPE",
     "escape_label_value",
     "render_prometheus",

@@ -41,14 +41,13 @@ with F functions (the library cell types plus the netlist's distinct
 multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
 smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
 congruent to ``codes + f * CODE_MODULUS``, so no two keys share an entry
-(:func:`_suffix_words`).  Full passes, cone-plan passes,
-provenance-recording passes and perf-timed passes all run that one
-kernel (:meth:`CompiledCircuit._sweep`).
+(:func:`_suffix_words`).  Full passes, cone-plan passes and
+provenance-recording passes all run that one kernel
+(:meth:`CompiledCircuit._sweep`).
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -60,7 +59,6 @@ from repro.netlist.cells import CELL_LIBRARY, CONSTANT_CELLS
 from repro.netlist.levelize import levelize
 from repro.netlist.netlist import Gate, Netlist
 from repro.obs import get_observer
-from repro.obs.perf import get_perf
 from repro.obs.provenance import get_recorder
 from repro.obs.timeline import get_timeline
 
@@ -678,85 +676,57 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     def eval_combinational(self, state: CircuitState) -> None:
         """Propagate codes through all combinational logic (one pass)."""
-        self._evaluate(state, self._full_plan, "full")
+        self._evaluate(state, self._full_plan)
 
     def eval_plan(self, state: CircuitState, plan: _Plan) -> None:
         """Evaluate a pre-grouped cone (see :meth:`cone_plan`)."""
-        self._evaluate(state, plan, "interface")
+        self._evaluate(state, plan)
 
     def pass_plan(self, state: CircuitState, plan: _Plan) -> _Plan:
         """The form of the per-gate *plan* a pass on *state* runs.
 
         The cut-mapped form writes only cut roots -- flip-flop Ds and
         output ports -- which is all the tracker, the checker and the
-        runner read.  A reader of other nets gets the per-gate plan,
-        which writes every net: the state's own owner when
-        ``state.every_net`` is set (direct circuit users, the *-logic
-        baseline) or an armed provenance recorder, timeline or perf
-        recorder.
+        runner read.  Two kinds of reader need the nets inside the cuts
+        and get the per-gate plan, which writes every net: the state's
+        own owner when ``state.every_net`` is set (direct circuit users,
+        the *-logic baseline), and the whole-net recorders, an armed
+        provenance recorder or timeline.
         """
         if (
             state.every_net
             or get_recorder() is not None
             or get_timeline() is not None
-            or get_perf() is not None
         ):
             return plan
         return plan.mapped
 
-    def _evaluate(self, state: CircuitState, plan: _Plan, kind: str) -> None:
+    def _evaluate(self, state: CircuitState, plan: _Plan) -> None:
         """One pass over *plan* (or its mapped form, see
-        :meth:`pass_plan`), recorded or timed when a provenance or perf
-        recorder is armed (provenance wins if both are)."""
+        :meth:`pass_plan`), recorded when a provenance recorder is
+        armed."""
         codes = state.codes
         if len(self._const_nets_arr):
             codes[self._const_nets_arr] = self._const_codes_arr
         runs = self.pass_plan(state, plan)
         recorder = get_recorder()
-        perf = get_perf() if recorder is None else None
         if recorder is not None:
             before = codes.copy()
             self._sweep(state.buffer, runs)
             self._record_fresh_taint(codes, before, recorder)
-        elif perf is not None:
-            perf.ensure_bound(self)
-            slots = perf.group_slots(runs, kind)
-            pass_start = perf_counter()
-            self._sweep(state.buffer, runs, slots)
-            perf.note_pass(kind, perf_counter() - pass_start)
-            if kind == "full":
-                perf.sample(codes)
         else:
             self._sweep(state.buffer, runs)
         obs = get_observer()
         if obs.enabled:
             self._count_gate_evals(obs.metrics, plan)
 
-    def _sweep(
-        self,
-        buffer: np.ndarray,
-        plan: _Plan,
-        slots: Optional[List[float]] = None,
-    ) -> None:
+    def _sweep(self, buffer: np.ndarray, plan: _Plan) -> None:
         """The gate kernel: evaluate *plan*'s ranks in order on a state
-        *buffer* (net codes plus the suffix words).
-
-        With *slots* (perf attribution), each rank's wall time is added
-        to its slot: one ``perf_counter`` call and one float add per
-        rank, benched under 15% by
-        ``benchmarks/bench_perf_attribution.py``.
-        """
+        *buffer* (net codes plus the suffix words)."""
         table = self._table
         modulus = self._modulus
-        mark = perf_counter() if slots is not None else 0.0
-        for index, (_inputs, outputs, columns, _functions, _cells) in (
-            enumerate(plan.ranks)
-        ):
+        for _inputs, outputs, columns, _functions, _cells in plan.ranks:
             buffer[outputs] = table[buffer[columns].view(_KEY) % modulus]
-            if slots is not None:
-                now = perf_counter()
-                slots[index] += now - mark
-                mark = now
 
     def _producer_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-net fan-in table and topological rank for provenance.
@@ -850,8 +820,8 @@ class CompiledCircuit:
         Used by the SoC's first evaluation pass, which only needs the
         memory-interface signals; the full pass runs after read data is
         applied.  Memoised per port tuple, so every SoC on this circuit
-        shares one plan and the per-plan caches (gate-eval counters,
-        perf slots) stay bounded.
+        shares one plan and the per-plan gate-eval counter cache stays
+        bounded.
         """
         key = tuple(port_names)
         plan = self._cone_plans.get(key)
@@ -897,8 +867,6 @@ class CompiledCircuit:
 
     def clock_edge(self, state: CircuitState) -> None:
         """Latch every flip-flop: ``Q <= D``."""
-        perf = get_perf()
-        edge_start = perf_counter() if perf is not None else 0.0
         recorder = get_recorder()
         if recorder is not None:
             codes = state.codes
@@ -909,8 +877,6 @@ class CompiledCircuit:
                     self._dff_q[picks], self._dff_d[picks]
                 )
         state.codes[self._dff_q] = state.codes[self._dff_d]
-        if perf is not None:
-            perf.note_clock_edge(perf_counter() - edge_start)
 
     def dff_nets(self) -> np.ndarray:
         """Net ids of every flip-flop Q (read-only view)."""

@@ -121,8 +121,8 @@ class TestSelection:
         from pathlib import Path
 
         repo_root = Path(__file__).parent.parent.parent
-        picked = select_benches(repo_root, only=["perf_attribution"])
-        assert [m.name for m in picked] == ["bench_perf_attribution.py"]
+        picked = select_benches(repo_root, only=["provenance"])
+        assert [m.name for m in picked] == ["bench_provenance.py"]
 
 
 class TestBenchCliCheck:

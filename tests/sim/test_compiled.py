@@ -17,7 +17,6 @@ from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.cells import CELL_LIBRARY
-from repro.obs.perf import PerfAttribution, record_perf
 from repro.obs.provenance import ProvenanceRecorder, record_provenance
 from repro.obs.timeline import TimelineRecorder, record_timeline
 from repro.sim.compiled import (
@@ -450,13 +449,12 @@ class TestPlanChoice:
         assert soc.circuit.pass_plan(soc.state, cone) is cone.mapped
         assert len(full.mapped.ranks) < len(full.ranks)
 
-    @pytest.mark.parametrize("armed", ["provenance", "timeline", "perf"])
+    @pytest.mark.parametrize("armed", ["provenance", "timeline"])
     def test_whole_net_readers_run_the_per_gate_plans(self, armed):
         soc, full, cone = self._soc_plans()
         recorders = {
             "provenance": lambda: record_provenance(ProvenanceRecorder()),
             "timeline": lambda: record_timeline(TimelineRecorder()),
-            "perf": lambda: record_perf(PerfAttribution()),
         }
         with recorders[armed]():
             assert soc.circuit.pass_plan(soc.state, full) is full

@@ -18,8 +18,8 @@ net; a cut-mapped pass on every net it keeps fresh (:func:`root_nets`).
   against a reference-evaluated copy, cycle by cycle, on every forking
   Table 1 workload and one clean one.
 * LP430 mapping: rank counts, and every net read by name is a root.
-* Analysis equivalence: a perf-armed analysis (per-gate plan) equals a
-  plain one (cut-mapped plan).
+* Analysis equivalence: an analysis forced onto the per-gate plan
+  equals a plain one (cut-mapped plan) on every Table 2 violator.
 """
 
 import random
@@ -37,7 +37,6 @@ from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.cells import CELL_LIBRARY
 from repro.netlist.levelize import levelize
-from repro.obs.perf import PerfAttribution, record_perf
 from repro.sim.compiled import CODE_0, CODE_1, CompiledCircuit, code_of
 from repro.sim.runner import GateRunner
 from repro.workloads.registry import BENCHMARKS, TABLE2_VIOLATORS
@@ -330,21 +329,21 @@ class TestLP430Mapping:
 
 
 class TestAnalysisEquivalence:
-    """The perf-timed path runs the per-gate plan, a plain analysis the
-    cut-mapped one: arming the recorder must not change any part of a
-    full analysis."""
+    """A plain analysis runs the cut-mapped plan; one whose passes all
+    run the per-gate plan must agree with it in every part of a full
+    analysis."""
 
     @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
-    def test_verdict_violations_report(self, name):
+    def test_verdict_violations_report(self, name, monkeypatch):
         plain = TaintTracker(_program(name), circuit=compiled_cpu()).run()
-        with record_perf(PerfAttribution()):
-            timed = TaintTracker(
-                _program(name), circuit=compiled_cpu()
-            ).run()
-        assert timed.verdict == plain.verdict
-        assert list(timed.violations) == list(plain.violations)
-        assert timed.stats.paths == plain.stats.paths
-        assert timed.stats.forks == plain.stats.forks
-        assert timed.stats.merges == plain.stats.merges
-        assert timed.stats.cycles_simulated == plain.stats.cycles_simulated
-        assert _normalize(timed.report()) == _normalize(plain.report())
+        monkeypatch.setattr(
+            CompiledCircuit, "pass_plan", lambda self, state, plan: plan
+        )
+        per_gate = TaintTracker(_program(name), circuit=compiled_cpu()).run()
+        assert per_gate.verdict == plain.verdict
+        assert list(per_gate.violations) == list(plain.violations)
+        assert per_gate.stats.paths == plain.stats.paths
+        assert per_gate.stats.forks == plain.stats.forks
+        assert per_gate.stats.merges == plain.stats.merges
+        assert per_gate.stats.cycles_simulated == plain.stats.cycles_simulated
+        assert _normalize(per_gate.report()) == _normalize(plain.report())

@@ -1,10 +1,12 @@
 """Guard the benchmark-artifact contract without running the benches.
 
-The full suite under ``benchmarks/`` is too slow for tier-1, but two
+The full suite under ``benchmarks/`` is too slow for tier-1, but three
 kinds of drift have bitten before and are cheap to catch statically:
 
 * a bench module stops emitting its ``BENCH_<name>.json`` document, so
   the perf trajectory silently loses a series;
+* a bench module is deleted but its committed ``BENCH_<name>.json``
+  stays behind, a document nothing will ever refresh;
 * the collection pattern regresses and ``pytest benchmarks/`` collects
   nothing at all (``bench_*.py`` does not match pytest's default
   ``test_*.py`` file glob -- the repo must opt in via pyproject).
@@ -42,18 +44,40 @@ def test_every_bench_module_emits_a_json_document():
     )
 
 
-def test_bench_documents_use_unique_names():
-    """Two modules writing the same BENCH_<name>.json would clobber
-    each other; names must be distinct across the suite."""
+def emitted_names():
+    """Every document name a ``bench_json(``/``emit_bench_json(`` call
+    in a bench module writes, once per call."""
     names = []
     for path in bench_modules():
         names.extend(
             re.findall(r"bench_json\(\s*[\"']([\w-]+)[\"']", path.read_text())
         )
+    return names
+
+
+def test_bench_documents_use_unique_names():
+    """Two modules writing the same BENCH_<name>.json would clobber
+    each other; names must be distinct across the suite."""
+    names = emitted_names()
     assert names
     assert len(names) == len(set(names)), (
         f"duplicate BENCH document names: "
         f"{sorted(n for n in set(names) if names.count(n) > 1)}"
+    )
+
+
+def test_every_committed_bench_document_has_an_emitter():
+    """A committed ``BENCH_<name>.json`` that no bench call names is an
+    orphan: its module is gone, so its numbers never change again."""
+    emitted = set(emitted_names())
+    orphans = sorted(
+        path.name
+        for path in REPO.glob("BENCH_*.json")
+        if path.name[len("BENCH_"):-len(".json")] not in emitted
+    )
+    assert not orphans, (
+        f"committed bench documents no module under benchmarks/ emits: "
+        f"{orphans} (delete them with their bench module)"
     )
 
 
