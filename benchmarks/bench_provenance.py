@@ -2,8 +2,8 @@
 
 Two contracts from the provenance design:
 
-* recorder *off* (the default): the per-group ``get_recorder()`` None
-  check must cost < 2% over a build without the hook -- measured here as
+* recorder *off* (the default): the per-pass ``instruments.provenance``
+  None check must cost < 2% over a build without the hook -- measured here as
   plain-vs-plain jitter with the hook compiled in, bounded at 2%;
 * recorder *on*: recording every newly-tainted net's cause edge must
   stay under 25% over the plain analysis on a real Table 1 workload.

@@ -14,7 +14,7 @@ from repro.core import TaintTracker
 from repro.cpu import compiled_cpu
 from repro.isa.assembler import assemble
 from repro.isasim.executor import run_concrete
-from repro.obs import Observer, TraceRecorder, observe
+from repro.obs import Instruments, Observer, TraceRecorder
 from repro.sim.runner import GateRunner
 
 LOOP = """
@@ -71,8 +71,9 @@ def test_tracing_overhead(circuit, tmp_path, bench_json):
 
     def run_traced(path):
         observer = Observer(trace=TraceRecorder(path))
-        with observe(observer):
-            ran = GateRunner(circuit, program).run(max_cycles=cycles)
+        runner = GateRunner(circuit, program)
+        runner.soc.arm(Instruments(observer))
+        ran = runner.run(max_cycles=cycles)
         observer.close()
         return ran, observer
 
@@ -183,8 +184,9 @@ def test_cpu_compile_time(benchmark, bench_json):
 
     def compile_cpu():
         observer = Observer()
-        with observe(observer):
-            result, seconds = _timed(lambda: CompiledCircuit(build_cpu()))
+        result, seconds = _timed(
+            lambda: CompiledCircuit(build_cpu(), obs=observer)
+        )
         times.append(seconds)
         profile = observer.snapshot()["profile"]
         for name, samples in spans.items():

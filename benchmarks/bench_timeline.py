@@ -17,11 +17,8 @@ import pytest
 
 from repro.cpu import compiled_cpu
 from repro.isa.assembler import assemble
-from repro.obs.timeline import (
-    TimelineRecorder,
-    record_timeline,
-    save_timeline,
-)
+from repro.obs import Instruments
+from repro.obs.timeline import TimelineRecorder, save_timeline
 from repro.sim.runner import GateRunner
 
 LOOP = """
@@ -55,8 +52,9 @@ def test_timeline_recording_overhead(circuit, tmp_path, bench_json):
 
     def run_recording():
         recorder = TimelineRecorder()
-        with record_timeline(recorder):
-            ran = GateRunner(circuit, program).run(max_cycles=cycles)
+        runner = GateRunner(circuit, program)
+        runner.soc.arm(Instruments(timeline=recorder))
+        ran = runner.run(max_cycles=cycles)
         return ran, recorder
 
     run_plain()  # warm every lazy cache before timing

@@ -51,7 +51,6 @@ from repro.obs import (
     explain_violation,
     lint_trace,
     load_timeline,
-    observe,
     save_timeline,
 )
 from repro.obs.report import build_report
@@ -246,7 +245,7 @@ def cmd_analyze(args) -> int:
         else nullcontext()
     )
     try:
-        with interrupts, observe(observer) if observer else nullcontext():
+        with interrupts:
             result = tracker.run()
     finally:
         _finish_observer(observer, args)
@@ -443,33 +442,35 @@ def cmd_profile(args) -> int:
 
     repaired = None
     repair_error = None
-    with observe(observer):
-        # A fresh compile so the levelize phase is measured rather than
-        # served from the process-wide cache.
-        from repro.cpu import build_cpu
-        from repro.sim.compiled import CompiledCircuit
+    # A fresh compile so the levelize phase is measured rather than
+    # served from the process-wide cache.
+    from repro.cpu import build_cpu
+    from repro.sim.compiled import CompiledCircuit
 
-        with observer.span("elaborate"):
-            netlist = build_cpu()
-        circuit = CompiledCircuit(netlist)  # spans "levelize" internally
-        result = TaintTracker(
-            program,
-            policy=policy,
-            circuit=circuit,
-            max_cycles=args.max_cycles,
-            budget=budget,
-        ).run()
-        if result.verdict == "insecure" and not args.no_repair:
-            try:
-                repaired = secure_compile(
-                    source,
-                    name=name,
-                    policy=policy,
-                    max_cycles=args.max_cycles,
-                    budget=budget,
-                )
-            except FundamentalViolation as error:
-                repair_error = str(error.diagnostics)
+    with observer.span("elaborate"):
+        netlist = build_cpu()
+    # spans "levelize", "map_cuts" and "tabulate_cuts"
+    circuit = CompiledCircuit(netlist, obs=observer)
+    result = TaintTracker(
+        program,
+        policy=policy,
+        circuit=circuit,
+        max_cycles=args.max_cycles,
+        budget=budget,
+        obs=observer,
+    ).run()
+    if result.verdict == "insecure" and not args.no_repair:
+        try:
+            repaired = secure_compile(
+                source,
+                name=name,
+                policy=policy,
+                max_cycles=args.max_cycles,
+                budget=budget,
+                obs=observer,
+            )
+        except FundamentalViolation as error:
+            repair_error = str(error.diagnostics)
 
     snapshot = observer.snapshot()
     _finish_observer(observer, args)
@@ -748,36 +749,35 @@ def cmd_record(args) -> int:
     )
     observer = _observer_for(args)
     try:
-        with observe(observer) if observer else nullcontext():
-            result = TaintTracker(
-                program,
-                policy=_policy(args.policy),
-                max_cycles=args.max_cycles,
-                budget=_budget_from(args),
-                obs=observer,
-                timeline=recorder,
-            ).run()
-            out = save_timeline(
-                args.out,
-                recorder,
-                result.violations,
-                meta={
-                    "workload": name,
-                    "verdict": result.verdict,
-                    "violations": len(result.violations),
-                },
+        result = TaintTracker(
+            program,
+            policy=_policy(args.policy),
+            max_cycles=args.max_cycles,
+            budget=_budget_from(args),
+            obs=observer,
+            timeline=recorder,
+        ).run()
+        out = save_timeline(
+            args.out,
+            recorder,
+            result.violations,
+            meta={
+                "workload": name,
+                "verdict": result.verdict,
+                "violations": len(result.violations),
+            },
+        )
+        if observer is not None and observer.enabled:
+            observer.emit(
+                "record",
+                out=str(out),
+                frames=recorder.num_frames,
+                keyframes=recorder.keyframes,
+                cycles=result.stats.cycles_simulated,
+                truncated=recorder.truncated,
+                workload=name,
+                bytes=Path(out).stat().st_size,
             )
-            if observer is not None and observer.enabled:
-                observer.emit(
-                    "record",
-                    out=str(out),
-                    frames=recorder.num_frames,
-                    keyframes=recorder.keyframes,
-                    cycles=result.stats.cycles_simulated,
-                    truncated=recorder.truncated,
-                    workload=name,
-                    bytes=Path(out).stat().st_size,
-                )
     finally:
         _finish_observer(observer, args)
     size = Path(out).stat().st_size

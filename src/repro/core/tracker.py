@@ -17,7 +17,6 @@ widened by merging (differing bits become X, taints OR).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -27,9 +26,9 @@ from repro.core.checker import PolicyChecker, check_conditions
 from repro.core.labels import SecurityPolicy
 from repro.core.tree import ExecutionTree, TreeNode
 from repro.core.violations import Violation, ViolationKind
-from repro.obs import CLOCK, get_observer
-from repro.obs.provenance import ProvenanceRecorder, record_provenance
-from repro.obs.timeline import TimelineRecorder, record_timeline
+from repro.obs import CLOCK, NULL_OBSERVER, Instruments
+from repro.obs.provenance import ProvenanceRecorder
+from repro.obs.timeline import TimelineRecorder
 from repro.cpu import compiled_cpu
 from repro.isa.encode import DecodedInstruction, EncodeError, decode
 from repro.isa.program import Program
@@ -43,7 +42,7 @@ from repro.resilience.errors import (
     ReproError,
     SimulationError,
 )
-from repro.resilience.faults import get_injector
+from repro.resilience.faults import FaultInjector
 from repro.resilience.progress import ProgressEstimator
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.runner import PHASE_E, PHASE_F, PHASE_J, GateRunner
@@ -323,8 +322,8 @@ def build_runner(
     except ReproError:
         raise
     except Exception as error:
-        # The substrate can fail during the power-on reset too (e.g.
-        # an injected gate-eval fault); keep the typed-error contract.
+        # The substrate can fail during the power-on reset too; keep
+        # the typed-error contract.
         raise SimulationError(
             f"gate-level substrate failed during reset: {error}"
         ) from error
@@ -354,11 +353,11 @@ class TaintTracker:
         provenance: Optional[ProvenanceRecorder] = None,
         timeline: Optional[TimelineRecorder] = None,
         progress: Optional[ProgressEstimator] = None,
+        faults: Optional[FaultInjector] = None,
     ):
         self.program = program
-        #: observability sink; defaults to the process-wide current
-        #: observer (the no-op NULL_OBSERVER unless one is installed)
-        self.obs = obs if obs is not None else get_observer()
+        #: observability sink (the no-op NULL_OBSERVER by default)
+        self.obs = obs if obs is not None else NULL_OBSERVER
         self.policy = policy if policy is not None else SecurityPolicy()
         self.circuit = circuit if circuit is not None else compiled_cpu()
         self.max_cycles = max_cycles
@@ -373,12 +372,14 @@ class TaintTracker:
         #: optional :class:`repro.resilience.Checkpointer` for periodic
         #: and on-interrupt state saves
         self.checkpointer = checkpointer
-        #: optional per-bit taint provenance recorder, installed
-        #: process-wide for the duration of :meth:`run`
+        #: optional per-bit taint provenance recorder
         self.provenance = provenance
-        #: optional per-cycle timeline flight recorder, installed
-        #: process-wide for the duration of :meth:`run`
+        #: optional per-cycle timeline flight recorder
         self.timeline = timeline
+        #: what the SoC carries during :meth:`run` (and only then, so
+        #: the power-on reset below stays unrecorded): the observer, the
+        #: recorders and an optional seeded fault injector
+        self.instruments = Instruments(self.obs, provenance, timeline, faults)
         #: optional :class:`repro.resilience.ProgressEstimator` taking
         #: periodic exploration snapshots
         self.progress = progress
@@ -518,9 +519,10 @@ class TaintTracker:
     # Shadow decode
     # ------------------------------------------------------------------
     def _decode_at(self, address: int) -> Optional[DecodedInstruction]:
-        injector = get_injector()
-        if injector is not None and injector.on_decode(
-            address, self.runner.soc.cycle
+        soc = self.runner.soc
+        faults = soc.instruments.faults
+        if faults is not None and faults.on_decode(
+            address, soc.cycle, soc.instruments.obs
         ):
             return None  # injected decode failure: path ends "illegal"
         try:
@@ -554,28 +556,19 @@ class TaintTracker:
         obs = self.obs
         start_time = CLOCK.wall()
         soc = self.runner.soc
-        if self._worklist is None:
-            root = self.tree.new_node(None, 0, soc.cycle)
-            self._worklist = [_WorkItem(soc.snapshot(), root.node_id)]
-        worklist = self._worklist
-        budget = self.budget
-        budget.start()
-        self._exhausted = []
-
-        recording = (
-            record_provenance(self.provenance)
-            if self.provenance is not None
-            else nullcontext()
-        )
-        flight = (
-            record_timeline(self.timeline)
-            if self.timeline is not None
-            else nullcontext()
-        )
+        soc.arm(self.instruments)
         try:
-            with obs.span("explore"), recording, flight:
+            if self._worklist is None:
+                root = self.tree.new_node(None, 0, soc.cycle)
+                self._worklist = [_WorkItem(soc.snapshot(), root.node_id)]
+            worklist = self._worklist
+            budget = self.budget
+            budget.start()
+            self._exhausted = []
+            with obs.span("explore"):
                 self._run_worklist(worklist, budget)
         finally:
+            soc.arm()
             self.stats.wall_seconds += CLOCK.wall() - start_time
 
         if self.progress is not None:

@@ -11,28 +11,30 @@ Three instruments behind one facade:
   with wall and CPU seconds.
 
 An :class:`Observer` bundles the three; :data:`NULL_OBSERVER` is the
-always-installed default whose every operation is a true no-op, so the
-hot paths guard with ``if obs.enabled`` and pay nothing when nobody is
-watching.  Components accept an explicit ``obs=`` argument and fall back
-to the process-wide current observer::
+default whose every operation is a true no-op, so the hot paths guard
+with ``if obs.enabled`` and pay nothing when nobody is watching.
+Components take their observer as an explicit ``obs=`` argument; there
+is no process-wide one::
 
     observer = Observer(trace=TraceRecorder("run.jsonl"))
-    with observe(observer):
-        result = TaintTracker(program).run()
+    result = TaintTracker(program, obs=observer).run()
     print(observer.snapshot()["metrics"]["counters"]["tree.nodes"])
 
-Two opt-in whole-net recorders sit beside the facade, each installed
-process-wide: :mod:`repro.obs.provenance` (per-gate taint flows, for
-``repro explain``) and :mod:`repro.obs.timeline` (the flight recorder
-behind ``repro record``/``view``).  Per-layer timing of a full analysis
-is not recorded in-process: ``verdictbench/run.py --trace 1`` wraps
-public functions from outside ``src/`` and attributes the wall time.
+Two opt-in whole-net recorders sit beside the facade:
+:mod:`repro.obs.provenance` (per-gate taint flows, for ``repro
+explain``) and :mod:`repro.obs.timeline` (the flight recorder behind
+``repro record``/``view``).  One run's observer, recorders and fault
+injector travel together as an :class:`Instruments` value, which the
+tracker arms on its own SoC for the duration of ``run()``.  Per-layer
+timing of a full analysis is not recorded in-process:
+``verdictbench/run.py --trace 1`` wraps public functions from outside
+``src/`` and attributes the wall time.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.obs.clock import CLOCK, Clock, ManualClock
 from repro.obs.metrics import (
@@ -55,18 +57,12 @@ from repro.obs.provenance import (
     FlowSlice,
     ProvenanceRecorder,
     explain_violation,
-    get_recorder,
-    install_recorder,
-    record_provenance,
 )
 from repro.obs.timeline import (
     Timeline,
     TimelineMarker,
     TimelineRecorder,
-    get_timeline,
-    install_timeline,
     load_timeline,
-    record_timeline,
     save_timeline,
 )
 from repro.obs.trace import (
@@ -77,6 +73,9 @@ from repro.obs.trace import (
     lint_trace,
     read_events,
 )
+
+if TYPE_CHECKING:
+    from repro.resilience.faults import FaultInjector
 
 
 class Observer:
@@ -222,30 +221,31 @@ class NullObserver:
 
 NULL_OBSERVER = NullObserver()
 
-_current: object = NULL_OBSERVER
+
+@dataclass(frozen=True)
+class Instruments:
+    """Everything that watches or perturbs one run: the tracker arms it
+    on its SoC (:meth:`repro.sim.soc.SoC.arm`), where the SoC's steps
+    and the circuit's passes read it.
+
+    *obs* counts and traces, *provenance* records per-gate taint flows,
+    *timeline* records one frame per cycle, and *faults* injects seeded
+    faults.  The default value watches nothing.
+    """
+
+    obs: object = NULL_OBSERVER
+    provenance: Optional[ProvenanceRecorder] = None
+    timeline: Optional[TimelineRecorder] = None
+    faults: Optional["FaultInjector"] = None
+
+    @property
+    def needs_all_nets(self) -> bool:
+        """True when a recorder reads nets inside the mapped cuts, so
+        passes must run the per-gate plan."""
+        return self.provenance is not None or self.timeline is not None
 
 
-def get_observer():
-    """The process-wide current observer (defaults to the no-op one)."""
-    return _current
-
-
-def set_observer(observer) -> object:
-    """Install *observer* globally; returns the previous one."""
-    global _current
-    previous = _current
-    _current = observer if observer is not None else NULL_OBSERVER
-    return previous
-
-
-@contextmanager
-def observe(observer: Observer):
-    """Install *observer* for the duration of a ``with`` block."""
-    previous = set_observer(observer)
-    try:
-        yield observer
-    finally:
-        set_observer(previous)
+NO_INSTRUMENTS = Instruments()
 
 
 __all__ = [
@@ -273,21 +273,14 @@ __all__ = [
     "FlowLeaf",
     "FlowSlice",
     "explain_violation",
-    "get_recorder",
-    "install_recorder",
-    "record_provenance",
     "Timeline",
     "TimelineMarker",
     "TimelineRecorder",
-    "get_timeline",
-    "install_timeline",
     "load_timeline",
-    "record_timeline",
     "save_timeline",
     "Observer",
     "NullObserver",
     "NULL_OBSERVER",
-    "get_observer",
-    "set_observer",
-    "observe",
+    "Instruments",
+    "NO_INSTRUMENTS",
 ]

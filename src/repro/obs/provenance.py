@@ -27,10 +27,11 @@ cycle) through gates and cycles to the originally-labelled tainted
 inputs, returning a :class:`FlowSlice` that renders as text, exports as
 a Graphviz DOT flow graph, and feeds the HTML report.
 
-The recorder is installed process-wide (mirroring
-``repro.obs.get_observer`` and ``repro.resilience.faults.get_injector``)
-so the compiled-circuit hot paths pay a single ``None`` check when
-nobody asked for provenance::
+The recorder rides on the run's :class:`~repro.obs.Instruments`, which
+the tracker arms on its own SoC for the duration of ``run()``; the
+compiled circuit's passes read them from the SoC's circuit state, so the
+hot paths pay a single ``None`` check when nobody asked for
+provenance::
 
     recorder = ProvenanceRecorder()
     result = TaintTracker(program, policy, provenance=recorder).run()
@@ -46,7 +47,6 @@ direction as the analysis itself).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -777,34 +777,3 @@ def explain_violation(
         flow.sink_names = [f"<processor state at cycle {violation.cycle}>"]
     flow.violation = violation
     return flow
-
-
-# ---------------------------------------------------------------------------
-# Process-wide hook (mirrors repro.obs.get_observer)
-# ---------------------------------------------------------------------------
-_recorder: Optional[ProvenanceRecorder] = None
-
-
-def get_recorder() -> Optional[ProvenanceRecorder]:
-    """The installed provenance recorder, or None (the fast path)."""
-    return _recorder
-
-
-def install_recorder(
-    recorder: Optional[ProvenanceRecorder],
-) -> Optional[ProvenanceRecorder]:
-    """Install *recorder* process-wide; returns the previous one."""
-    global _recorder
-    previous = _recorder
-    _recorder = recorder
-    return previous
-
-
-@contextmanager
-def record_provenance(recorder: ProvenanceRecorder):
-    """Install *recorder* for the duration of a ``with`` block."""
-    previous = install_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        install_recorder(previous)

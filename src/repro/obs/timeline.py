@@ -9,10 +9,10 @@ watched spreading forward in time.
 
 Three pieces:
 
-* :class:`TimelineRecorder` -- the flight recorder.  Hooked into
-  ``SoC.step`` through the same process-wide single-``None``-check
-  pattern as the provenance recorder (:func:`get_timeline` /
-  :func:`install_timeline` / :func:`record_timeline`), it diffs the
+* :class:`TimelineRecorder` -- the flight recorder.  Passed as
+  ``TaintTracker(timeline=...)``, it rides on the SoC's
+  :class:`~repro.obs.Instruments` for the duration of ``run()`` (a
+  single ``None`` check per step when absent).  It diffs the
   post-step net codes against the previous frame and stores only the
   changed net indices (interned -- the CPU touches the same nets cycle
   after cycle) plus their new codes.  Every ``keyframe_interval`` frames
@@ -49,7 +49,6 @@ reproduces every frame bit-identically.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -650,34 +649,3 @@ def load_timeline(path) -> Timeline:
         keyframe_interval=payload.get("keyframe_interval", 64),
         meta=header,
     )
-
-
-# ---------------------------------------------------------------------------
-# Process-wide hook (mirrors repro.obs.provenance.get_recorder)
-# ---------------------------------------------------------------------------
-_timeline: Optional[TimelineRecorder] = None
-
-
-def get_timeline() -> Optional[TimelineRecorder]:
-    """The installed timeline recorder, or None (the fast path)."""
-    return _timeline
-
-
-def install_timeline(
-    recorder: Optional[TimelineRecorder],
-) -> Optional[TimelineRecorder]:
-    """Install *recorder* process-wide; returns the previous one."""
-    global _timeline
-    previous = _timeline
-    _timeline = recorder
-    return previous
-
-
-@contextmanager
-def record_timeline(recorder: TimelineRecorder):
-    """Install *recorder* for the duration of a ``with`` block."""
-    previous = install_timeline(recorder)
-    try:
-        yield recorder
-    finally:
-        install_timeline(previous)

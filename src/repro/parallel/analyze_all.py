@@ -19,7 +19,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
-from repro.obs import CLOCK, MetricsRegistry, Observer, observe
+from repro.obs import CLOCK, MetricsRegistry, Observer
 from repro.resilience import (
     AnalysisInterrupted,
     ReproError,
@@ -54,14 +54,14 @@ def _analyze_one(spec: dict) -> dict:
         program = assemble(source, name=resolved)
         budget = AnalysisBudget(**spec["budget"])
         observer = Observer()
-        with observe(observer):
-            result = TaintTracker(
-                program,
-                circuit=compiled_cpu(),
-                policy=_policy(spec["policy"]),
-                max_cycles=spec["max_cycles"],
-                budget=budget,
-            ).run()
+        result = TaintTracker(
+            program,
+            circuit=compiled_cpu(),
+            policy=_policy(spec["policy"]),
+            max_cycles=spec["max_cycles"],
+            budget=budget,
+            obs=observer,
+        ).run()
         document = _analysis_document(result)
         document["workload"] = resolved
         document["exit_code"] = VERDICT_EXIT_CODES[result.verdict]

@@ -50,13 +50,7 @@ from repro.resilience.checkpoint import (
     write_checkpoint,
     write_container,
 )
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    get_injector,
-    inject_faults,
-    install_injector,
-)
+from repro.resilience.faults import FAULT_KINDS, FaultInjector
 from repro.resilience.progress import (
     PROGRESS_SCHEMA,
     ProgressEstimator,
@@ -94,9 +88,6 @@ __all__ = [
     "write_checkpoint",
     "FAULT_KINDS",
     "FaultInjector",
-    "get_injector",
-    "install_injector",
-    "inject_faults",
     "PROGRESS_SCHEMA",
     "ProgressEstimator",
     "ProgressSnapshot",

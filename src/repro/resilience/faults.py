@@ -15,18 +15,18 @@ A :class:`FaultInjector` perturbs the gate-level substrate at four sites:
   every consumer of cycle arithmetic (budgets, fast-forward, stats).
 
 Injection is seeded and therefore reproducible: two runs with the same
-seed inject the identical fault sequence.  The hook is installed process-
-wide (mirroring ``repro.obs.get_observer``); when no injector is
-installed the hook sites cost a single ``None`` check.
+seed inject the identical fault sequence.  An injector is passed as
+``TaintTracker(faults=...)`` and rides on the run's
+:class:`~repro.obs.Instruments`, which the tracker arms on its own SoC
+for the duration of ``run()``; each injection is counted on that run's
+observer.  Without an injector the hook sites cost a single ``None``
+check.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
-
-from repro.obs import get_observer
 
 FAULT_KINDS = ("decode", "gate_eval", "snapshot", "clock_skew")
 
@@ -63,7 +63,7 @@ class FaultInjector:
         self.injected: List[Tuple[str, int]] = []
 
     # ------------------------------------------------------------------
-    def _fire(self, kind: str, cycle: int) -> bool:
+    def _fire(self, kind: str, cycle: int, obs) -> bool:
         if kind not in self.kinds:
             return False
         if (
@@ -74,32 +74,31 @@ class FaultInjector:
         if self._rng.random() >= self.rate:
             return False
         self.injected.append((kind, cycle))
-        obs = get_observer()
         if obs.enabled:
             obs.emit("fault_injected", kind=kind, cycle=cycle)
             obs.metrics.counter("resilience.faults_injected").inc()
         return True
 
     # ------------------------------------------------------------------
-    # Site hooks
+    # Site hooks (*obs* is the run's observer, which counts injections)
     # ------------------------------------------------------------------
-    def on_decode(self, address: int, cycle: int) -> bool:
+    def on_decode(self, address: int, cycle: int, obs) -> bool:
         """True when this shadow decode should fail."""
-        return self._fire("decode", cycle)
+        return self._fire("decode", cycle, obs)
 
-    def on_step(self, soc) -> None:
+    def on_step(self, soc, obs) -> None:
         """Called at the top of every :meth:`SoC.step`."""
-        if self._fire("gate_eval", soc.cycle):
+        if self._fire("gate_eval", soc.cycle, obs):
             raise RuntimeError(
                 f"injected fault: gate evaluation failed at cycle "
                 f"{soc.cycle}"
             )
-        if self._fire("clock_skew", soc.cycle):
+        if self._fire("clock_skew", soc.cycle, obs):
             soc.cycle += self.skew_cycles
 
-    def on_snapshot(self, snapshot):
+    def on_snapshot(self, snapshot, obs):
         """Possibly corrupt a freshly taken snapshot (in place)."""
-        if not self._fire("snapshot", snapshot.cycle):
+        if not self._fire("snapshot", snapshot.cycle, obs):
             return snapshot
         codes = snapshot.dff_codes
         if len(codes):
@@ -108,29 +107,3 @@ class FaultInjector:
             # (code 2*2+1 = 5 on the value/taint lattice).
             codes[index] = 5
         return snapshot
-
-
-_injector: Optional[FaultInjector] = None
-
-
-def get_injector() -> Optional[FaultInjector]:
-    """The process-wide fault injector, or None (the fast path)."""
-    return _injector
-
-
-def install_injector(injector: Optional[FaultInjector]) -> Optional[FaultInjector]:
-    """Install *injector* globally; returns the previous one."""
-    global _injector
-    previous = _injector
-    _injector = injector
-    return previous
-
-
-@contextmanager
-def inject_faults(injector: FaultInjector):
-    """Install *injector* for the duration of a ``with`` block."""
-    previous = install_injector(injector)
-    try:
-        yield injector
-    finally:
-        install_injector(previous)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs import Observer, get_observer
+from repro.obs import Observer
 from repro.resilience.errors import EXIT_INTERRUPTED
 from repro.service.jobs import (
     JobRecord,
@@ -102,14 +102,9 @@ class AnalysisService:
         spawn_command: Optional[Callable[[str], List[str]]] = None,
     ):
         self.config = config or ServiceConfig()
-        if observer is not None:
-            self.obs = observer
-        else:
-            # The daemon always keeps live metrics: /metrics and
-            # ``repro jobs --stats`` must have numbers to report even
-            # when no process-wide observer was armed.
-            ambient = get_observer()
-            self.obs = ambient if ambient.enabled else Observer()
+        # The daemon always keeps live metrics: /metrics and
+        # ``repro jobs --stats`` must have numbers to report.
+        self.obs = observer if observer is not None else Observer()
         self.root = Path(self.config.root)
         self.journal = JobJournal(self.root)
         self.supervisor = Supervisor(

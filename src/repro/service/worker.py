@@ -44,13 +44,12 @@ import sys
 import threading
 import time
 import uuid
-from contextlib import nullcontext
 from pathlib import Path
 
 from repro.core import TaintTracker
 from repro.cpu import compiled_cpu
 from repro.isa.assembler import AssemblyError, assemble
-from repro.obs import Observer, TraceRecorder, observe
+from repro.obs import Observer, TraceRecorder
 from repro.resilience import (
     AnalysisBudget,
     AnalysisInterrupted,
@@ -61,7 +60,6 @@ from repro.resilience import (
     ProgressEstimator,
     ReproError,
     VERDICT_EXIT_CODES,
-    inject_faults,
     read_checkpoint,
 )
 from repro.resilience.errors import EXIT_ANALYSIS
@@ -168,82 +166,75 @@ def run_worker(spec: dict) -> int:
                 },
             )
         )
-    observing = observe(observer) if observer is not None else nullcontext()
-
     try:
-        with observing:
+        try:
+            program = assemble(spec["source"], name=spec["name"])
+        except AssemblyError as error:
+            raise InputError(
+                f"cannot assemble job source: {error}",
+                job=spec["job_id"],
+            ) from error
+        budget = AnalysisBudget(**dict(spec.get("budget") or {}))
+        checkpointer = Checkpointer(
+            spec["checkpoint"],
+            every_paths=int(spec.get("checkpoint_every", 8)),
+        )
+        progress = ProgressEstimator(
+            interval_seconds=float(
+                spec.get(
+                    "progress_interval",
+                    spec.get("heartbeat_interval", HEARTBEAT_INTERVAL),
+                )
+            ),
+            sink=heartbeat_state.set_progress,
+        )
+        injection = spec.get("fault_injection")
+        tracker = TaintTracker(
+            program,
+            policy=_policy(spec.get("policy", "untrusted")),
+            circuit=compiled_cpu(),
+            max_cycles=int(spec.get("max_cycles", 1_000_000)),
+            budget=budget,
+            checkpointer=checkpointer,
+            progress=progress,
+            obs=observer,
+            faults=FaultInjector(**injection) if injection else None,
+        )
+
+        resumed = False
+        checkpoint = Path(spec["checkpoint"])
+        if checkpoint.exists():
             try:
-                program = assemble(spec["source"], name=spec["name"])
-            except AssemblyError as error:
-                raise InputError(
-                    f"cannot assemble job source: {error}",
-                    job=spec["job_id"],
-                ) from error
-            budget = AnalysisBudget(**dict(spec.get("budget") or {}))
-            checkpointer = Checkpointer(
-                spec["checkpoint"],
-                every_paths=int(spec.get("checkpoint_every", 8)),
-            )
-            progress = ProgressEstimator(
-                interval_seconds=float(
-                    spec.get(
-                        "progress_interval",
-                        spec.get("heartbeat_interval", HEARTBEAT_INTERVAL),
-                    )
-                ),
-                sink=heartbeat_state.set_progress,
-            )
-            tracker = TaintTracker(
-                program,
-                policy=_policy(spec.get("policy", "untrusted")),
-                circuit=compiled_cpu(),
-                max_cycles=int(spec.get("max_cycles", 1_000_000)),
-                budget=budget,
-                checkpointer=checkpointer,
-                progress=progress,
-            )
+                payload = read_checkpoint(
+                    checkpoint, expected_digest=tracker.config_digest()
+                )
+                tracker.restore_checkpoint(payload)
+                resumed = True
+            except CheckpointError as error:
+                print(
+                    f"ignoring unusable checkpoint: {error.render()}",
+                    file=sys.stderr,
+                )
 
-            resumed = False
-            checkpoint = Path(spec["checkpoint"])
-            if checkpoint.exists():
-                try:
-                    payload = read_checkpoint(
-                        checkpoint, expected_digest=tracker.config_digest()
-                    )
-                    tracker.restore_checkpoint(payload)
-                    resumed = True
-                except CheckpointError as error:
-                    print(
-                        f"ignoring unusable checkpoint: {error.render()}",
-                        file=sys.stderr,
-                    )
+        def _interrupt(signum, frame):
+            tracker.request_interrupt(signal.Signals(signum).name)
 
-            def _interrupt(signum, frame):
-                tracker.request_interrupt(signal.Signals(signum).name)
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                signal.signal(sig, _interrupt)
+            except ValueError:
+                pass  # not the main thread (in-process tests)
 
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    signal.signal(sig, _interrupt)
-                except ValueError:
-                    pass  # not the main thread (in-process tests)
+        result = tracker.run()
 
-            injection = spec.get("fault_injection")
-            injecting = (
-                inject_faults(FaultInjector(**injection))
-                if injection
-                else nullcontext()
-            )
-            with injecting:
-                result = tracker.run()
+        from repro.cli import _analysis_document
 
-            from repro.cli import _analysis_document
-
-            document = _analysis_document(result)
-            document["resumed"] = resumed
-            document["job_id"] = spec["job_id"]
-            document["attempt_unix"] = time.time()
-            _write_result(result_path, document)
-            return VERDICT_EXIT_CODES[result.verdict]
+        document = _analysis_document(result)
+        document["resumed"] = resumed
+        document["job_id"] = spec["job_id"]
+        document["attempt_unix"] = time.time()
+        _write_result(result_path, document)
+        return VERDICT_EXIT_CODES[result.verdict]
     except AnalysisInterrupted as error:
         _write_result(
             result_path,

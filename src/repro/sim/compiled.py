@@ -22,8 +22,8 @@ The circuit holds two plans of the same logic (DESIGN.md section 13):
   gates' tables over every leaf-code combination, so each root gets the
   per-gate code bit for bit; nets inside a cut are not written.
 
-A pass runs the mapped plan unless something reads nets inside the cuts
-(:meth:`CompiledCircuit.pass_plan`).
+A pass runs the mapped plan unless the state's owner reads nets inside
+the cuts (:meth:`CompiledCircuit.pass_plan`).
 
 Every gate or cut evaluates as a four-input function whose padded input
 columns repeat input 0; its table ignores them, so the padding is exact.
@@ -58,9 +58,7 @@ from repro.logic.words import TWord
 from repro.netlist.cells import CELL_LIBRARY, CONSTANT_CELLS
 from repro.netlist.levelize import levelize
 from repro.netlist.netlist import Gate, Netlist
-from repro.obs import get_observer
-from repro.obs.provenance import get_recorder
-from repro.obs.timeline import get_timeline
+from repro.obs import NO_INSTRUMENTS, NULL_OBSERVER, Instruments
 
 #: Codes for common states.
 CODE_0 = 0  # value 0, untainted
@@ -376,9 +374,13 @@ class CircuitState:
     ``every_net`` says whether this state's readers may read any net
     (the default) or only flip-flops and ports, which lets passes run the
     cut-mapped plan (see :meth:`CompiledCircuit.pass_plan`).
+    ``instruments`` are what records this state's passes (the default
+    records nothing; a copy starts with the default).  A SoC arms both
+    (:meth:`repro.sim.soc.SoC.arm`): the circuit is shared, so a run's
+    instruments ride on its state, never on the circuit.
     """
 
-    __slots__ = ("buffer", "codes", "every_net")
+    __slots__ = ("buffer", "codes", "every_net", "instruments")
 
     def __init__(
         self, buffer: np.ndarray, num_nets: int, every_net: bool = True
@@ -386,6 +388,7 @@ class CircuitState:
         self.buffer = buffer
         self.codes = buffer[:num_nets]
         self.every_net = every_net
+        self.instruments: Instruments = NO_INSTRUMENTS
 
     def copy(self) -> "CircuitState":
         return CircuitState(
@@ -394,9 +397,18 @@ class CircuitState:
 
 
 class CompiledCircuit:
-    """A netlist compiled for fast ternary+taint cycle simulation."""
+    """A netlist compiled for fast ternary+taint cycle simulation.
 
-    def __init__(self, netlist: Netlist, taint_mode: str = "glift"):
+    One compiled circuit may serve many SoCs and runs (see
+    :func:`repro.cpu.compiled_cpu`), so it holds no run's instruments:
+    *obs* only times the compile phases, and each pass reads its run's
+    :class:`~repro.obs.Instruments` from the state it evaluates.
+    """
+
+    def __init__(
+        self, netlist: Netlist, taint_mode: str = "glift",
+        obs=NULL_OBSERVER,
+    ):
         netlist.validate()
         self.netlist = netlist
         self.taint_mode = taint_mode
@@ -413,7 +425,6 @@ class CompiledCircuit:
         self._const_nets_arr = np.array(self._const_nets, dtype=np.int64)
         self._const_codes_arr = np.array(self._const_codes, dtype=np.uint8)
 
-        obs = get_observer()
         with obs.span("levelize"):
             levels = [
                 sorted(level, key=lambda gate: gate.cell_type)
@@ -687,36 +698,30 @@ class CompiledCircuit:
 
         The cut-mapped form writes only cut roots -- flip-flop Ds and
         output ports -- which is all the tracker, the checker and the
-        runner read.  Two kinds of reader need the nets inside the cuts
-        and get the per-gate plan, which writes every net: the state's
-        own owner when ``state.every_net`` is set (direct circuit users,
-        the *-logic baseline), and the whole-net recorders, an armed
-        provenance recorder or timeline.
+        runner read.  A state whose owner reads the nets inside the cuts
+        sets ``state.every_net`` and gets the per-gate plan, which
+        writes every net: direct circuit users, the *-logic baseline,
+        and a SoC carrying a provenance recorder or timeline.
         """
-        if (
-            state.every_net
-            or get_recorder() is not None
-            or get_timeline() is not None
-        ):
-            return plan
-        return plan.mapped
+        return plan if state.every_net else plan.mapped
 
     def _evaluate(self, state: CircuitState, plan: _Plan) -> None:
         """One pass over *plan* (or its mapped form, see
-        :meth:`pass_plan`), recorded when a provenance recorder is
-        armed."""
+        :meth:`pass_plan`), counted and recorded by the state's
+        instruments."""
         codes = state.codes
         if len(self._const_nets_arr):
             codes[self._const_nets_arr] = self._const_codes_arr
         runs = self.pass_plan(state, plan)
-        recorder = get_recorder()
+        instruments = state.instruments
+        recorder = instruments.provenance
         if recorder is not None:
             before = codes.copy()
             self._sweep(state.buffer, runs)
             self._record_fresh_taint(codes, before, recorder)
         else:
             self._sweep(state.buffer, runs)
-        obs = get_observer()
+        obs = instruments.obs
         if obs.enabled:
             self._count_gate_evals(obs.metrics, plan)
 
@@ -867,7 +872,7 @@ class CompiledCircuit:
 
     def clock_edge(self, state: CircuitState) -> None:
         """Latch every flip-flop: ``Q <= D``."""
-        recorder = get_recorder()
+        recorder = state.instruments.provenance
         if recorder is not None:
             codes = state.codes
             newly = (codes[self._dff_d] & 1) & (codes[self._dff_q] & 1 ^ 1)

@@ -13,9 +13,6 @@ from repro.isa.encode import EncodeError, decode
 from repro.isa.program import Program
 from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
-from repro.obs import get_observer
-from repro.obs.provenance import get_recorder
-from repro.obs.timeline import get_timeline
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.soc import AddressSpace, CycleEvents, Rom, SoC
 
@@ -168,27 +165,26 @@ class GateRunner:
         events = self.soc.step()
         self.events.append(events)
         phase = None
-        obs = get_observer()
-        if obs.enabled and obs.trace is not None:
+        instruments = self.soc.instruments
+        if instruments.obs.enabled and instruments.obs.trace is not None:
             cycle = self.soc.cycle
             if self.trace_interval and cycle % self.trace_interval == 0:
                 phase = self.phase()
-                self._emit_step(obs, cycle, events, phase)
+                self._emit_step(instruments, cycle, events, phase)
         return events, phase
 
     def _emit_step(
-        self, obs, cycle: int, events: CycleEvents, phase: int
+        self, instruments, cycle: int, events: CycleEvents, phase: int
     ) -> None:
         """One per-cycle summary trace event, written straight to the
         trace recorder."""
         fields = {}
-        recorder = get_recorder()
-        if recorder is not None:
-            fields["provenance_edges"] = recorder.edges_this_cycle
-        timeline = get_timeline()
+        provenance, timeline = instruments.provenance, instruments.timeline
+        if provenance is not None:
+            fields["provenance_edges"] = provenance.edges_this_cycle
         if timeline is not None:
             fields["timeline_frames"] = timeline.num_frames
-        obs.trace.emit(
+        instruments.obs.trace.emit(
             "step",
             cycle=cycle,
             phase=PHASE_NAMES[phase] if phase >= 0 else "X",
@@ -206,7 +202,7 @@ class GateRunner:
         """Step until the idle loop (or *max_cycles*); returns cycles run."""
         start = self.soc.cycle
         phase = None  # the traced step event's phase read, reused here
-        with get_observer().span("gate_run"):
+        with self.soc.instruments.obs.span("gate_run"):
             while self.soc.cycle - start < max_cycles:
                 if stop_at_halt and self.at_halt(phase):
                     break

@@ -42,10 +42,7 @@ import numpy as np
 from repro import memmap
 from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
-from repro.obs import get_observer
-from repro.obs.provenance import get_recorder
-from repro.obs.timeline import get_timeline
-from repro.resilience.faults import get_injector
+from repro.obs import NO_INSTRUMENTS, Instruments
 from repro.sim.compiled import CircuitState, CompiledCircuit
 from repro.sim.memory import TaintedMemory
 from repro.sim.peripherals import AuxTimer, InputPort, OutputPort, PortEvent
@@ -311,7 +308,11 @@ class SoCState:
 
 
 class SoC:
-    """A steppable LP430 system with gate-level GLIFT tracking."""
+    """A steppable LP430 system with gate-level GLIFT tracking.
+
+    :attr:`instruments` are what watches or perturbs this SoC's cycles:
+    the default watches nothing; :meth:`arm` swaps them in and out.
+    """
 
     def __init__(
         self,
@@ -332,6 +333,19 @@ class SoC:
         self._interface_plan = circuit.cone_plan(
             ["pmem_addr", "dmem_addr", "dmem_ren"]
         )
+
+    @property
+    def instruments(self) -> Instruments:
+        return self.state.instruments
+
+    def arm(self, instruments: Instruments = NO_INSTRUMENTS) -> None:
+        """Carry *instruments* from the next step on (the default
+        disarms).  They ride on this SoC's circuit state, which the
+        shared circuit's passes read.  A provenance recorder or timeline
+        reads every net, so while one rides along the passes run the
+        per-gate plan."""
+        self.state.instruments = instruments
+        self.state.every_net = instruments.needs_all_nets
 
     # ------------------------------------------------------------------
     # Observation helpers
@@ -369,14 +383,14 @@ class SoC:
         self, external_reset: Tuple[int, int] = (ZERO, 0)
     ) -> CycleEvents:
         """Advance one clock cycle; returns everything observable about it."""
-        injector = get_injector()
-        if injector is not None:
+        instruments = self.state.instruments
+        if instruments.faults is not None:
             # Fault-injection hook (gate-eval exceptions, clock skew);
-            # a single None check when no injector is installed.
-            injector.on_step(self)
+            # a single None check when no injector rides along.
+            instruments.faults.on_step(self, instruments.obs)
         circuit = self.circuit
         state = self.state
-        recorder = get_recorder()
+        recorder = instruments.provenance
         if recorder is not None:
             recorder.ensure_bound(circuit)
             recorder.begin_cycle(self.cycle)
@@ -466,16 +480,15 @@ class SoC:
 
         circuit.clock_edge(state)
         self.cycle += 1
-        timeline = get_timeline()
+        timeline = instruments.timeline
         if timeline is not None:
             # Post-edge codes: combinational nets still hold this
             # cycle's settled values (what the checker saw), DFF Q nets
             # hold next-cycle state -- one frame per step.
             timeline.ensure_bound(circuit)
             timeline.on_step(events.cycle, state.codes)
-        obs = get_observer()
-        if obs.enabled:
-            obs.metrics.counter("sim.cycles").inc()
+        if instruments.obs.enabled:
+            instruments.obs.metrics.counter("sim.cycles").inc()
         return events
 
     def _record_read_provenance(
@@ -540,11 +553,13 @@ class SoC:
             pending_por=self.pending_por,
             cycle=self.cycle,
         )
-        injector = get_injector()
-        if injector is not None:
+        instruments = self.state.instruments
+        if instruments.faults is not None:
             # Snapshot-corruption fault hook (models bit-rot in stored
             # fork states as conservative loss of knowledge).
-            snapshot = injector.on_snapshot(snapshot)
+            snapshot = instruments.faults.on_snapshot(
+                snapshot, instruments.obs
+            )
         return snapshot
 
     def restore(self, snapshot: SoCState) -> None:

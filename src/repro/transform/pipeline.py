@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from repro.core.labels import SecurityPolicy, default_policy
 from repro.core.tracker import AnalysisResult, TaintTracker
 from repro.isa.assembler import assemble
-from repro.obs import get_observer
+from repro.obs import NULL_OBSERVER
 from repro.isa.program import Program
 from repro.resilience.errors import EXIT_FUNDAMENTAL, ReproError
 from repro.transform.masking import insert_masks
@@ -98,7 +98,7 @@ def secure_compile(
     """
     if policy is None:
         policy = default_policy()
-    obs = obs if obs is not None else get_observer()
+    obs = obs if obs is not None else NULL_OBSERVER
     fixes: List[str] = []
     bounded: List[str] = []
     plans: Dict[str, SlicePlan] = {}

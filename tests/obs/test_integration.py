@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import TaintTracker
 from repro.isa.assembler import assemble
-from repro.obs import Observer, TraceRecorder, observe, read_events
+from repro.obs import Instruments, Observer, TraceRecorder, read_events
 
 FORKY = """
 .task sys trusted
@@ -32,8 +32,7 @@ app_done:
 def _traced_run(path):
     program = assemble(FORKY, name="forky")
     observer = Observer(trace=TraceRecorder(path))
-    with observe(observer):
-        result = TaintTracker(program).run()
+    result = TaintTracker(program, obs=observer).run()
     observer.close()
     return result, observer, read_events(path)
 
@@ -155,8 +154,8 @@ class TestGateEvalCounters:
         state = circuit.new_state()
         for run in range(20):
             observer = Observer()
-            with observe(observer):
-                circuit.eval_combinational(state)
+            state.instruments = Instruments(observer)
+            circuit.eval_combinational(state)
             counters = observer.snapshot()["metrics"]["counters"]
             assert counters.get("sim.gate_evals") == gates, f"run {run}"
             assert counters.get("sim.eval_passes") == 1, f"run {run}"

@@ -14,10 +14,9 @@ from repro.obs import (
     Observer,
     Profiler,
     TraceRecorder,
-    observe,
 )
 from repro.obs.metrics import Histogram
-from repro.resilience.faults import FaultInjector, inject_faults
+from repro.resilience.faults import FaultInjector
 
 
 class TestHistogramEdges:
@@ -168,10 +167,13 @@ class TestClockUnderSkew:
         )
         sink = io.StringIO()
         observer = Observer(trace=TraceRecorder(sink))
-        with observe(observer), inject_faults(injector):
-            TaintTracker(
-                program, default_policy(), max_cycles=50_000
-            ).run()
+        TaintTracker(
+            program,
+            default_policy(),
+            max_cycles=50_000,
+            obs=observer,
+            faults=injector,
+        ).run()
         assert injector.injected, "no clock_skew fault ever fired"
         events = [
             json.loads(line)

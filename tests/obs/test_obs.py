@@ -5,20 +5,23 @@ import json
 
 import pytest
 
+from repro.core import TaintTracker
+from repro.isa.assembler import assemble
 from repro.obs import (
+    NO_INSTRUMENTS,
     NULL_OBSERVER,
+    Instruments,
     ManualClock,
     MetricsRegistry,
     NullObserver,
     Observer,
     Profiler,
     TraceRecorder,
-    get_observer,
-    observe,
     read_events,
-    set_observer,
 )
 from repro.obs.metrics import Counter, Histogram
+from repro.resilience import FaultInjector, SimulationError
+from tests.conftest import STRAIGHT_LINE
 
 
 class TestMetrics:
@@ -152,8 +155,10 @@ class TestProfiler:
 
 class TestObserver:
     def test_default_observer_is_null(self):
-        assert get_observer() is NULL_OBSERVER
-        assert not get_observer().enabled
+        assert Instruments().obs is NULL_OBSERVER
+        assert not NO_INSTRUMENTS.obs.enabled
+        tracker = TaintTracker(assemble(STRAIGHT_LINE), obs=None)
+        assert tracker.obs is NULL_OBSERVER
 
     def test_null_observer_is_true_noop(self):
         null = NullObserver()
@@ -170,24 +175,23 @@ class TestObserver:
         assert null.counter("a") is null.counter("b")
         assert null.span("x") is null.span("y")
 
-    def test_observe_installs_and_restores(self):
+    def test_run_arms_and_disarms_the_observer(self, armed_run):
         observer = Observer()
-        with observe(observer) as installed:
-            assert installed is observer
-            assert get_observer() is observer
-        assert get_observer() is NULL_OBSERVER
+        tracker, seen = armed_run(obs=observer)
+        assert seen and all(armed.obs is observer for armed in seen)
+        assert tracker.runner.soc.instruments is NO_INSTRUMENTS
+        counters = observer.snapshot()["metrics"]["counters"]
+        assert counters["sim.cycles"] == len(seen)
 
-    def test_observe_restores_on_exception(self):
-        observer = Observer()
-        with pytest.raises(RuntimeError):
-            with observe(observer):
-                raise RuntimeError("boom")
-        assert get_observer() is NULL_OBSERVER
-
-    def test_set_observer_none_means_null(self):
-        previous = set_observer(None)
-        assert previous is NULL_OBSERVER
-        assert get_observer() is NULL_OBSERVER
+    def test_run_disarms_on_exception(self):
+        tracker = TaintTracker(
+            assemble(STRAIGHT_LINE),
+            obs=Observer(),
+            faults=FaultInjector(seed=1, rate=1.0, kinds=("gate_eval",)),
+        )
+        with pytest.raises(SimulationError):
+            tracker.run()
+        assert tracker.runner.soc.instruments is NO_INSTRUMENTS
 
     def test_observer_bundles_instruments(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -5,16 +5,16 @@ import pytest
 
 from repro.core import TaintTracker, default_policy
 from repro.isa.assembler import assemble
+from repro.obs import NO_INSTRUMENTS
 from repro.obs.provenance import (
     KIND_GATE,
     ProvenanceRecorder,
     explain_violation,
-    get_recorder,
-    install_recorder,
-    record_provenance,
 )
 from repro.obs.report import build_report
+from repro.resilience import FaultInjector, SimulationError
 from repro.workloads.motivating import figure4_source
+from tests.conftest import STRAIGHT_LINE
 
 
 def _ids(values):
@@ -22,23 +22,31 @@ def _ids(values):
 
 
 class TestRecorder:
-    def test_off_by_default(self):
-        assert get_recorder() is None
+    def test_off_by_default(self, armed_run):
+        assert NO_INSTRUMENTS.provenance is None
+        _, seen = armed_run()
+        assert seen and all(armed.provenance is None for armed in seen)
 
-    def test_hook_installs_and_restores(self):
+    def test_hook_installs_and_restores(self, armed_run):
+        """The tracker arms its recorder on its own SoC for ``run()``
+        only: every step records, and the SoC is disarmed after."""
         recorder = ProvenanceRecorder(capacity=16)
-        with record_provenance(recorder) as installed:
-            assert installed is recorder
-            assert get_recorder() is recorder
-        assert get_recorder() is None
+        tracker, seen = armed_run(provenance=recorder)
+        assert seen and all(armed.provenance is recorder for armed in seen)
+        soc = tracker.runner.soc
+        assert soc.instruments is NO_INSTRUMENTS
+        assert not soc.state.every_net
 
     def test_hook_restores_on_exception(self):
-        recorder = ProvenanceRecorder(capacity=16)
-        with pytest.raises(RuntimeError):
-            with record_provenance(recorder):
-                raise RuntimeError("boom")
-        assert get_recorder() is None
-        assert install_recorder(None) is None
+        tracker = TaintTracker(
+            assemble(STRAIGHT_LINE),
+            provenance=ProvenanceRecorder(capacity=16),
+            faults=FaultInjector(seed=1, rate=1.0, kinds=("gate_eval",)),
+        )
+        with pytest.raises(SimulationError):
+            tracker.run()
+        assert tracker.runner.soc.instruments is NO_INSTRUMENTS
+        assert not tracker.runner.soc.state.every_net
 
     def test_label_interning_is_stable(self):
         recorder = ProvenanceRecorder(capacity=16)

@@ -289,20 +289,14 @@ class TestFileRoundTrip:
         assert excinfo.value.code == "TIMELINE_CORRUPT"
 
 
-class TestProcessHook:
-    def test_install_and_context_manager(self):
-        from repro.obs.timeline import (
-            get_timeline,
-            install_timeline,
-            record_timeline,
-        )
-
-        assert get_timeline() is None
+class TestRunScope:
+    def test_armed_only_during_run(self, armed_run):
+        """The tracker arms its timeline on its own SoC for ``run()``
+        only: one frame per step, and the SoC is disarmed after."""
         recorder = _recorder()
-        with record_timeline(recorder) as active:
-            assert active is recorder
-            assert get_timeline() is recorder
-        assert get_timeline() is None
-        previous = install_timeline(recorder)
-        assert previous is None
-        assert install_timeline(None) is recorder
+        tracker, seen = armed_run(timeline=recorder)
+        assert seen and all(armed.timeline is recorder for armed in seen)
+        assert recorder.num_frames == len(seen)
+        soc = tracker.runner.soc
+        assert soc.instruments.timeline is None
+        assert not soc.state.every_net

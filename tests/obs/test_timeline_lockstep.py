@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import TaintTracker, default_policy
-from repro.obs.timeline import TimelineRecorder, record_timeline
+from repro.obs.timeline import TimelineRecorder
 from repro.resilience import AnalysisInterrupted
 from repro.workloads.registry import TABLE2_VIOLATORS, benchmark
 
@@ -27,8 +27,9 @@ FORKING_WORKLOADS = TABLE2_VIOLATORS
 class RawCapture:
     """A timeline-shaped hook that stores uncompressed frame digests.
 
-    Installed through the same ``get_timeline`` hot-path hook the real
-    recorder uses, so it sees exactly what the recorder would see.
+    Passed as the tracker's ``timeline=``, so it rides the same
+    per-step hook the real recorder uses and sees exactly what the
+    recorder would see.
     """
 
     def __init__(self):
@@ -56,14 +57,12 @@ def _tracker(name, **kwargs):
 def _raw_frames(name):
     """A fresh serial run's exact per-step code stream.
 
-    Built outside the hook context: the tracker installs its own
-    recorder only around :meth:`run`, so the power-on-reset steps taken
-    while the substrate is constructed are recorded by neither side.
+    The tracker arms its timeline only for :meth:`run`, so the
+    power-on-reset steps taken while the substrate is constructed are
+    recorded by neither side.
     """
     capture = RawCapture()
-    tracker = _tracker(name)
-    with record_timeline(capture):
-        tracker.run()
+    _tracker(name, timeline=capture).run()
     return capture
 
 

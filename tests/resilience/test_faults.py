@@ -5,14 +5,12 @@ import pytest
 
 from repro.core import TaintTracker, default_policy
 from repro.isa.assembler import assemble
+from repro.obs import NO_INSTRUMENTS, NULL_OBSERVER
 from repro.resilience import (
     FAULT_KINDS,
     FaultInjector,
     ReproError,
     SimulationError,
-    get_injector,
-    inject_faults,
-    install_injector,
 )
 
 FORKY = """
@@ -29,26 +27,22 @@ even:
 """
 
 
-def _analyze(**tracker_kwargs):
+def _analyze(injector):
     program = assemble(FORKY, name="forky")
-    return TaintTracker(program, default_policy(), **tracker_kwargs).run()
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_injector():
-    yield
-    install_injector(None)
+    return TaintTracker(program, default_policy(), faults=injector).run()
 
 
 class TestHook:
-    def test_no_injector_by_default(self):
-        assert get_injector() is None
+    def test_no_injector_by_default(self, armed_run):
+        assert NO_INSTRUMENTS.faults is None
+        _, seen = armed_run()
+        assert seen and all(armed.faults is None for armed in seen)
 
-    def test_context_manager_installs_and_restores(self):
-        injector = FaultInjector(seed=1, rate=1.0)
-        with inject_faults(injector) as active:
-            assert get_injector() is active is injector
-        assert get_injector() is None
+    def test_faults_armed_only_during_run(self, armed_run):
+        injector = FaultInjector(seed=1, rate=0.0)
+        tracker, seen = armed_run(faults=injector)
+        assert seen and all(armed.faults is injector for armed in seen)
+        assert tracker.runner.soc.instruments is NO_INSTRUMENTS
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -59,64 +53,52 @@ class TestSurvival:
     def test_decode_faults_never_crash(self):
         # Every shadow decode fails: each path ends "illegal".  The
         # analyzer must complete and return a result, not raise.
-        with inject_faults(
-            FaultInjector(seed=7, rate=1.0, kinds=("decode",))
-        ) as injector:
-            result = _analyze()
+        injector = FaultInjector(seed=7, rate=1.0, kinds=("decode",))
+        result = _analyze(injector)
         assert injector.injected
         assert result.verdict in ("secure", "insecure", "inconclusive")
 
     def test_gate_eval_fault_becomes_typed_simulation_error(self):
-        with inject_faults(
-            FaultInjector(seed=7, rate=1.0, kinds=("gate_eval",))
-        ):
-            with pytest.raises(SimulationError) as info:
-                _analyze()
+        with pytest.raises(SimulationError) as info:
+            _analyze(FaultInjector(seed=7, rate=1.0, kinds=("gate_eval",)))
         assert "gate evaluation failed" in str(info.value)
         assert info.value.retriable
         # Never a bare RuntimeError: the tracker wrapped it.
         assert isinstance(info.value, ReproError)
 
     def test_snapshot_corruption_survives_or_fails_typed(self):
-        with inject_faults(
-            FaultInjector(seed=3, rate=1.0, kinds=("snapshot",))
-        ) as injector:
-            try:
-                result = _analyze()
-            except ReproError:
-                return  # typed failure is an acceptable outcome
+        injector = FaultInjector(seed=3, rate=1.0, kinds=("snapshot",))
+        try:
+            result = _analyze(injector)
+        except ReproError:
+            return  # typed failure is an acceptable outcome
         assert injector.injected
         # Corruption is loss of knowledge (taint), so over-taint may
         # degrade the verdict -- but soundly, and without crashing.
         assert result.verdict in ("secure", "insecure", "inconclusive")
 
     def test_clock_skew_survives(self):
-        with inject_faults(
-            FaultInjector(
-                seed=5, rate=0.5, kinds=("clock_skew",), skew_cycles=11
-            )
-        ) as injector:
-            result = _analyze()
+        injector = FaultInjector(
+            seed=5, rate=0.5, kinds=("clock_skew",), skew_cycles=11
+        )
+        result = _analyze(injector)
         assert injector.injected
         assert result.verdict in ("secure", "insecure", "inconclusive")
 
     def test_every_kind_at_low_rate_is_survivable_or_typed(self):
-        with inject_faults(
-            FaultInjector(seed=11, rate=0.05, kinds=FAULT_KINDS)
-        ):
-            try:
-                result = _analyze()
-            except ReproError:
-                return
+        try:
+            result = _analyze(
+                FaultInjector(seed=11, rate=0.05, kinds=FAULT_KINDS)
+            )
+        except ReproError:
+            return
         assert result.verdict in ("secure", "insecure", "inconclusive")
 
 
 class TestDeterminism:
     def _run(self, seed):
-        with inject_faults(
-            FaultInjector(seed=seed, rate=0.3, kinds=("decode",))
-        ) as injector:
-            result = _analyze()
+        injector = FaultInjector(seed=seed, rate=0.3, kinds=("decode",))
+        result = _analyze(injector)
         return injector.injected, result
 
     def test_same_seed_same_faults_same_result(self):
@@ -135,6 +117,8 @@ class TestDeterminism:
         injector = FaultInjector(
             seed=9, rate=1.0, kinds=("decode",), max_faults=2
         )
-        fires = [injector.on_decode(0, cycle) for cycle in range(10)]
+        fires = [
+            injector.on_decode(0, cycle, NULL_OBSERVER) for cycle in range(10)
+        ]
         assert sum(fires) == 2
         assert len(injector.injected) == 2

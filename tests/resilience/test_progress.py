@@ -11,7 +11,7 @@ import json
 
 from repro.core import TaintTracker, default_policy
 from repro.isa.assembler import assemble
-from repro.obs import Observer, TraceRecorder, lint_trace, observe
+from repro.obs import Observer, TraceRecorder, lint_trace
 from repro.obs.clock import ManualClock
 from repro.resilience import AnalysisBudget, ProgressEstimator
 from repro.resilience.progress import (
@@ -37,19 +37,14 @@ even:
 
 
 def _run(source, progress=None, budget=None, observer=None):
-    def _go():
-        program = assemble(source, name="t")
-        return TaintTracker(
-            program,
-            default_policy(),
-            budget=budget or AnalysisBudget(),
-            progress=progress,
-        ).run()
-
-    if observer is not None:
-        with observe(observer):
-            return _go()
-    return _go()
+    program = assemble(source, name="t")
+    return TaintTracker(
+        program,
+        default_policy(),
+        budget=budget or AnalysisBudget(),
+        obs=observer,
+        progress=progress,
+    ).run()
 
 
 class TestSnapshotDocument:

@@ -17,8 +17,9 @@ from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.cells import CELL_LIBRARY
-from repro.obs.provenance import ProvenanceRecorder, record_provenance
-from repro.obs.timeline import TimelineRecorder, record_timeline
+from repro.obs import Instruments
+from repro.obs.provenance import ProvenanceRecorder
+from repro.obs.timeline import TimelineRecorder
 from repro.sim.compiled import (
     _CODE_KEYS,
     CELL_TYPES,
@@ -435,7 +436,7 @@ class TestLutFor:
 
 class TestPlanChoice:
     """One method picks the plan a pass runs: the cut-mapped one unless
-    something reads nets inside the cuts."""
+    the state's owner reads nets inside the cuts."""
 
     @staticmethod
     def _soc_plans():
@@ -451,15 +452,24 @@ class TestPlanChoice:
 
     @pytest.mark.parametrize("armed", ["provenance", "timeline"])
     def test_whole_net_readers_run_the_per_gate_plans(self, armed):
+        """Two SoCs share the one cached circuit; arming a whole-net
+        recorder on one gives that SoC the per-gate plans while the
+        other keeps the mapped ones."""
         soc, full, cone = self._soc_plans()
+        other = _mult_runner().soc
+        circuit = soc.circuit
+        assert other.circuit is circuit
         recorders = {
-            "provenance": lambda: record_provenance(ProvenanceRecorder()),
-            "timeline": lambda: record_timeline(TimelineRecorder()),
+            "provenance": ProvenanceRecorder,
+            "timeline": TimelineRecorder,
         }
-        with recorders[armed]():
-            assert soc.circuit.pass_plan(soc.state, full) is full
-            assert soc.circuit.pass_plan(soc.state, cone) is cone
-        assert soc.circuit.pass_plan(soc.state, full) is full.mapped
+        soc.arm(Instruments(**{armed: recorders[armed]()}))
+        assert circuit.pass_plan(soc.state, full) is full
+        assert circuit.pass_plan(soc.state, cone) is cone
+        assert circuit.pass_plan(other.state, full) is full.mapped
+        assert circuit.pass_plan(other.state, cone) is cone.mapped
+        soc.arm()
+        assert circuit.pass_plan(soc.state, full) is full.mapped
 
     def test_direct_circuit_states_read_every_net(self):
         circuit = adder_circuit()
@@ -552,9 +562,9 @@ class TestKeySuffix:
     def test_timeline_frames_hold_only_nets(self):
         runner = _mult_runner()
         recorder = TimelineRecorder(keyframe_interval=4)
-        with record_timeline(recorder):
-            for _ in range(10):
-                runner.step()
+        runner.soc.arm(Instruments(timeline=recorder))
+        for _ in range(10):
+            runner.step()
         timeline = recorder.to_timeline()
         assert timeline.num_frames == 10
         for frame in range(timeline.num_frames):
