@@ -37,8 +37,8 @@ def test_ablation_value_aware_taint(timed, bench_json):
         outcomes = {}
         for name in names:
             program = benchmark(name).service_program()
-            glift = TaintTracker(program, max_cycles=400_000).run()
-            naive = naive_taint_analysis(program, max_cycles=400_000)
+            glift = TaintTracker(program).run()
+            naive = naive_taint_analysis(program)
             outcomes[name] = (glift.secure, naive.secure)
         return outcomes
 
@@ -73,10 +73,8 @@ def test_ablation_exact_visit_budget(once):
 
     def run():
         program = benchmark("mult").service_program()
-        exact = TaintTracker(program, max_cycles=400_000).run()
-        widened = TaintTracker(
-            program, max_cycles=400_000, exact_branch_visits=0
-        ).run()
+        exact = TaintTracker(program).run()
+        widened = TaintTracker(program, exact_branch_visits=0).run()
         return exact, widened
 
     exact, widened = once(run)
@@ -137,7 +135,6 @@ def test_ablation_masking_preserves_function(once):
             info.service_source,
             name="binSearch",
             task_cycles={"bench": baseline.cycles},
-            max_cycles=800_000,
         )
         inputs2 = cycle([23])
         protected = run_concrete(

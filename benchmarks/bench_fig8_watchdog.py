@@ -13,12 +13,10 @@ from repro.workloads import micro
 
 def analyse_both():
     unprotected = TaintTracker(
-        assemble(micro.FIG8_UNPROTECTED, name="fig8"),
-        max_cycles=600_000,
+        assemble(micro.FIG8_UNPROTECTED, name="fig8")
     ).run()
     protected = TaintTracker(
-        assemble(micro.FIG8_PROTECTED, name="fig8p"),
-        max_cycles=600_000,
+        assemble(micro.FIG8_PROTECTED, name="fig8p")
     ).run()
     return unprotected, protected
 

@@ -17,12 +17,8 @@ from repro.workloads import micro
 
 
 def analyse_both():
-    unmasked = TaintTracker(
-        assemble(micro.FIG9_UNMASKED, name="fig9"), max_cycles=400_000
-    ).run()
-    masked = TaintTracker(
-        assemble(micro.FIG9_MASKED, name="fig9m"), max_cycles=400_000
-    ).run()
+    unmasked = TaintTracker(assemble(micro.FIG9_UNMASKED, name="fig9")).run()
+    masked = TaintTracker(assemble(micro.FIG9_MASKED, name="fig9m")).run()
     return unmasked, masked
 
 

@@ -21,7 +21,7 @@ def main() -> None:
     print("=" * 72)
     print("analysis of the unmodified benchmark")
     print("=" * 72)
-    result = TaintTracker(info.service_program(), max_cycles=800_000).run()
+    result = TaintTracker(info.service_program()).run()
     print(result.report())
 
     print()
@@ -45,7 +45,6 @@ def main() -> None:
         info.service_source,
         name="binSearch",
         task_cycles={"bench": baseline.cycles},
-        max_cycles=800_000,
     )
     print(repaired.diagnostics())
     print()

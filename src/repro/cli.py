@@ -100,12 +100,18 @@ def _load(path: str) -> tuple:
 
 
 def _budget_from(args) -> AnalysisBudget:
-    """An :class:`AnalysisBudget` assembled from the resource flags."""
+    """An :class:`AnalysisBudget` assembled from the resource flags: a
+    flag the user gave sets its axis, every other axis keeps the
+    budget's default."""
+    flags = {
+        "max_paths": getattr(args, "max_paths", None),
+        "max_cycles": args.max_cycles,
+        "max_merged_states": getattr(args, "max_merged_states", None),
+        "deadline_seconds": getattr(args, "deadline", None),
+        "max_rss_mb": getattr(args, "max_rss_mb", None),
+    }
     return AnalysisBudget(
-        max_paths=getattr(args, "max_paths", None) or 4_096,
-        deadline_seconds=getattr(args, "deadline", None),
-        max_merged_states=getattr(args, "max_merged_states", None),
-        max_rss_mb=getattr(args, "max_rss_mb", None),
+        **{axis: value for axis, value in flags.items() if value is not None}
     )
 
 
@@ -222,7 +228,6 @@ def cmd_analyze(args) -> int:
         program,
         policy=_policy(args.policy),
         circuit=compiled_cpu(),
-        max_cycles=args.max_cycles,
         budget=_budget_from(args),
         checkpointer=checkpointer,
         obs=observer,
@@ -286,18 +291,11 @@ def cmd_analyze_all(args) -> int:
         workloads = args.workloads
     else:
         workloads = benchmark_names()
-    budget = {
-        "max_paths": getattr(args, "max_paths", None) or 4_096,
-        "deadline_seconds": getattr(args, "deadline", None),
-        "max_merged_states": getattr(args, "max_merged_states", None),
-        "max_rss_mb": getattr(args, "max_rss_mb", None),
-    }
     document = run_analyze_all(
         workloads,
         jobs=args.jobs,
         policy=args.policy,
-        max_cycles=args.max_cycles,
-        budget=budget,
+        budget=_budget_from(args).describe(),
     )
     rendered = format_json(document)
     if args.output:
@@ -338,7 +336,7 @@ def cmd_repair(args) -> int:
             source,
             name=name,
             policy=_policy(args.policy),
-            max_cycles=args.max_cycles,
+            budget=_budget_from(args),
         )
     except FundamentalViolation as error:
         print(error.diagnostics, file=sys.stderr)
@@ -455,7 +453,6 @@ def cmd_profile(args) -> int:
         program,
         policy=policy,
         circuit=circuit,
-        max_cycles=args.max_cycles,
         budget=budget,
         obs=observer,
     ).run()
@@ -465,7 +462,6 @@ def cmd_profile(args) -> int:
                 source,
                 name=name,
                 policy=policy,
-                max_cycles=args.max_cycles,
                 budget=budget,
                 obs=observer,
             )
@@ -677,7 +673,6 @@ def _analyze_with_provenance(args):
     result = TaintTracker(
         program,
         policy=_policy(args.policy),
-        max_cycles=args.max_cycles,
         budget=_budget_from(args),
         provenance=recorder,
     ).run()
@@ -752,7 +747,6 @@ def cmd_record(args) -> int:
         result = TaintTracker(
             program,
             policy=_policy(args.policy),
-            max_cycles=args.max_cycles,
             budget=_budget_from(args),
             obs=observer,
             timeline=recorder,
@@ -881,20 +875,18 @@ def cmd_serve(args) -> int:
 
 def _submission_body(args) -> dict:
     source, name = _resolve_workload(args.source)
-    body = {
+    budget = _budget_from(args)
+    return {
         "source": source,
         "name": name,
         "policy": args.policy,
-        "max_cycles": args.max_cycles,
+        "max_cycles": budget.max_cycles,
+        "budget": {
+            axis: value
+            for axis, value in budget.describe().items()
+            if value is not None
+        },
     }
-    budget = {
-        "max_paths": getattr(args, "max_paths", None) or 4_096,
-        "deadline_seconds": getattr(args, "deadline", None),
-        "max_merged_states": getattr(args, "max_merged_states", None),
-        "max_rss_mb": getattr(args, "max_rss_mb", None),
-    }
-    body["budget"] = {k: v for k, v in budget.items() if v is not None}
-    return body
 
 
 def cmd_submit(args) -> int:
@@ -1174,12 +1166,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="untrusted",
             help="taint kind: untrusted (default) or secret",
         )
-        p.add_argument(
-            "--max-cycles",
-            type=int,
-            default=1_000_000,
-            help="analysis/simulation cycle budget",
-        )
 
     def obs_flags(p):
         p.add_argument(
@@ -1193,7 +1179,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="write the metrics+profile snapshot as JSON here",
         )
 
+    def cycle_budget_flag(p):
+        p.add_argument(
+            "--max-cycles",
+            type=int,
+            metavar="N",
+            help=f"cycle budget (default {AnalysisBudget.max_cycles:,}); "
+            "exhausting it gives an inconclusive verdict (exit 3)",
+        )
+
     def budget_flags(p):
+        cycle_budget_flag(p)
         p.add_argument(
             "--deadline",
             type=float,
@@ -1206,8 +1202,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-paths",
             type=int,
             metavar="N",
-            help="path budget (default 4096); exhaustion degrades "
-            "soundly to an inconclusive verdict",
+            help=f"path budget (default {AnalysisBudget.max_paths}); "
+            "exhaustion degrades soundly to an inconclusive verdict",
         )
         p.add_argument(
             "--max-merged-states",
@@ -1300,12 +1296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="taint kind: untrusted (default) or secret",
     )
     p.add_argument(
-        "--max-cycles",
-        type=int,
-        default=1_000_000,
-        help="per-workload analysis cycle budget",
-    )
-    p.add_argument(
         "--json",
         action="store_true",
         help="print the aggregate JSON document to stdout (default "
@@ -1323,10 +1313,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair", help="analyse, repair, verify")
     common(p)
     p.add_argument("-o", "--output", help="write the repaired source here")
+    cycle_budget_flag(p)
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("run", help="cycle-accurate concrete run")
     common(p)
+    p.add_argument(
+        "--max-cycles",
+        type=int,
+        default=1_000_000,
+        help="simulation cycle cap",
+    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("disasm", help="annotated disassembly")
@@ -1353,12 +1350,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         default="untrusted",
         help="taint kind: untrusted (default) or secret",
-    )
-    p.add_argument(
-        "--max-cycles",
-        type=int,
-        default=1_200_000,
-        help="analysis cycle budget",
     )
     p.add_argument(
         "--no-repair",
@@ -1448,12 +1439,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--policy",
             default="untrusted",
             help="taint kind: untrusted (default) or secret",
-        )
-        p.add_argument(
-            "--max-cycles",
-            type=int,
-            default=1_000_000,
-            help="analysis cycle budget",
         )
         budget_flags(p)
         provenance_flags(p, opt_in=False)
@@ -1658,12 +1643,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         default="untrusted",
         help="taint kind: untrusted (default) or secret",
-    )
-    p.add_argument(
-        "--max-cycles",
-        type=int,
-        default=1_000_000,
-        help="analysis cycle budget",
     )
     p.add_argument(
         "--wait",

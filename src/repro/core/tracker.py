@@ -55,6 +55,11 @@ class TrackerError(AnalysisError):
     code = "TRACKER"
 
 
+#: Most successors a computed control transfer may fork into; a target
+#: word with more possible values closes the path as ``unbounded``.
+FORK_LIMIT = 64
+
+
 # ---------------------------------------------------------------------------
 # Code lattice helpers (vectorised over DFF snapshots)
 # ---------------------------------------------------------------------------
@@ -343,9 +348,6 @@ class TaintTracker:
         program: Program,
         policy: Optional[SecurityPolicy] = None,
         circuit: Optional[CompiledCircuit] = None,
-        max_cycles: int = 2_000_000,
-        max_paths: int = 4_096,
-        fork_limit: int = 64,
         exact_branch_visits: int = 512,
         obs=None,
         budget: Optional[AnalysisBudget] = None,
@@ -360,15 +362,9 @@ class TaintTracker:
         self.obs = obs if obs is not None else NULL_OBSERVER
         self.policy = policy if policy is not None else SecurityPolicy()
         self.circuit = circuit if circuit is not None else compiled_cpu()
-        self.max_cycles = max_cycles
-        self.max_paths = max_paths
-        #: resource ceilings with sound degradation; the legacy
-        #: *max_paths* argument becomes the default budget's path cap
-        self.budget = (
-            budget
-            if budget is not None
-            else AnalysisBudget(max_paths=max_paths)
-        )
+        #: resource ceilings with sound degradation, and the only bound
+        #: on the exploration (``AnalysisBudget()``'s axes when None)
+        self.budget = budget if budget is not None else AnalysisBudget()
         #: optional :class:`repro.resilience.Checkpointer` for periodic
         #: and on-interrupt state saves
         self.checkpointer = checkpointer
@@ -385,7 +381,6 @@ class TaintTracker:
         self.progress = progress
         if progress is not None:
             progress.attach(self)
-        self.fork_limit = fork_limit
         #: how many times a concrete PC-changing instruction is revisited
         #: *exactly* before switching to Algorithm 1's continue-from-the-
         #: conservative-state widening.  Bounded constant-trip loops below
@@ -894,11 +889,6 @@ class TaintTracker:
         control_tainted = False
 
         while True:
-            if self.stats.cycles_simulated >= self.max_cycles:
-                node.end_reason = "limit"
-                node.end_cycle = soc.cycle
-                return
-
             phase = self.runner.phase()
             if phase == PHASE_F and (
                 self._interrupt_reason is not None
@@ -1090,7 +1080,7 @@ class TaintTracker:
         else:
             try:
                 candidates = sorted(
-                    pc_word.possible_values(limit=self.fork_limit)
+                    pc_word.possible_values(limit=FORK_LIMIT)
                 )
             except EnumerationLimitError:
                 # A computed control transfer through a widely unknown

@@ -22,7 +22,10 @@ class TreeNode:
     start_pc: int
     start_cycle: int
     pc_taint: int = 0
-    end_reason: str = "running"  # "fork" | "merged" | "halt" | "limit"
+    #: "running" until the tracker closes the segment with one of
+    #: "fork" | "merged" | "halt" | "illegal" | "state_lost" |
+    #: "unbounded" | "drained"
+    end_reason: str = "running"
     end_pc: Optional[int] = None
     end_cycle: Optional[int] = None
     fork_address: Optional[int] = None

@@ -28,7 +28,7 @@ class MotivationRow:
     conditions: Set[int]
 
 
-def build_motivation(max_cycles: int = 800_000) -> List[MotivationRow]:
+def build_motivation() -> List[MotivationRow]:
     rows: List[MotivationRow] = []
     for figure, description, source in (
         (
@@ -48,8 +48,7 @@ def build_motivation(max_cycles: int = 800_000) -> List[MotivationRow]:
         ),
     ):
         result = TaintTracker(
-            assemble(source, name=figure.replace(" ", "").lower()),
-            max_cycles=max_cycles,
+            assemble(source, name=figure.replace(" ", "").lower())
         ).run()
         rows.append(
             MotivationRow(

@@ -58,11 +58,11 @@ class RtosCaseResult:
         return "\n".join(lines)
 
 
-def build_rtos_case(max_cycles: int = 2_000_000) -> RtosCaseResult:
+def build_rtos_case() -> RtosCaseResult:
     source = rtos_source()
     program = assemble(source, name="minirtos")
 
-    unprotected = TaintTracker(program, max_cycles=max_cycles).run()
+    unprotected = TaintTracker(program).run()
     baseline = run_concrete(
         program, stop=rtos_completion_stop, max_cycles=200_000
     )
@@ -71,7 +71,6 @@ def build_rtos_case(max_cycles: int = 2_000_000) -> RtosCaseResult:
         source,
         name="minirtos",
         task_cycles={"bs_task": 300},
-        max_cycles=max_cycles,
     )
     protected = run_concrete(
         repaired.program, stop=rtos_completion_stop, max_cycles=200_000

@@ -31,16 +31,12 @@ class RuntimeRow:
     instructions: int
 
 
-def build_runtime(
-    names: Optional[List[str]] = None, max_cycles: int = 1_200_000
-) -> List[RuntimeRow]:
+def build_runtime(names: Optional[List[str]] = None) -> List[RuntimeRow]:
     rows: List[RuntimeRow] = []
     for name, info in BENCHMARKS.items():
         if names is not None and name not in names:
             continue
-        result = TaintTracker(
-            info.service_program(), max_cycles=max_cycles
-        ).run()
+        result = TaintTracker(info.service_program()).run()
         stats = result.stats
         rows.append(
             RuntimeRow(

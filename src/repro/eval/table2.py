@@ -31,17 +31,12 @@ class Table2Row:
         return "X" if condition in conditions else "-"
 
 
-def build_table2(
-    names: Optional[List[str]] = None,
-    max_cycles: int = 800_000,
-) -> List[Table2Row]:
+def build_table2(names: Optional[List[str]] = None) -> List[Table2Row]:
     rows: List[Table2Row] = []
     for name, info in BENCHMARKS.items():
         if names is not None and name not in names:
             continue
-        result = TaintTracker(
-            info.service_program(), max_cycles=max_cycles
-        ).run()
+        result = TaintTracker(info.service_program()).run()
         unmodified = result.violated_conditions()
         row = Table2Row(
             name=name,
@@ -59,7 +54,6 @@ def build_table2(
                 info.service_source,
                 name=name,
                 task_cycles={"bench": measured.cycles},
-                max_cycles=max_cycles,
             )
             row.modified = repaired.analysis.violated_conditions()
             row.masked_stores = repaired.masked_stores

@@ -76,7 +76,6 @@ def _masked_measurement_cycles(info, store_addresses) -> int:
 
 def build_table3(
     names: Optional[List[str]] = None,
-    max_cycles: int = 800_000,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Table3Row]:
     rows: List[Table3Row] = []
@@ -90,9 +89,7 @@ def build_table3(
         )
 
         # --- with analysis: repair only the identified root causes -----
-        analysis = TaintTracker(
-            info.service_program(), max_cycles=max_cycles
-        ).run()
+        analysis = TaintTracker(info.service_program()).run()
         flagged_stores = analysis.violating_stores()
         needs_watchdog = bool(analysis.tasks_needing_watchdog())
         if analysis.secure:

@@ -58,7 +58,6 @@ def _analyze_one(spec: dict) -> dict:
             program,
             circuit=compiled_cpu(),
             policy=_policy(spec["policy"]),
-            max_cycles=spec["max_cycles"],
             budget=budget,
             obs=observer,
         ).run()
@@ -162,7 +161,6 @@ def run_analyze_all(
     workloads: List[str],
     jobs: int = 1,
     policy: str = "untrusted",
-    max_cycles: int = 1_000_000,
     budget: Optional[dict] = None,
 ) -> dict:
     """Analyze every workload (one serial analysis per worker process)
@@ -177,7 +175,6 @@ def run_analyze_all(
         {
             "workload": name,
             "policy": policy,
-            "max_cycles": max_cycles,
             "budget": dict(budget or {}),
         }
         for name in workloads
@@ -210,7 +207,6 @@ def run_analyze_all(
         "tool": "repro analyze-all",
         "jobs": jobs,
         "policy": policy,
-        "max_cycles": max_cycles,
         "budget": dict(budget or {}),
         "workloads": results,
         "metrics": merged.snapshot(),

@@ -45,10 +45,16 @@ def current_rss_mb() -> Optional[float]:
 
 @dataclass
 class AnalysisBudget:
-    """Resource ceilings for one analysis (None disables an axis)."""
+    """Resource ceilings for one analysis (None disables an axis).
 
-    max_paths: Optional[int] = None
-    max_cycles: Optional[int] = None
+    The budget is the only bound on an exploration, and these field
+    defaults are the analysis's one default bound: every surface that
+    takes a path or cycle cap (the CLI, ``analyze-all``, the service)
+    feeds an axis here rather than a limit of its own.
+    """
+
+    max_paths: Optional[int] = 4096
+    max_cycles: Optional[int] = 1_000_000
     max_merged_states: Optional[int] = None
     deadline_seconds: Optional[float] = None
     max_rss_mb: Optional[float] = None
@@ -68,19 +74,6 @@ class AnalysisBudget:
         """Forget the deadline anchor (a genuinely new job)."""
         self._started_at = None
         self._fetch_checks = 0
-
-    @property
-    def bounded(self) -> bool:
-        return any(
-            limit is not None
-            for limit in (
-                self.max_paths,
-                self.max_cycles,
-                self.max_merged_states,
-                self.deadline_seconds,
-                self.max_rss_mb,
-            )
-        )
 
     def elapsed_seconds(self) -> float:
         if self._started_at is None:

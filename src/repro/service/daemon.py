@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import Observer
+from repro.resilience.budget import AnalysisBudget
 from repro.resilience.errors import EXIT_INTERRUPTED
 from repro.service.jobs import (
     JobRecord,
@@ -76,9 +77,9 @@ class ServiceConfig:
     drain_grace: float = 10.0
     poll_interval: float = 0.05
     compact_every: int = 256
-    default_budget: Dict[str, Any] = field(
-        default_factory=lambda: {"max_paths": 4096}
-    )
+    #: budget for submissions that bring none (empty: every axis keeps
+    #: the :class:`AnalysisBudget` default)
+    default_budget: Dict[str, Any] = field(default_factory=dict)
     #: budget clamps applied to launches while shedding.
     shed_budget: Dict[str, Any] = field(
         default_factory=lambda: {"max_paths": 64, "deadline_seconds": 10.0}
@@ -226,12 +227,15 @@ class AnalysisService:
         source: str,
         name: str = "submission",
         policy: str = "untrusted",
-        max_cycles: int = 1_000_000,
+        max_cycles: Optional[int] = None,
         budget: Optional[Dict[str, Any]] = None,
         fault_injection: Optional[Dict[str, Any]] = None,
     ) -> JobRecord:
         if policy not in ("untrusted", "secret"):
             raise ValueError(f"unknown policy {policy!r} (untrusted|secret)")
+        max_cycles = int(
+            AnalysisBudget.max_cycles if max_cycles is None else max_cycles
+        )
         with self.lock:
             if self.draining:
                 raise Draining("service is draining; resubmit elsewhere")

@@ -261,7 +261,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 source=source,
                 name=name or "submission",
                 policy=request.get("policy", "untrusted"),
-                max_cycles=int(request.get("max_cycles", 1_000_000)),
+                max_cycles=request.get("max_cycles"),
                 budget=request.get("budget"),
                 fault_injection=request.get("fault_injection"),
             )

@@ -175,6 +175,13 @@ def run_worker(spec: dict) -> int:
                 job=spec["job_id"],
             ) from error
         budget = AnalysisBudget(**dict(spec.get("budget") or {}))
+        # The job's max_cycles field and its budget both cap the cycles
+        # simulated: fold the field into the budget, the smaller wins.
+        max_cycles = spec.get("max_cycles")
+        if max_cycles is not None and (
+            budget.max_cycles is None or max_cycles < budget.max_cycles
+        ):
+            budget.max_cycles = max_cycles
         checkpointer = Checkpointer(
             spec["checkpoint"],
             every_paths=int(spec.get("checkpoint_every", 8)),
@@ -193,7 +200,6 @@ def run_worker(spec: dict) -> int:
             program,
             policy=_policy(spec.get("policy", "untrusted")),
             circuit=compiled_cpu(),
-            max_cycles=int(spec.get("max_cycles", 1_000_000)),
             budget=budget,
             checkpointer=checkpointer,
             progress=progress,

@@ -72,7 +72,9 @@ class SecureCompileResult:
 
     def diagnostics(self) -> str:
         causes = identify_root_causes(self.analysis)
-        return render_diagnostics(self.program.name, causes, self.fixes)
+        return render_diagnostics(
+            self.program.name, causes, self.fixes, verified=not self.partial
+        )
 
 
 def secure_compile(

@@ -18,7 +18,11 @@ def render_diagnostics(
     program_name: str,
     causes: RootCauses,
     fixes: List[str],
+    verified: bool = True,
 ) -> str:
+    """One diagnostic line per error, applied fix and taint-flow note;
+    with none, a closing line that claims no change was needed only
+    when the analysis was *verified* (not cut short by a budget)."""
     lines: List[str] = []
     for violation in causes.fundamental + causes.port_errors:
         location = f"line {violation.source_line}" if violation.source_line else f"0x{violation.address:04x}"
@@ -38,5 +42,10 @@ def render_diagnostics(
             f"{program_name}: note: taint flow at {where}: {flow.summary()}"
         )
     if not lines:
-        lines.append(f"{program_name}: no modifications required")
+        lines.append(
+            f"{program_name}: no modifications required"
+            if verified
+            else f"{program_name}: no modifications made before an "
+            "analysis budget was exhausted"
+        )
     return "\n".join(lines)

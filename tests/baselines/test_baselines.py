@@ -107,7 +107,7 @@ class TestMiniRTOS:
 
     def test_unprotected_rtos_violates(self):
         program = assemble(rtos_source(), name="minirtos")
-        result = TaintTracker(program, max_cycles=1_500_000).run()
+        result = TaintTracker(program).run()
         assert not result.secure
         assert result.violated_conditions() == {1, 2}
         assert result.tasks_needing_watchdog() == ["bs_task"]

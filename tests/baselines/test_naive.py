@@ -64,8 +64,8 @@ class TestNaiveLuts:
 class TestNaiveAnalysis:
     def test_clean_benchmark_is_false_positive(self):
         program = benchmark("mult").service_program()
-        glift = TaintTracker(program, max_cycles=400_000).run()
-        naive = naive_taint_analysis(program, max_cycles=400_000)
+        glift = TaintTracker(program).run()
+        naive = naive_taint_analysis(program)
         assert glift.secure
         assert not naive.secure
 

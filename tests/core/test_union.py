@@ -49,7 +49,6 @@ class TestAnalyzeUnion:
     def test_two_clean_alternatives_verify(self):
         result, _ = analyze_union(
             [("alpha", CLEAN_BODY), ("beta", CLEAN_BODY)],
-            max_cycles=600_000,
         )
         assert result.secure
         # the unknown selector forked over both alternatives
@@ -59,7 +58,6 @@ class TestAnalyzeUnion:
         """A single bad callee makes every linked configuration suspect."""
         result, program = analyze_union(
             [("alpha", CLEAN_BODY), ("beta", DIRTY_BODY)],
-            max_cycles=600_000,
         )
         assert not result.secure
         causes = per_task_causes(result, program)
@@ -74,7 +72,6 @@ class TestAnalyzeUnion:
     def test_root_causes_point_into_the_right_task(self):
         result, program = analyze_union(
             [("alpha", CLEAN_BODY), ("beta", DIRTY_BODY)],
-            max_cycles=600_000,
         )
         beta = program.task_named("beta")
         for address in result.violating_stores():

@@ -170,7 +170,6 @@ class TestClockUnderSkew:
         TaintTracker(
             program,
             default_policy(),
-            max_cycles=50_000,
             obs=observer,
             faults=injector,
         ).run()

@@ -39,7 +39,6 @@ def _direct_document(name: str) -> dict:
         assemble(source, name=resolved),
         circuit=compiled_cpu(),
         policy=_policy("untrusted"),
-        max_cycles=1_000_000,
         budget=AnalysisBudget(),
     ).run()
     document = _analysis_document(result)

@@ -116,7 +116,6 @@ def test_run_pool_raises_typed_interrupt_on_pending_signal():
         {
             "workload": name,
             "policy": "untrusted",
-            "max_cycles": 1_000_000,
             "budget": {"max_paths": 4096},
         }
         for name in SLOW_WORKLOADS

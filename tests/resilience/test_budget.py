@@ -133,12 +133,24 @@ class TestBudgetMechanics:
         assert reasons == ["max_paths", "max_merged_states"]
 
     def test_unbounded_budget_reports_nothing(self):
-        budget = AnalysisBudget(max_paths=None)
+        budget = AnalysisBudget(max_paths=None, max_cycles=None)
         budget.start()
         stats = AnalysisStats()
         stats.paths = 10**9
+        stats.cycles_simulated = 10**9
         assert budget.exhausted_reasons(stats, 10**9) == []
-        assert not budget.bounded
+        assert not budget.mid_path_exhausted(stats)
+
+    def test_cycle_axis_drains_instead_of_truncating_a_path(self):
+        # The budget is the only cycle bound: a cap below a path's
+        # length drains the path (verdict inconclusive), it never ends
+        # it quietly with the verdict left at secure.
+        result = _analyze(FORKY, budget=AnalysisBudget(max_cycles=10))
+        assert result.verdict == "inconclusive"
+        assert result.exhausted == ["max_cycles"]
+        end_reasons = result.tree.summary()["end_reasons"]
+        assert "drained" in end_reasons
+        assert "limit" not in end_reasons
 
     def test_mid_path_exhaustion_sees_the_deadline(self):
         clock = ManualClock()

@@ -37,6 +37,24 @@ class TestVerdicts:
         assert report["verdict"] == "insecure"
         assert report["violations"]
 
+    def test_cycle_cap_yields_inconclusive_not_secure(self, service):
+        # The job's max_cycles field feeds the analysis budget: a cap
+        # below binSearch's exploration drains paths (exit 3) instead of
+        # truncating them under a secure verdict.
+        from repro.workloads.registry import benchmark
+
+        record = service.submit(
+            source=benchmark("binSearch").service_source,
+            name="binsearch-capped",
+            max_cycles=150,
+        )
+        drive(service, [record])
+        assert record.state == "inconclusive"
+        assert record.verdict == "inconclusive"
+        assert record.exit_code == 3
+        report = service.report(record.job_id)
+        assert report["exhausted_budgets"] == ["max_cycles"]
+
     def test_unassemblable_source_fails_fast_with_input_code(self, service):
         record = service.submit(source="this is not assembly\n", name="bad")
         drive(service, [record])

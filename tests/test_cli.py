@@ -217,6 +217,13 @@ even:
 """
 
 
+@pytest.fixture
+def binsearch_file(source_file):
+    from repro.workloads.registry import benchmark
+
+    return source_file(benchmark("binSearch").service_source, "bs.s43")
+
+
 class TestResilience:
     def test_inconclusive_exit_three(self, source_file, capsys):
         code = main(
@@ -237,6 +244,45 @@ class TestResilience:
             ["analyze", source_file(FORKY), "--deadline", "0"]
         )
         assert code == 3
+
+    def test_cycle_cap_is_inconclusive_not_secure(
+        self, binsearch_file, capsys
+    ):
+        code = main(
+            ["analyze", binsearch_file, "--max-cycles", "150", "--json"]
+        )
+        assert code == 3
+        document = json.loads(capsys.readouterr().out)
+        assert document["verdict"] == "inconclusive"
+        assert document["exhausted_budgets"] == ["max_cycles"]
+        end_reasons = document["tree"]["end_reasons"]
+        assert "drained" in end_reasons
+        assert "limit" not in end_reasons
+
+    def test_repair_under_cycle_cap_is_not_verified(
+        self, binsearch_file, capsys
+    ):
+        code = main(["repair", binsearch_file, "--max-cycles", "150"])
+        assert code == 3
+        assert "no modifications required" not in capsys.readouterr().out
+
+    def test_max_paths_zero_is_not_the_default(self, source_file, capsys):
+        code = main(
+            ["analyze", source_file(FORKY), "--max-paths", "0", "--json"]
+        )
+        assert code == 3
+        document = json.loads(capsys.readouterr().out)
+        assert document["exhausted_budgets"] == ["max_paths"]
+
+    def test_budget_without_flags_is_the_default_budget(self):
+        from repro.cli import _budget_from, build_parser
+        from repro.resilience import AnalysisBudget
+
+        for argv in (["analyze", "app.s43"], ["analyze-all"]):
+            args = build_parser().parse_args(argv)
+            assert _budget_from(args).describe() == (
+                AnalysisBudget().describe()
+            )
 
     def test_missing_source_exit_four(self, capsys):
         code = main(["analyze", "/no/such/file.s43"])

@@ -147,17 +147,13 @@ class TestFlowProfiles:
 
     @pytest.mark.parametrize("name", ["mult", "rle"])
     def test_clean_kernels_verify(self, name):
-        result = TaintTracker(
-            benchmark(name).service_program(), max_cycles=400_000
-        ).run()
+        result = TaintTracker(benchmark(name).service_program()).run()
         assert result.secure
         assert result.violated_conditions() == set()
 
     @pytest.mark.parametrize("name", ["div", "tHold"])
     def test_violators_break_conditions_1_and_2(self, name):
-        result = TaintTracker(
-            benchmark(name).service_program(), max_cycles=400_000
-        ).run()
+        result = TaintTracker(benchmark(name).service_program()).run()
         assert not result.secure
         assert result.violated_conditions() == {1, 2}
         assert result.violating_stores()
@@ -167,40 +163,40 @@ class TestFlowProfiles:
 class TestMicroBenchmarks:
     def test_fig8_unprotected_pc_stays_tainted(self):
         program = assemble(micro.FIG8_UNPROTECTED, name="fig8")
-        result = TaintTracker(program, max_cycles=400_000).run()
+        result = TaintTracker(program).run()
         assert not result.secure
         assert 1 in result.violated_conditions()
 
     def test_fig8_protected_verifies(self):
         program = assemble(micro.FIG8_PROTECTED, name="fig8p")
-        result = TaintTracker(program, max_cycles=400_000).run()
+        result = TaintTracker(program).run()
         assert result.secure
         assert result.tasks_needing_watchdog() == ["tainted_code"]
 
     def test_fig9_unmasked_taints_memory(self):
         program = assemble(micro.FIG9_UNMASKED, name="fig9")
-        result = TaintTracker(program, max_cycles=400_000).run()
+        result = TaintTracker(program).run()
         assert 2 in result.violated_conditions()
 
     def test_fig9_masked_confines(self):
         program = assemble(micro.FIG9_MASKED, name="fig9m")
-        result = TaintTracker(program, max_cycles=400_000).run()
+        result = TaintTracker(program).run()
         assert 2 not in result.violated_conditions()
 
 
 class TestMotivatingExamples:
     def test_figure3_secure(self):
         program = assemble(motivating.figure3_source(), name="fig3")
-        result = TaintTracker(program, max_cycles=600_000).run()
+        result = TaintTracker(program).run()
         assert result.secure
 
     def test_figure4_violates(self):
         program = assemble(motivating.figure4_source(), name="fig4")
-        result = TaintTracker(program, max_cycles=600_000).run()
+        result = TaintTracker(program).run()
         assert not result.secure
         assert 2 in result.violated_conditions()
 
     def test_figure5_masked_secure(self):
         program = assemble(motivating.figure5_source(), name="fig5")
-        result = TaintTracker(program, max_cycles=600_000).run()
+        result = TaintTracker(program).run()
         assert result.secure
