@@ -227,6 +227,9 @@ def _record_encoder():
     return lambda record: "".join(encode(record, 0))
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
 class TraceRecorder:
     """Appends typed events to a JSONL sink (path or file-like object)."""
 
@@ -253,6 +256,7 @@ class TraceRecorder:
         #: correlation context stamped on every event (v4); keys limited
         #: to :data:`CORRELATION_FIELDS`
         self.context: Dict[str, object] = {}
+        self._context_json = ""
         if context:
             self.set_context(**context)
 
@@ -270,17 +274,30 @@ class TraceRecorder:
                 self.context.pop(key, None)
             else:
                 self.context[key] = value
+        # The context's members as they follow ``seq`` in every line.
+        self._context_json = self._encode(self.context)[1:-1]
+        if self._context_json:
+            self._context_json = ", " + self._context_json
 
     def emit(self, event: str, **fields) -> None:
-        record = {
-            "event": event,
-            "wall": round(self._clock.wall() - self._start, 6),
-            "v": TRACE_SCHEMA_VERSION,
-            "seq": self.sequence,
-            **self.context,
-            **fields,
-        }
-        self._file.write(self._encode(record) + "\n")
+        self.write(event, self._encode(fields)[1:-1])
+
+    def write(self, event: str, members: str) -> None:
+        """Append one *event* whose own fields are *members*: JSON
+        object members (``"name": value, ...``), already encoded, or
+        ``""``.  A per-cycle emitter encodes its few scalar fields
+        itself; everything else goes through :meth:`emit`.  *members*
+        must repeat no reserved or context field."""
+        self._file.write(
+            '{"event": %s, "wall": %r, "v": %d, "seq": %d%s%s}\n' % (
+                _encode_string(event),
+                round(self._clock.wall() - self._start, 6),
+                TRACE_SCHEMA_VERSION,
+                self.sequence,
+                self._context_json,
+                ", " + members if members else "",
+            )
+        )
         self.events_written += 1
         self.sequence += 1
 

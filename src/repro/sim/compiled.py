@@ -41,7 +41,7 @@ with F functions (the library cell types plus the netlist's distinct
 multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
 smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
 congruent to ``codes + f * CODE_MODULUS``, so no two keys share an entry
-(:func:`_suffix_words`).  Full passes, cone-plan passes and
+(:func:`_suffix_words`).  Full passes, cone- and fanout-plan passes and
 provenance-recording passes all run that one kernel
 (:meth:`CompiledCircuit._sweep`).
 """
@@ -331,7 +331,7 @@ def _tabulate(structure: Expr, taint_mode: str) -> np.ndarray:
 
 
 class _Rank(NamedTuple):
-    """The gates (or cuts) of one rank, or a cone plan's subset.
+    """The gates (or cuts) of one rank, or a cone or fanout plan's subset.
 
     In a per-gate rank, gates are ordered by cell type, then netlist
     order; provenance ranks and the recorded edge stream depend on that
@@ -465,8 +465,9 @@ class CompiledCircuit:
                                  dtype=np.int64)
             ranks.append(self._rank(inputs, outputs, functions))
         self._full_plan = _Plan(ranks, _Plan(self._mapped_ranks(mapped_rows)))
-        #: cone plans by output-port tuple (see :meth:`cone_plan`)
-        self._cone_plans: Dict[Tuple[str, ...], _Plan] = {}
+        #: cone and fanout plans by kind and port tuple (see
+        #: :meth:`cone_plan` and :meth:`fanout_plan`)
+        self._subplans: Dict[Tuple[str, Tuple[str, ...]], _Plan] = {}
         #: gate-eval counter increments per plan, valid for
         #: ``_counter_registry`` only (see :meth:`_count_gate_evals`)
         self._counter_registry = None
@@ -690,7 +691,8 @@ class CompiledCircuit:
         self._evaluate(state, self._full_plan)
 
     def eval_plan(self, state: CircuitState, plan: _Plan) -> None:
-        """Evaluate a pre-grouped cone (see :meth:`cone_plan`)."""
+        """Evaluate a pre-grouped subset of the rows (see
+        :meth:`cone_plan` and :meth:`fanout_plan`)."""
         self._evaluate(state, plan)
 
     def pass_plan(self, state: CircuitState, plan: _Plan) -> _Plan:
@@ -822,38 +824,78 @@ class CompiledCircuit:
     def cone_plan(self, port_names: Sequence[str]) -> _Plan:
         """The rank rows feeding the named output ports.
 
-        Used by the SoC's first evaluation pass, which only needs the
-        memory-interface signals; the full pass runs after read data is
-        applied.  Memoised per port tuple, so every SoC on this circuit
-        shares one plan and the per-plan gate-eval counter cache stays
-        bounded.
+        A provenance-recording SoC's first pass runs it to read the
+        memory interface before the full pass.  Memoised per port tuple,
+        so every SoC on this circuit shares one plan and the per-plan
+        gate-eval counter cache stays bounded.
         """
-        key = tuple(port_names)
-        plan = self._cone_plans.get(key)
+        return self._subplan("cone", tuple(port_names))
+
+    def fanout_plan(self, port_names: Sequence[str]) -> _Plan:
+        """The rank rows the named input ports reach.
+
+        After a pass, new codes on those ports followed by a pass over
+        this plan leave every root as a full pass would: each row
+        downstream of the ports is evaluated again, in rank order, and
+        no other row reads the ports.  The SoC runs it on read cycles
+        once ``dmem_rdata`` is applied.  Memoised like :meth:`cone_plan`.
+        """
+        return self._subplan("fanout", tuple(port_names))
+
+    def _subplan(self, kind: str, port_names: Tuple[str, ...]) -> _Plan:
+        """The memoised cone or fanout plan of *port_names*, with its
+        mapped form: the cuts rooted in the same nets, whose leaves
+        then lie in those nets or outside the ports' reach."""
+        plan = self._subplans.get((kind, port_names))
         if plan is None:
-            plan = self._cone_plans[key] = self._build_cone_plan(key)
+            nets = (
+                self._cone_nets(port_names) if kind == "cone"
+                else self.fanout_nets(port_names)
+            )
+            plan = self._subplans[kind, port_names] = _Plan(
+                self._cone_ranks(self._full_plan, nets),
+                _Plan(self._cone_ranks(self._full_plan.mapped, nets)),
+            )
         return plan
 
-    def _build_cone_plan(self, port_names: Tuple[str, ...]) -> _Plan:
-        """The gates feeding *port_names*, with its mapped form: the cuts
-        rooted in that cone, whose leaves lie in it too."""
+    def _cone_nets(self, port_names: Sequence[str]) -> np.ndarray:
+        """Mask over nets: the named output ports' nets and every net
+        whose gates feed them."""
         producers = {gate.output: gate.inputs for gate in self.netlist.gates}
-        needed = set()
-        stack = [net for name in port_names for net in self._outputs[name]]
-        while stack:
-            net = stack.pop()
-            if net not in needed:
-                needed.add(net)
-                stack.extend(producers.get(net, ()))
-        in_cone = np.zeros(self.num_nets, dtype=bool)
-        in_cone[list(needed)] = True
-        return _Plan(
-            self._cone_ranks(self._full_plan, in_cone),
-            _Plan(self._cone_ranks(self._full_plan.mapped, in_cone)),
+        return self._closure(
+            [net for name in port_names for net in self._outputs[name]],
+            producers,
         )
 
+    def fanout_nets(self, port_names: Sequence[str]) -> np.ndarray:
+        """Mask over nets: the named input ports' nets and every net
+        driven by a gate they reach."""
+        consumers: Dict[int, List[int]] = {}
+        for gate in self.netlist.gates:
+            for net in gate.inputs:
+                consumers.setdefault(net, []).append(gate.output)
+        return self._closure(
+            [net for name in port_names for net in self._inputs[name]],
+            consumers,
+        )
+
+    def _closure(self, start: List[int], edges) -> np.ndarray:
+        """Mask over nets: *start* and every net reached from it along
+        *edges* (net -> nets)."""
+        reached = set()
+        stack = start
+        while stack:
+            net = stack.pop()
+            if net not in reached:
+                reached.add(net)
+                stack.extend(edges.get(net, ()))
+        mask = np.zeros(self.num_nets, dtype=bool)
+        mask[list(reached)] = True
+        return mask
+
     def _cone_ranks(self, plan: _Plan, in_cone: np.ndarray) -> List[_Rank]:
-        """*plan*'s rank rows whose outputs are *in_cone*."""
+        """*plan*'s rank rows whose outputs are *in_cone* (a mask over
+        nets)."""
         ranks = []
         for rank in plan.ranks:
             keep = in_cone[rank.outputs]

@@ -22,6 +22,9 @@ PHASE_F, PHASE_SE, PHASE_SL, PHASE_DE, PHASE_DL, PHASE_E, PHASE_J = range(7)
 #: Symbolic names of the FSM phases, indexed by the values above.
 PHASE_NAMES = ("F", "SE", "SL", "DE", "DL", "E", "J")
 
+#: JSON for a boolean, indexed by it.
+_JSON_BOOL = ("false", "true")
+
 InputSpec = Union[
     Callable[[str], int], Mapping[str, Union[int, Callable[[], int]]]
 ]
@@ -176,25 +179,26 @@ class GateRunner:
     def _emit_step(
         self, instruments, cycle: int, events: CycleEvents, phase: int
     ) -> None:
-        """One per-cycle summary trace event, written straight to the
-        trace recorder."""
-        fields = {}
+        """One per-cycle summary trace event, encoded here and written
+        straight to the trace recorder."""
+        members = (
+            '"cycle": %d, "phase": "%s", "pc": %s, "reset": %s, '
+            '"read": %s, "write": %s, "port_events": %d' % (
+                cycle,
+                PHASE_NAMES[phase] if phase >= 0 else "X",
+                "null" if events.pc.xmask else events.pc.bits,
+                _JSON_BOOL[events.reset[0] == ONE],
+                _JSON_BOOL[events.read is not None],
+                _JSON_BOOL[events.write is not None],
+                len(events.port_events),
+            )
+        )
         provenance, timeline = instruments.provenance, instruments.timeline
         if provenance is not None:
-            fields["provenance_edges"] = provenance.edges_this_cycle
+            members += ', "provenance_edges": %d' % provenance.edges_this_cycle
         if timeline is not None:
-            fields["timeline_frames"] = timeline.num_frames
-        instruments.obs.trace.emit(
-            "step",
-            cycle=cycle,
-            phase=PHASE_NAMES[phase] if phase >= 0 else "X",
-            pc=events.pc.bits if not events.pc.xmask else None,
-            reset=events.reset[0] == ONE,
-            read=events.read is not None,
-            write=events.write is not None,
-            port_events=len(events.port_events),
-            **fields,
-        )
+            members += ', "timeline_frames": %d' % timeline.num_frames
+        instruments.obs.trace.write("step", members)
 
     def run(
         self, max_cycles: int = 100_000, stop_at_halt: bool = True

@@ -11,9 +11,9 @@ CPU port contract (any netlist with these ports can be driven):
 ``rst``            in   power-on reset (watchdog POR ORed in by the SoC)
 ``pmem_rdata``     in   instruction word at ``pmem_addr``
 ``dmem_rdata``     in   data word at ``dmem_addr``
-``pmem_addr``      out  program-memory word address (register-sourced)
-``dmem_addr``      out  data-memory word address (register-sourced)
-``dmem_wdata``     out  store data (register-sourced)
+``pmem_addr``      out  program-memory word address (flip-flop Qs)
+``dmem_addr``      out  data-memory word address
+``dmem_wdata``     out  store data
 ``dmem_wen``       out  store strobe
 ``dmem_ren``       out  load strobe
 ``dbg_pc``         out  the PC register (wired straight to its DFF Qs, so
@@ -25,15 +25,33 @@ CPU port contract (any netlist with these ports can be driven):
 ``dbg_phase``      out  one-hot FSM phase
 =================  ===  =====================================================
 
-The memory-facing outputs must not combinationally depend on the same
-cycle's ``*_rdata`` inputs (the LP430 datapath guarantees this by sourcing
-them from registers), which lets the SoC evaluate each cycle with exactly
-two combinational passes: one to observe the addresses/strobes, one after
-read data is applied.
+Each cycle the SoC fetches, settles the netlist once, services the data
+load, and re-evaluates only what the load data reaches.  That order is
+exact for any netlist meeting two rules, which :class:`SoC` checks once
+per circuit (``ValueError`` naming the port otherwise):
+
+* every ``pmem_addr`` net is a flip-flop Q, so the fetch address is
+  valid before any pass;
+* no ``dmem_addr`` or ``dmem_ren`` net lies in ``dmem_rdata``'s
+  combinational fanout, so one full pass computes the load address and
+  strobe from this cycle's instruction word before the load.
+
+``dmem_addr`` and ``dmem_ren`` *do* depend on the same cycle's
+``pmem_rdata`` (the LP430 decodes the fetched word combinationally), so
+they are valid only after the full pass.  On a load cycle the data is
+applied and :meth:`~repro.sim.compiled.CompiledCircuit.fanout_plan`
+re-evaluates ``dmem_rdata``'s fanout (2 mapped ranks on the LP430).
+
+A SoC carrying a provenance recorder keeps an older order: a pass over
+the memory-interface cone, the fetch, the load, then a full pass.  Its
+cone pass reads the *previous* cycle's ``pmem_rdata`` codes, so its load
+address can be stale; the recorded flow edges (and the flow-slice
+fingerprints benchmarks pin) depend on that order.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -307,6 +325,33 @@ class SoCState:
     cycle: int
 
 
+#: ``dmem_rdata`` on a cycle without a load.
+_NO_DATA = TWord.unknown(16)
+
+#: Circuits :func:`check_port_contract` has passed.
+_CONTRACT_MET: "weakref.WeakSet[CompiledCircuit]" = weakref.WeakSet()
+
+
+def check_port_contract(circuit: CompiledCircuit) -> None:
+    """Raise ``ValueError`` naming the port unless *circuit* meets the
+    two rules the step order relies on (see the module doc)."""
+    dffs = set(circuit.dff_nets().tolist())
+    for bit, net in enumerate(circuit.output_nets("pmem_addr")):
+        if net not in dffs:
+            raise ValueError(
+                f"pmem_addr[{bit}] is not a flip-flop Q: the SoC fetches "
+                "off the flip-flops before any pass"
+            )
+    fanout = circuit.fanout_nets(["dmem_rdata"])
+    for name in ("dmem_addr", "dmem_ren"):
+        for bit, net in enumerate(circuit.output_nets(name)):
+            if fanout[net]:
+                raise ValueError(
+                    f"{name}[{bit}] depends on dmem_rdata: the SoC reads "
+                    f"{name} before the load data is applied"
+                )
+
+
 class SoC:
     """A steppable LP430 system with gate-level GLIFT tracking.
 
@@ -329,7 +374,12 @@ class SoC:
         self.state.every_net = False
         self.pending_por: Tuple[int, int] = (ZERO, 0)
         self.cycle = 0
-        # Pass 1 only needs the (register-sourced) memory interface.
+        if circuit not in _CONTRACT_MET:
+            check_port_contract(circuit)
+            _CONTRACT_MET.add(circuit)
+        # Re-run on load cycles, once dmem_rdata holds the loaded word.
+        self._read_plan = circuit.fanout_plan(["dmem_rdata"])
+        # A provenance-recording step's first pass (see the module doc).
         self._interface_plan = circuit.cone_plan(
             ["pmem_addr", "dmem_addr", "dmem_ren"]
         )
@@ -413,43 +463,24 @@ class SoC:
             1,
         ))
 
-        # Pass 1: addresses and strobes become valid (register-sourced).
-        circuit.eval_plan(state, self._interface_plan)
-        pmem_addr = circuit.read_output(state, "pmem_addr")
-        instruction = self.rom.read(pmem_addr)
-        circuit.set_input(state, "pmem_rdata", instruction)
-        if recorder is not None and instruction.tmask:
-            # Tainted instruction bits were introduced at the fetch
-            # interface: label them with their program-memory origin.
-            label = (
-                f"rom[0x{pmem_addr.bits:04x}]"
-                if pmem_addr.xmask == 0
-                else "rom"
-            )
-            recorder.record_input(
-                circuit.input_nets("pmem_rdata"), instruction.tmask, label
-            )
-
         # While reset is asserted the FSM outputs are not yet meaningful
         # (they are X out of power-on); a real POR gates the memory
         # interface, so the SoC suppresses data-memory side effects.
         in_reset = reset[0] == ONE
-
-        dmem_addr = circuit.read_output(state, "dmem_addr")
-        ren_word = circuit.read_output(state, "dmem_ren")
-        ren = ren_word.bit(0)
-        read_event: Optional[MemRead] = None
-        if not in_reset and ren[0] != ZERO:
-            data = self.space.read(dmem_addr, ren)
-            read_event = MemRead(dmem_addr, data, ren)
-            circuit.set_input(state, "dmem_rdata", data)
-            if recorder is not None and data.tmask:
-                self._record_read_provenance(recorder, dmem_addr, data)
+        circuit.set_input(state, "dmem_rdata", _NO_DATA)
+        if recorder is None:
+            # Fetch off the PC flip-flops, settle every gate once, then
+            # load from the settled address and re-run its fanout.
+            pmem_addr, instruction = self._fetch(None)
+            circuit.eval_combinational(state)
+            read_event = self._load(in_reset, None)
+            if read_event is not None:
+                circuit.eval_plan(state, self._read_plan)
         else:
-            circuit.set_input(state, "dmem_rdata", TWord.unknown(16))
-
-        # Pass 2: read data propagates to every register's D input.
-        circuit.eval_combinational(state)
+            circuit.eval_plan(state, self._interface_plan)
+            pmem_addr, instruction = self._fetch(recorder)
+            read_event = self._load(in_reset, recorder)
+            circuit.eval_combinational(state)
 
         wen_word = circuit.read_output(state, "dmem_wen")
         wen = wen_word.bit(0)
@@ -490,6 +521,41 @@ class SoC:
         if instruments.obs.enabled:
             instruments.obs.metrics.counter("sim.cycles").inc()
         return events
+
+    def _fetch(self, recorder) -> Tuple[TWord, TWord]:
+        """Read the instruction word at ``pmem_addr`` and apply it to
+        ``pmem_rdata``; returns ``(address, instruction)``."""
+        circuit, state = self.circuit, self.state
+        pmem_addr = circuit.read_output(state, "pmem_addr")
+        instruction = self.rom.read(pmem_addr)
+        circuit.set_input(state, "pmem_rdata", instruction)
+        if recorder is not None and instruction.tmask:
+            # Tainted instruction bits were introduced at the fetch
+            # interface: label them with their program-memory origin.
+            label = (
+                f"rom[0x{pmem_addr.bits:04x}]"
+                if pmem_addr.xmask == 0
+                else "rom"
+            )
+            recorder.record_input(
+                circuit.input_nets("pmem_rdata"), instruction.tmask, label
+            )
+        return pmem_addr, instruction
+
+    def _load(self, in_reset: bool, recorder) -> Optional[MemRead]:
+        """Service a possible load at ``dmem_addr``: apply the data to
+        ``dmem_rdata`` and return the read, or ``None`` when the strobe
+        is 0 or reset holds."""
+        circuit, state = self.circuit, self.state
+        ren = circuit.read_output(state, "dmem_ren").bit(0)
+        if in_reset or ren[0] == ZERO:
+            return None
+        dmem_addr = circuit.read_output(state, "dmem_addr")
+        data = self.space.read(dmem_addr, ren)
+        circuit.set_input(state, "dmem_rdata", data)
+        if recorder is not None and data.tmask:
+            self._record_read_provenance(recorder, dmem_addr, data)
+        return MemRead(dmem_addr, data, ren)
 
     def _record_read_provenance(
         self, recorder, address: TWord, data: TWord

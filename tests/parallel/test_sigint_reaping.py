@@ -8,10 +8,12 @@ the signal promptly, terminate and join every worker, and exit 130 --
 leaving no orphan processes holding checkpoints or cache files open.
 """
 
+import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -19,12 +21,14 @@ import pytest
 
 from repro.parallel.analyze_all import _run_pool
 from repro.resilience import AnalysisInterrupted
+from repro.workloads.registry import benchmark_names
 
 REPO = Path(__file__).resolve().parents[2]
 
-#: Forking Table 1 workloads slow enough (seconds each) that a signal
-#: sent shortly after the workers spin up lands mid-exploration.
-SLOW_WORKLOADS = ["tHold", "binSearch"]
+#: Every Table 1 workload: a sweep of several seconds at ``--jobs 2``,
+#: so a signal sent shortly after the workers spin up lands mid-sweep
+#: (a sweep of two workloads can end before it).
+WORKLOADS = benchmark_names()
 
 
 def _group_pids(pgid: int) -> list:
@@ -44,7 +48,7 @@ def _group_pids(pgid: int) -> list:
     return pids
 
 
-def test_sigint_mid_sweep_exits_130_and_reaps_workers(tmp_path):
+def test_sigint_mid_sweep_exits_130_and_reaps_workers():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     proc = subprocess.Popen(
@@ -54,16 +58,16 @@ def test_sigint_mid_sweep_exits_130_and_reaps_workers(tmp_path):
             "repro.cli",
             "analyze-all",
             "--workloads",
-            *SLOW_WORKLOADS,
+            *WORKLOADS,
             "--jobs",
             "2",
-            "-o",
-            str(tmp_path / "out.json"),
+            "--json",
         ],
         cwd=str(REPO),
         env=env,
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
+        text=True,
         start_new_session=True,
     )
     try:
@@ -82,13 +86,16 @@ def test_sigint_mid_sweep_exits_130_and_reaps_workers(tmp_path):
             time.sleep(0.1)
         else:
             pytest.fail("pool workers never appeared")
-        time.sleep(1.0)
+        time.sleep(0.5)
 
         # SIGINT the *parent only* -- reaping the children is the
         # parent's job, not the kernel's (no killpg here).
         os.kill(proc.pid, signal.SIGINT)
-        exit_code = proc.wait(timeout=30.0)
-        assert exit_code == 130
+        out, _ = proc.communicate(timeout=30.0)
+        assert proc.returncode == 130
+        context = json.loads(out)["error"]["context"]
+        assert context["total"] == len(WORKLOADS)
+        assert context["finished"] < context["total"], context
 
         # No orphans: the whole process group must drain once the
         # parent is gone (allow a moment for exiting workers).
@@ -118,20 +125,20 @@ def test_run_pool_raises_typed_interrupt_on_pending_signal():
             "policy": "untrusted",
             "budget": {"max_paths": 4096},
         }
-        for name in SLOW_WORKLOADS
+        for name in WORKLOADS
     ]
-
-    def _send_sigint_soon():
-        time.sleep(1.0)
-        os.kill(os.getpid(), signal.SIGINT)
-
-    import threading
-
-    threading.Thread(target=_send_sigint_soon, daemon=True).start()
-    with pytest.raises(AnalysisInterrupted) as excinfo:
-        _run_pool(specs, workers=2)
+    # Cancelled however the sweep ends: a sweep that beats the timer
+    # fails this test instead of SIGINTing the test runner afterwards.
+    timer = threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT))
+    timer.start()
+    try:
+        with pytest.raises(AnalysisInterrupted) as excinfo:
+            _run_pool(specs, workers=2)
+    finally:
+        timer.cancel()
     error = excinfo.value
     assert error.exit_code == 130
     assert error.retriable is True
     assert error.context["reason"] == "SIGINT"
     assert error.context["total"] == len(specs)
+    assert error.context["finished"] < error.context["total"]

@@ -471,6 +471,50 @@ class TestPlanChoice:
         soc.arm()
         assert circuit.pass_plan(soc.state, full) is full.mapped
 
+    @pytest.mark.parametrize("armed", [None, "timeline", "provenance"])
+    def test_step_order(self, armed, monkeypatch):
+        """A plain or timeline SoC settles each cycle with one full pass
+        and re-runs the load data's fanout on load cycles only; a
+        provenance SoC keeps the cone pass before its full pass."""
+        program = assemble(
+            "mov #0x200, r4\nmov 0(r4), r5\nmov &0x202, r6\nhalt"
+        )
+        runner = GateRunner(compiled_cpu(), program)
+        soc = runner.soc
+        if armed == "provenance":
+            soc.arm(Instruments(provenance=ProvenanceRecorder()))
+        elif armed == "timeline":
+            soc.arm(Instruments(timeline=TimelineRecorder()))
+        names = {id(soc._interface_plan): "cone", id(soc._read_plan): "read"}
+        passes = []
+        full = CompiledCircuit.eval_combinational
+        subset = CompiledCircuit.eval_plan
+
+        def eval_combinational(self, state):
+            passes.append("full")
+            full(self, state)
+
+        def eval_plan(self, state, plan):
+            passes.append(names[id(plan)])
+            subset(self, state, plan)
+
+        monkeypatch.setattr(
+            CompiledCircuit, "eval_combinational", eval_combinational
+        )
+        monkeypatch.setattr(CompiledCircuit, "eval_plan", eval_plan)
+        loads = 0
+        for _ in range(30):
+            passes.clear()
+            events = runner.step()
+            loads += events.read is not None
+            if armed == "provenance":
+                assert passes == ["cone", "full"]
+            elif events.read is not None:
+                assert passes == ["full", "read"]
+            else:
+                assert passes == ["full"]
+        assert loads >= 2
+
     def test_direct_circuit_states_read_every_net(self):
         circuit = adder_circuit()
         state = circuit.new_state()

@@ -59,6 +59,7 @@ class Reference:
             for gate in levels[0]
         ]
         self.gates = [gate for level in levels[1:] for gate in level]
+        self.inputs = {port.name: port.nets for port in netlist.inputs}
         self.outputs = {port.name: port.nets for port in netlist.outputs}
         self.naive = taint_mode == "naive"
         self._memo = {}
@@ -80,18 +81,25 @@ class Reference:
     def cone(self, port_names):
         """Every net feeding the named output ports."""
         drivers = {gate.output: gate.inputs for gate in self.gates}
-        nets = set()
-        stack = [net for name in port_names for net in self.outputs[name]]
-        while stack:
-            net = stack.pop()
-            if net not in nets:
-                nets.add(net)
-                stack.extend(drivers.get(net, ()))
-        return frozenset(nets)
+        return _reach(
+            [net for name in port_names for net in self.outputs[name]],
+            drivers,
+        )
+
+    def fanout(self, port_names):
+        """Every net the named input ports reach through gates."""
+        readers = {}
+        for gate in self.gates:
+            for net in gate.inputs:
+                readers.setdefault(net, []).append(gate.output)
+        return _reach(
+            [net for name in port_names for net in self.inputs[name]],
+            readers,
+        )
 
     def evaluate(self, codes, nets=None):
         """One pass over *codes* in place; with *nets*, only the gates
-        driving them (a cone-plan pass)."""
+        driving them (a cone- or fanout-plan pass)."""
         work = codes.tolist()
         for net, code in self.constants:
             work[net] = code
@@ -103,6 +111,18 @@ class Reference:
         codes[:] = work
 
 
+def _reach(start, edges):
+    """*start* and every net reached from it along *edges*."""
+    nets = set()
+    stack = list(start)
+    while stack:
+        net = stack.pop()
+        if net not in nets:
+            nets.add(net)
+            stack.extend(edges.get(net, ()))
+    return frozenset(nets)
+
+
 class ReferenceCircuit(CompiledCircuit):
     """A compiled circuit whose every pass runs the reference walk."""
 
@@ -112,6 +132,9 @@ class ReferenceCircuit(CompiledCircuit):
 
     def cone_plan(self, port_names):
         return self.reference.cone(port_names)
+
+    def fanout_plan(self, port_names):
+        return self.reference.fanout(port_names)
 
     def eval_plan(self, state, plan):
         self.reference.evaluate(state.codes, nets=plan)
@@ -307,9 +330,11 @@ class TestLP430Mapping:
     def test_rank_counts(self):
         circuit = compiled_cpu()
         cone = circuit.cone_plan(["pmem_addr", "dmem_addr", "dmem_ren"])
+        read = circuit.fanout_plan(["dmem_rdata"])
         assert len(circuit._full_plan.ranks) == 65
         assert len(circuit._full_plan.mapped.ranks) <= 32
         assert len(cone.mapped.ranks) <= 22
+        assert len(read.mapped.ranks) <= 3
         assert len(circuit._cut_structures) > 0
 
     def test_named_reads_are_roots(self):

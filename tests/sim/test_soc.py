@@ -6,6 +6,8 @@ from repro.cpu import compiled_cpu
 from repro.isa.assembler import assemble
 from repro.logic.ternary import ONE, ZERO
 from repro.logic.words import TWord
+from repro.netlist.builder import CircuitBuilder, Sig
+from repro.sim.compiled import CompiledCircuit
 from repro.sim.runner import GateRunner
 from repro.sim.soc import Rom, SoC
 
@@ -125,3 +127,93 @@ class TestSoCBasics:
             pytest.fail("watchdog POR never arrived")
         runner.step()
         assert runner.soc.pc().value in (0, 1)  # back at the vector
+
+
+# ---------------------------------------------------------------------------
+# Step order and the port contract, on toy SoC-shaped netlists
+# ---------------------------------------------------------------------------
+def _buffer(builder, sig):
+    """One BUF gate per bit of *sig*."""
+    outs = []
+    for net in sig:
+        out = builder.netlist.add_net()
+        builder.netlist.add_gate("BUF", [net], out)
+        outs.append(out)
+    return Sig(outs)
+
+
+def toy_soc(break_rule=None):
+    """A SoC-shaped netlist whose next PC is the fetched word (so the
+    ROM is a linked list), whose load address buffers the fetched word,
+    whose load strobe is tied to 1, and whose ``data`` register latches
+    the buffered load data.  *break_rule* wires one port against the
+    contract: ``"pmem_addr"`` through a gate, ``"dmem_addr"`` or
+    ``"dmem_ren"`` from ``dmem_rdata``."""
+    b = CircuitBuilder("toy_soc")
+    rst = b.input("rst", 1)[0]
+    pmem_rdata = b.input("pmem_rdata", 16)
+    dmem_rdata = b.input("dmem_rdata", 16)
+    pc = b.reg("pc", 16)
+    b.drive(pc, pmem_rdata, rst=rst)
+    data = b.reg("data", 16)
+    b.drive(data, _buffer(b, dmem_rdata))
+    b.output(
+        "pmem_addr", _buffer(b, pc.q) if break_rule == "pmem_addr" else pc.q
+    )
+    b.output("dmem_addr", _buffer(
+        b, dmem_rdata if break_rule == "dmem_addr" else pmem_rdata
+    ))
+    b.output("dmem_ren", _buffer(b, Sig([
+        dmem_rdata[0] if break_rule == "dmem_ren" else b.bit1()
+    ])))
+    b.output("dmem_wen", Sig([b.bit0()]))
+    b.output("dmem_wdata", b.const(0, 16))
+    return CompiledCircuit(b.build()), data
+
+
+#: The toy ROM's linked list: the word at each address is the next one.
+CHAIN = [0x0120, 0x0345, 0x0567, 0x0789, 0x0ABC]
+
+
+class TestStepOrder:
+    def test_load_address_comes_from_this_cycles_fetch(self):
+        """The load address must be computed from the instruction word
+        fetched in the same cycle, not from the previous cycle's codes
+        on ``pmem_rdata``."""
+        circuit, data = toy_soc()
+        rom = Rom()
+        rom.load(0, [CHAIN[0]])
+        for here, after in zip(CHAIN, CHAIN[1:] + CHAIN[:1]):
+            rom.load(here, [after])
+        soc = SoC(circuit, rom=rom)
+        for address in CHAIN:
+            soc.space.ram.load(address, [address ^ 0x5A5A])
+        soc.reset()
+        reads = []
+        for _ in range(2 * len(CHAIN)):
+            events = soc.step()
+            assert events.read is not None
+            assert events.read.address == events.instruction
+            assert events.read.data == TWord.const(
+                events.instruction.bits ^ 0x5A5A
+            )
+            # The load data reached the register through its fanout.
+            assert circuit.read_nets(soc.state, data.q) == events.read.data
+            reads.append(events.read.address.bits)
+        assert set(CHAIN) <= set(reads)
+
+
+class TestPortContract:
+    def test_toy_soc_meets_it(self):
+        SoC(toy_soc()[0])
+
+    @pytest.mark.parametrize(
+        "port", ["pmem_addr", "dmem_addr", "dmem_ren"]
+    )
+    def test_broken_rule_names_the_port(self, port):
+        circuit, _ = toy_soc(break_rule=port)
+        with pytest.raises(ValueError, match=rf"^{port}\[0\]"):
+            SoC(circuit)
+        # A failed check is not remembered as passed.
+        with pytest.raises(ValueError, match=port):
+            SoC(circuit)
