@@ -267,7 +267,10 @@ def cmd_analyze(args) -> int:
         print(result.report())
         if recorder is not None:
             print()
-            truncated = " [truncated]" if recorder.truncated else ""
+            reasons = ", ".join(recorder.truncated_by) or "cause unknown"
+            truncated = (
+                f" [truncated: {reasons}]" if recorder.truncated else ""
+            )
             print(
                 f"provenance: {recorder.recorded} taint-flow edge(s) "
                 f"recorded{truncated}"

@@ -850,11 +850,13 @@ class TaintTracker:
                 labels=summary["labels"],
             )
             if summary["truncated"]:
-                obs.emit(
-                    "provenance_truncated",
-                    edges=summary["edges_recorded"],
-                    capacity=summary["capacity"],
-                )
+                fields = {
+                    "edges": summary["edges_recorded"],
+                    "capacity": summary["capacity"],
+                }
+                if summary["truncated_by"]:
+                    fields["reason"] = ",".join(summary["truncated_by"])
+                obs.emit("provenance_truncated", **fields)
         if self.timeline is not None:
             summary = self.timeline.snapshot()
             metrics.counter("timeline.frames").inc(summary["frames"])

@@ -14,18 +14,25 @@ that caused it:
   input port (``P1IN``), tainted program memory (``rom``), or an
   initially-tainted RAM partition.
 
-Edges live in a fixed-capacity ring of numpy arrays (a few MB for a
-million edges) with string labels interned once, so memory stays bounded
-no matter how long the analysis runs; when the ring wraps, the oldest
-edges are overwritten and :attr:`ProvenanceRecorder.truncated` is set --
-the analysis keeps its verdict, only explanations may bottom out early
-(flagged ``provenance_truncated``, never an error).
+Edges live in a fixed-capacity ring of numpy arrays (25 bytes a row;
+the arrays are zero-allocated, so only rows written so far are resident)
+with string labels interned once, so memory stays bounded no matter how
+long the analysis runs.  When the ring wraps, the oldest edges are
+overwritten; when a smeared store exceeds :data:`RAM_WRITE_CAP`, some
+RAM words lose their link.  Either sets
+:attr:`ProvenanceRecorder.truncated` and names the cause in
+:attr:`~ProvenanceRecorder.truncated_by` -- the analysis keeps its
+verdict, only explanations may bottom out early (flagged
+``provenance_truncated``, never an error).
 
 On top of the store, :func:`explain_violation` computes a backward slice
 from a checker violation's sink (the store/port/PC nets at the violation
 cycle) through gates and cycles to the originally-labelled tainted
 inputs, returning a :class:`FlowSlice` that renders as text, exports as
-a Graphviz DOT flow graph, and feeds the HTML report.
+a Graphviz DOT flow graph, and feeds the HTML report.  The slicer walks a
+destination index (the valid rows stably sorted by ``dst``, built once
+per batch of appends) with one binary search per visited node, and its
+edges resolve node names only when rendered.
 
 The recorder rides on the run's :class:`~repro.obs.Instruments`, which
 the tracker arms on its own SoC for the duration of ``run()``; the
@@ -47,8 +54,10 @@ direction as the analysis itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,13 +77,22 @@ CROSS_EDGE_CAP = 256
 #: slices bottom out at the ``ram[0x....]`` leaf).
 RAM_WRITE_CAP = 16
 
+#: Why a recorder is truncated (:attr:`ProvenanceRecorder.truncated_by`):
+#: the ring overwrote its oldest edges, so any slice may bottom out at an
+#: ``(unrecorded)`` node ...
+RING_WRAPPED = "ring_wrapped"
+#: ... or a smeared store hit :data:`RAM_WRITE_CAP`, so only slices
+#: through the unlinked RAM words stop at their ``ram[0x....]`` leaf.
+RAM_WRITE_CAPPED = "ram_write_cap"
+
 
 class ProvenanceRecorder:
     """Bounded per-bit taint-cause store for one analysis.
 
     *capacity* bounds the edge ring (rows of ``(cycle, dst, src, kind)``,
-    25 bytes each).  Binding to a circuit (automatic on first simulated
-    cycle) fixes the net-id space and enables name resolution.
+    25 bytes each, resident only once written).  Binding to a circuit
+    (automatic on first simulated cycle) fixes the net-id space and
+    enables name resolution.
     """
 
     def __init__(self, capacity: int = 1 << 20):
@@ -91,6 +109,9 @@ class ProvenanceRecorder:
         #: smeared store exceeded RAM_WRITE_CAP: slices may bottom out
         #: before reaching a labelled input
         self.truncated = False
+        #: which of RING_WRAPPED / RAM_WRITE_CAPPED set ``truncated``, in
+        #: the order they first happened
+        self.truncated_by: List[str] = []
         self.cycle = 0
         #: edges recorded during the current cycle (step-event telemetry)
         self.edges_this_cycle = 0
@@ -99,7 +120,7 @@ class ProvenanceRecorder:
         self._num_nets = 0
         self._net_names: Tuple[str, ...] = ()
         self._port_names: Dict[int, str] = {}
-        self._index: Optional[Dict[int, List[Tuple[int, int]]]] = None
+        self._index: Optional[_DstIndex] = None
 
     # ------------------------------------------------------------------
     # Binding and naming
@@ -203,7 +224,12 @@ class ProvenanceRecorder:
         self.recorded += count
         self.edges_this_cycle += count
         if self.recorded > capacity:
-            self.truncated = True
+            self._truncate(RING_WRAPPED)
+
+    def _truncate(self, reason: str) -> None:
+        self.truncated = True
+        if reason not in self.truncated_by:
+            self.truncated_by.append(reason)
 
     def record_gate(self, dsts, srcs) -> None:
         """Newly-tainted gate outputs <- their tainted fan-in nets."""
@@ -244,7 +270,7 @@ class ProvenanceRecorder:
             return
         if len(words) > RAM_WRITE_CAP:
             words = words[:RAM_WRITE_CAP]
-            self.truncated = True
+            self._truncate(RAM_WRITE_CAPPED)
         srcs = np.asarray(src_nets, dtype=np.int64)
         for word in words:
             self._append(
@@ -277,17 +303,34 @@ class ProvenanceRecorder:
             [np.arange(start, self.capacity), np.arange(start)]
         )
 
-    def _dst_index(self) -> Dict[int, List[Tuple[int, int]]]:
-        """dst node -> ``(stream position, ring row)`` pairs, oldest
-        first (lazily built, invalidated on append)."""
+    def _dst_index(self) -> "_DstIndex":
+        """The valid rows sorted by destination (stable, so each node's
+        events stay oldest first); built lazily, dropped on append."""
         if self._index is None:
-            index: Dict[int, List[Tuple[int, int]]] = {}
-            for position, row in enumerate(self._rows_chronological()):
-                index.setdefault(int(self._dst[row]), []).append(
-                    (position, int(row))
-                )
-            self._index = index
+            rows = self._rows_chronological()
+            order = np.argsort(self._dst[rows], kind="stable")
+            by_dst = rows[order]
+            dsts = self._dst[by_dst]
+            spans: Dict[int, Tuple[int, int]] = {}
+            if len(dsts):
+                cuts = np.flatnonzero(dsts[1:] != dsts[:-1]) + 1
+                starts = [0] + cuts.tolist()
+                ends = cuts.tolist() + [len(dsts)]
+                spans = dict(zip(dsts[starts].tolist(), zip(starts, ends)))
+            self._index = _DstIndex(
+                spans=spans,
+                position=order.tolist(),
+                src=self._src[by_dst].tolist(),
+                at=self._at[by_dst].tolist(),
+                kind=[KIND_NAMES[k] for k in self._kind[by_dst].tolist()],
+            )
         return self._index
+
+    def _row_of(self, position: int) -> int:
+        """Ring row of stream *position* (0 = oldest retained edge)."""
+        if self.recorded <= self.capacity:
+            return position
+        return (self.recorded + position) % self.capacity
 
     def causes_of(
         self,
@@ -305,28 +348,27 @@ class ProvenanceRecorder:
         paths.  Without it, the latest event at or before *cycle* is
         used (the entry query from a violation's sink).
         """
-        entries = self._dst_index().get(node)
-        if not entries:
+        index = self._dst_index()
+        span = index.spans.get(node)
+        if span is None:
             return []
-        best = -1
-        for index in range(len(entries) - 1, -1, -1):
-            position, row = entries[index]
-            if before_position is not None:
-                if position < before_position:
-                    best = index
-                    break
-            elif self._at[row] <= cycle:
-                best = index
-                break
-        if best < 0:
+        start, end = span
+        positions, at = index.position, index.at
+        if before_position is not None:
+            best = bisect_left(positions, before_position, start, end) - 1
+        else:
+            best = end - 1
+            while best >= start and at[best] > cycle:
+                best -= 1
+        if best < start:
             return []
-        at = int(self._at[entries[best][1]])
-        picked = [entries[best]]
-        index = best - 1
-        while index >= 0 and int(self._at[entries[index][1]]) == at:
-            picked.append(entries[index])
-            index -= 1
-        return picked
+        first = best
+        while first > start and at[first - 1] == at[best]:
+            first -= 1
+        return [
+            (positions[i], self._row_of(positions[i]))
+            for i in range(best, first - 1, -1)
+        ]
 
     def slice_to(
         self,
@@ -344,7 +386,15 @@ class ProvenanceRecorder:
         the tracker re-simulates the same cycles on restored paths, so a
         register's latest re-taint event can recirculate through hold
         muxes without ever touching the original labelled-input edge.
+
+        A node rediscovered with a higher position bound is expanded
+        again, and re-emits the edges it emitted under the lower bound;
+        the slice keeps those duplicates.
         """
+        index = self._dst_index()
+        spans, positions = index.spans, index.position
+        srcs, ats, kinds = index.src, index.at, index.kind
+        num_nets = self._num_nets
         edges: List[FlowEdge] = []
         leaves: List[FlowLeaf] = []
         parents: Dict[int, Optional[FlowEdge]] = {}
@@ -352,13 +402,13 @@ class ProvenanceRecorder:
         #: a node is re-expanded when rediscovered with a higher bound
         bounds: Dict[int, int] = {}
         sliced = False
-        frontier: List[Tuple[int, int, int]] = []
-        sinks = []
+        frontier: Deque[Tuple[int, int, int]] = deque()
+        sinks = set()
         for net in sink_nets:
             if net in parents:
                 continue
             parents[net] = None
-            sinks.append(int(net))
+            sinks.add(int(net))
             # Entry query: the sink's latest event at or before the
             # violation cycle anchors the position bound.
             entry = self.causes_of(int(net), cycle)
@@ -367,9 +417,18 @@ class ProvenanceRecorder:
                 frontier.append((int(net), cycle, anchor))
             else:
                 frontier.append((int(net), cycle, 0))
+        seen_leaf_nodes = set()
         seen_leaf_labels = set()
 
-        def note_leaf(node: int, at: int, labelled: bool, name: str) -> None:
+        def note_leaf(
+            node: int, at: int, labelled: bool, suffix: str = ""
+        ) -> None:
+            # A node always resolves to the same leaf name, so a node
+            # seen once needs no second lookup.
+            if node in seen_leaf_nodes:
+                return
+            seen_leaf_nodes.add(node)
+            name = self.node_name(node) + suffix
             if name not in seen_leaf_labels:
                 seen_leaf_labels.add(name)
                 leaves.append(
@@ -380,53 +439,43 @@ class ProvenanceRecorder:
             if len(parents) > max_nodes or len(edges) > max_edges:
                 sliced = True
                 break
-            node, at, before = frontier.pop(0)
+            node, at, before = frontier.popleft()
             if bounds.get(node, -1) >= before:
                 continue
             bounds[node] = before
-            entries = [
-                (position, row)
-                for position, row in self._dst_index().get(node, ())
-                if position < before
-                and (node not in sinks or self._at[row] <= cycle)
-            ]
-            if not entries:
-                if self.is_source_node(node) or node in sinks:
-                    note_leaf(
-                        node, at, self.is_source_node(node),
-                        self.node_name(node),
-                    )
+            span = spans.get(node)
+            if span is None:
+                found = range(0)
+            else:
+                start, end = span
+                stop = bisect_left(positions, before, start, end)
+                found = range(start, stop)
+                if node in sinks:
+                    found = [i for i in found if ats[i] <= cycle]
+            if not found:
+                source = self.is_source_node(node)
+                if source or node in sinks:
+                    note_leaf(node, at, source)
                 else:
                     # Tainted before recording started (or evicted from
                     # the ring): an honest dead end, not an origin.
-                    note_leaf(
-                        node, at, False,
-                        self.node_name(node) + " (unrecorded)",
-                    )
+                    note_leaf(node, at, False, " (unrecorded)")
                 continue
-            for position, row in entries:
-                src = int(self._src[row])
-                edge = FlowEdge(
-                    src=src,
-                    dst=node,
-                    cycle=int(self._at[row]),
-                    kind=KIND_NAMES[int(self._kind[row])],
-                    src_name=self.node_name(src),
-                    dst_name=self.node_name(node),
-                )
+            for i in found:
+                src = srcs[i]
+                edge = FlowEdge(src, node, ats[i], kinds[i], self)
                 edges.append(edge)
                 if src not in parents:
                     parents[src] = edge
                 if src < 0:
-                    note_leaf(src, edge.cycle, True, self.node_name(src))
-                elif self.is_source_node(src):
+                    note_leaf(src, edge.cycle, True)
+                    continue
+                if num_nets and src >= num_nets:
                     # RAM pseudo-nets are both origins (initially-tainted
                     # partitions) and conduits (store->load): surface the
                     # origin and keep chasing the stores feeding it.
-                    note_leaf(src, edge.cycle, True, self.node_name(src))
-                    frontier.append((src, edge.cycle, position))
-                else:
-                    frontier.append((src, edge.cycle, position))
+                    note_leaf(src, edge.cycle, True)
+                frontier.append((src, edge.cycle, positions[i]))
         chain = self._chain_for(parents, leaves)
         return FlowSlice(
             sink_nets=[int(net) for net in sink_nets],
@@ -497,6 +546,7 @@ class ProvenanceRecorder:
             "edges_retained": min(self.recorded, self.capacity),
             "capacity": self.capacity,
             "truncated": self.truncated,
+            "truncated_by": list(self.truncated_by),
             "labels": list(self._labels),
         }
 
@@ -512,6 +562,7 @@ class ProvenanceRecorder:
             "kind": self._kind[order].copy(),
             "recorded": self.recorded,
             "truncated": self.truncated,
+            "truncated_by": list(self.truncated_by),
             "labels": list(self._labels),
             "num_nets": self._num_nets,
             "retained": retained,
@@ -538,7 +589,11 @@ class ProvenanceRecorder:
             shift = self.recorded % capacity
             for array in (self._at, self._dst, self._src, self._kind):
                 array[:] = np.roll(array, shift - retained)
-        self.truncated = bool(state["truncated"]) or offset > 0
+        self.truncated = bool(state["truncated"])
+        # Absent from checkpoints written before causes were recorded.
+        self.truncated_by = list(state.get("truncated_by", ()))
+        if offset > 0:
+            self._truncate(RING_WRAPPED)
         self._labels = list(state["labels"])
         self._label_ids = {
             label: index for index, label in enumerate(self._labels)
@@ -548,16 +603,59 @@ class ProvenanceRecorder:
         self._index = None
 
 
-@dataclass
-class FlowEdge:
-    """One taint-flow hop (dst became tainted because of src)."""
+class _DstIndex(NamedTuple):
+    """The recorder's valid rows, stably sorted by destination node.
 
-    src: int
-    dst: int
-    cycle: int
-    kind: str
-    src_name: str
-    dst_name: str
+    Row ``i`` of the sorted order is event ``i`` of these lists; a node's
+    events are ``spans[node] = (start, end)``, oldest first, so the ones
+    before a stream position are one ``bisect_left`` on ``position``.
+    """
+
+    spans: Dict[int, Tuple[int, int]]
+    #: stream position (0 = oldest retained edge) of each event
+    position: List[int]
+    src: List[int]
+    at: List[int]
+    #: ``KIND_NAMES`` entry of each event
+    kind: List[str]
+
+
+class FlowEdge:
+    """One taint-flow hop (dst became tainted because of src).
+
+    Node names resolve through the recorder on access: a slice holds
+    tens of thousands of edges and only rendering reads their names.
+    """
+
+    __slots__ = ("src", "dst", "cycle", "kind", "_recorder")
+
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        cycle: int,
+        kind: str,
+        recorder: ProvenanceRecorder,
+    ):
+        self.src = src
+        self.dst = dst
+        self.cycle = cycle
+        self.kind = kind
+        self._recorder = recorder
+
+    @property
+    def src_name(self) -> str:
+        return self._recorder.node_name(self.src)
+
+    @property
+    def dst_name(self) -> str:
+        return self._recorder.node_name(self.dst)
+
+    def __repr__(self) -> str:
+        return (
+            f"FlowEdge(src={self.src}, dst={self.dst}, cycle={self.cycle}, "
+            f"kind={self.kind!r})"
+        )
 
     def render(self) -> str:
         return (
@@ -652,17 +750,17 @@ class FlowSlice:
         def quote(name: str) -> str:
             return '"' + name.replace('"', r"\"") + '"'
 
+        named = [(edge, edge.src_name, edge.dst_name) for edge in self.edges]
         node_kind: Dict[str, str] = {}
-        for edge in self.edges:
-            node_kind.setdefault(edge.src_name, "net")
-            node_kind.setdefault(edge.dst_name, "net")
+        for edge, src_name, dst_name in named:
+            node_kind.setdefault(src_name, "net")
+            node_kind.setdefault(dst_name, "net")
             if edge.src < 0:
-                node_kind[edge.src_name] = "label"
-            elif edge.kind == "ram" and edge.src == edge.src:
-                if edge.src_name.startswith("ram["):
-                    node_kind[edge.src_name] = "ram"
-            if edge.dst_name.startswith("ram["):
-                node_kind[edge.dst_name] = "ram"
+                node_kind[src_name] = "label"
+            elif edge.kind == "ram" and src_name.startswith("ram["):
+                node_kind[src_name] = "ram"
+            if dst_name.startswith("ram["):
+                node_kind[dst_name] = "ram"
         for name in self.sink_names:
             node_kind.setdefault(name, "net")
             node_kind[name] = "sink"
@@ -686,13 +784,13 @@ class FlowSlice:
                 style += " style=filled fillcolor=gold"
             lines.append(f"  {quote(name)} [{style}];")
         seen = set()
-        for edge in self.edges:
-            key = (edge.src_name, edge.dst_name, edge.kind)
+        for edge, src_name, dst_name in named:
+            key = (src_name, dst_name, edge.kind)
             if key in seen:
                 continue
             seen.add(key)
             lines.append(
-                f"  {quote(edge.src_name)} -> {quote(edge.dst_name)} "
+                f"  {quote(src_name)} -> {quote(dst_name)} "
                 f'[label="{edge.kind}@{edge.cycle}"];'
             )
         lines.append("}")

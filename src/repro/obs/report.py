@@ -18,6 +18,8 @@ from html import escape
 from typing import List, Optional
 
 from repro.obs.provenance import (
+    RAM_WRITE_CAPPED,
+    RING_WRAPPED,
     FlowSlice,
     ProvenanceRecorder,
     explain_violation,
@@ -26,6 +28,14 @@ from repro.obs.provenance import (
 #: Upper bound on fully-explained violations per report; the violation
 #: table always lists everything, but backward slices are O(edges) each.
 MAX_EXPLAINED = 16
+
+#: What each ``ProvenanceRecorder.truncated_by`` cause means for a chain.
+_TRUNCATION_NOTES = {
+    RING_WRAPPED: "the edge ring wrapped, so any chain below may bottom "
+    "out at an (unrecorded) node before a labelled input",
+    RAM_WRITE_CAPPED: "a smeared store exceeded its fanout cap, so "
+    "chains through the unlinked RAM words stop at their ram[...] word",
+}
 
 _STYLE = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -200,10 +210,12 @@ def build_report(
         parts.append(f"<tr><th>{key}</th><td>{value}</td></tr>")
     parts.append("</table>")
     if recorder is not None and recorder.truncated:
+        notes = "; ".join(
+            f"{reason}: {_TRUNCATION_NOTES[reason]}"
+            for reason in recorder.truncated_by
+        ) or "cause unknown: chains below may bottom out early"
         parts.append(
-            "<p class='trunc'>provenance_truncated: the edge ring wrapped "
-            "or a smeared store exceeded its fanout cap; chains below may "
-            "bottom out before a labelled input.</p>"
+            f"<p class='trunc'>provenance_truncated ({escape(notes)}).</p>"
         )
 
     # -- heatmap -------------------------------------------------------

@@ -23,7 +23,9 @@ the pipeline emits and is what ``repro trace-lint`` validates against:
 ``checkpoint_saved``     analysis state persisted to disk
 ``fault_injected``       the fault injector fired
 ``provenance``           provenance-recording summary for a finished run
-``provenance_truncated`` the provenance ring wrapped; slices best-effort
+``provenance_truncated`` provenance lost links (``reason``: the ring
+                         wrapped and/or a smeared store hit its cap);
+                         slices best-effort
 ``timeline``             flight-recorder summary for a finished analysis
 ``record``               one ``repro record`` run wrote a .timeline file
 ``progress``             periodic exploration-progress snapshot
@@ -137,7 +139,8 @@ EVENT_SCHEMAS: Dict[str, Dict[str, frozenset]] = {
     },
     "provenance_truncated": {
         "required": frozenset({"edges", "capacity"}),
-        "optional": frozenset(),
+        # comma-separated ProvenanceRecorder.truncated_by causes
+        "optional": frozenset({"reason"}),
     },
     "timeline": {
         "required": frozenset({"frames", "keyframes", "truncated"}),

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import TaintTracker, default_policy
 from repro.isa.assembler import assemble
-from repro.obs import NO_INSTRUMENTS
+from repro.obs import NO_INSTRUMENTS, lint_trace, read_events
 from repro.obs.provenance import (
     KIND_GATE,
+    RAM_WRITE_CAP,
     ProvenanceRecorder,
     explain_violation,
 )
@@ -71,9 +73,51 @@ class TestRecorder:
         assert recorder.recorded == 6
         assert recorder.truncated
         # Only the newest 4 edges survive; dst 0 and 1 were evicted.
-        index = recorder._dst_index()
-        assert 0 not in index and 1 not in index
-        assert sorted(index) == [2, 3, 4, 5]
+        survivors = [net for net in range(100) if recorder.causes_of(net, 5)]
+        assert survivors == [2, 3, 4, 5]
+        # The sixth edge is stream position 3, in ring row 5 % 4.
+        assert recorder.causes_of(5, 5) == [(3, 1)]
+
+    def test_truncation_names_its_cause(self):
+        recorder = ProvenanceRecorder(capacity=64)
+        recorder.bind_raw(100)
+        assert recorder.truncated_by == [] and not recorder.truncated
+        recorder.record_ram_write(list(range(RAM_WRITE_CAP + 1)), _ids([1]))
+        assert recorder.recorded == RAM_WRITE_CAP  # below capacity
+        assert recorder.truncated_by == ["ram_write_cap"]
+        recorder.record_gate(_ids(range(64)), _ids(range(64)))
+        assert recorder.truncated_by == ["ram_write_cap", "ring_wrapped"]
+        assert recorder.truncated is True
+        assert recorder.snapshot()["truncated_by"] == recorder.truncated_by
+        clone = ProvenanceRecorder(capacity=64)
+        clone.restore_state(recorder.export_state())
+        assert clone.truncated_by == ["ram_write_cap", "ring_wrapped"]
+
+    def test_restore_into_smaller_ring_is_a_wrap(self):
+        recorder = ProvenanceRecorder(capacity=32)
+        recorder.bind_raw(100)
+        recorder.record_gate(_ids(range(8)), _ids(range(8)))
+        assert not recorder.truncated
+        clone = ProvenanceRecorder(capacity=4)
+        clone.restore_state(recorder.export_state())
+        assert clone.truncated_by == ["ring_wrapped"]
+
+    def test_causes_of_picks_latest_event_at_or_before_cycle(self):
+        recorder = ProvenanceRecorder(capacity=16)
+        recorder.bind_raw(100)
+        for cycle, src in ((2, 1), (2, 2), (4, 3), (1, 4)):
+            recorder.begin_cycle(cycle)
+            recorder.record_gate(_ids([5]), _ids([src]))
+        # Stream order decides "latest": a restored path re-simulated
+        # cycle 1 after cycle 4.
+        assert recorder.causes_of(5, 3) == [(3, 3)]
+        assert recorder.causes_of(5, 0) == []
+        assert recorder.causes_of(5, 9, before_position=3) == [(2, 2)]
+        # Every fan-in edge of the one event, newest first.
+        assert recorder.causes_of(5, 9, before_position=2) == [
+            (1, 1), (0, 0),
+        ]
+        assert recorder.causes_of(6, 9) == []
 
     def test_ram_pseudo_net_naming(self):
         recorder = ProvenanceRecorder(capacity=16)
@@ -114,6 +158,35 @@ class TestRecorder:
         assert flow.origins == []
         assert any("(unrecorded)" in leaf.name for leaf in flow.leaves)
         assert "unrecorded" in flow.summary() or flow.origins == []
+
+    def test_reexpansion_under_a_higher_bound_repeats_edges(self):
+        """A node reached again through a later stream position is
+        expanded again and re-emits its earlier edges; slices keep the
+        repeats."""
+        recorder = ProvenanceRecorder(capacity=16)
+        recorder.bind_raw(100)
+        recorder.begin_cycle(1)
+        recorder.record_input([1], tmask=1, label="P1IN")  # 1 <- P1IN
+        recorder.record_gate(_ids([9]), _ids([1]))
+        recorder.record_gate(_ids([2]), _ids([1]))
+        recorder.record_gate(_ids([9]), _ids([2]))
+        flow = recorder.slice_to([9], cycle=1)
+        label = recorder.label_id("P1IN")
+        # 1 is expanded below position 1, then again below position 2.
+        assert [(edge.src, edge.dst) for edge in flow.edges] == [
+            (1, 9), (2, 9), (label, 1), (1, 2), (label, 1),
+        ]
+        assert [leaf.name for leaf in flow.leaves] == ["P1IN"]
+
+    def test_edge_names_resolve_through_the_recorder(self):
+        recorder = ProvenanceRecorder(capacity=16)
+        recorder.bind_raw(100, port_names={7: "dmem_wdata[0]"})
+        recorder.record_ram_read([7], tmask=1, word=3)
+        (edge,) = recorder.slice_to([7], cycle=0).edges
+        assert edge.src_name == "ram[0x0003]"
+        assert edge.dst_name == "dmem_wdata[0]"
+        assert edge.render() == "ram[0x0003] --ram@0--> dmem_wdata[0]"
+        assert not hasattr(edge, "__dict__")
 
     def test_slice_ignores_later_reconvergence(self):
         """Events recorded *after* the sink's cause must not alias the
@@ -180,8 +253,8 @@ class TestRecorder:
         clone = ProvenanceRecorder(capacity=4)
         clone.restore_state(recorder.export_state())
         assert clone.truncated
-        index = clone._dst_index()
-        assert sorted(index) == [4, 5, 6, 7]
+        survivors = [net for net in range(100) if clone.causes_of(net, 7)]
+        assert survivors == [4, 5, 6, 7]
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +339,31 @@ class TestExplainEndToEnd:
         assert "P1IN" in html
         assert "heatmap" in html
         assert "digraph taint_flow" in html
+
+    def test_html_report_names_truncation_cause(self, figure4_result):
+        # figure4's smeared store hits RAM_WRITE_CAP; the ring never wraps
+        assert figure4_result.provenance.truncated_by == ["ram_write_cap"]
+        html = build_report(figure4_result)
+        assert "provenance_truncated (ram_write_cap: " in html
+        assert "ring_wrapped" not in html
+
+    def test_truncation_cause_reaches_cli_and_trace(self, tmp_path, capsys):
+        source = tmp_path / "figure4.s43"
+        source.write_text(figure4_source())
+        trace = tmp_path / "trace.jsonl"
+        main([
+            "analyze", str(source), "--provenance",
+            "--provenance-capacity", "64", "--trace", str(trace),
+        ])
+        assert "[truncated: ring_wrapped, ram_write_cap]" in (
+            capsys.readouterr().out
+        )
+        (event,) = [
+            event for event in read_events(trace)
+            if event["event"] == "provenance_truncated"
+        ]
+        assert event["reason"] == "ring_wrapped,ram_write_cap"
+        assert lint_trace(trace) == []
 
     def test_report_without_recorder_still_renders(self, figure4_result):
         program = assemble(figure4_source(), name="figure4")
