@@ -388,6 +388,9 @@ class TaintTracker:
         #: anything longer converges through the conservative merge.
         self.exact_branch_visits = exact_branch_visits
         self._visit_counts: Dict[object, int] = {}
+        #: each fetched address's decode (None: not an instruction); the
+        #: program is fixed, so one decode per address serves the run
+        self._decoded: Dict[int, Optional[DecodedInstruction]] = {}
 
         self.runner = build_runner(program, self.policy, self.circuit)
 
@@ -520,10 +523,13 @@ class TaintTracker:
             address, soc.cycle, soc.instruments.obs
         ):
             return None  # injected decode failure: path ends "illegal"
-        try:
-            return decode(self.program.slice_from(address), address)
-        except EncodeError:
-            return None
+        if address not in self._decoded:
+            try:
+                decoded = decode(self.program.slice_from(address), address)
+            except EncodeError:
+                decoded = None
+            self._decoded[address] = decoded
+        return self._decoded[address]
 
     def _task_info(self, address: int) -> Tuple[str, bool]:
         task = self.program.task_of(address)

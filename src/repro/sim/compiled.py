@@ -48,6 +48,7 @@ provenance-recording passes all run that one kernel
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -111,6 +112,57 @@ def code_of(value: int, taint: int) -> int:
 def decode_code(code: int) -> Tuple[int, int]:
     """Unpack a net code into ``(ternary value, taint)``."""
     return code >> 1, code & 1
+
+
+#: ``bytes.translate`` tables from a net code (0-5) to the ASCII digit
+#: of its known-1 bit, its X bit and its taint bit: a word's three masks.
+_BITS_DIGITS = b"001100".ljust(256, b"0")
+_X_DIGITS = b"000011".ljust(256, b"0")
+_TAINT_DIGITS = b"010101".ljust(256, b"0")
+#: ``bytes.translate`` table from an ASCII binary digit to its value.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+#: Words each codec memo keeps: port words repeat cycle after cycle (a
+#: program's addresses and instruction words), so nearly every call hits.
+WORD_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
+def decode_word(codes: bytes) -> TWord:
+    """The word whose bit *i* has net code ``codes[i]``.
+
+    Each mask is read in one ``bytes.translate`` to binary digits, most
+    significant bit first, and one ``int(..., 2)``.
+    """
+    digits = codes[::-1]
+    return TWord(
+        int(digits.translate(_BITS_DIGITS), 2),
+        int(digits.translate(_X_DIGITS), 2),
+        int(digits.translate(_TAINT_DIGITS), 2),
+        len(codes),
+    )
+
+
+def _spread(mask: int, width: int) -> int:
+    """*mask* with bit *i* moved to byte *i* (0 or 1 in each byte)."""
+    return int.from_bytes(
+        format(mask, f"0{width}b").encode().translate(_DIGIT_VALUES), "big"
+    )
+
+
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
+def encode_word(bits: int, xmask: int, tmask: int, width: int) -> bytes:
+    """The *width* net codes of the word ``TWord(bits, xmask, tmask,
+    width)``, bit 0 first: :func:`decode_word` inverted.
+
+    A code is ``2 * value + taint`` with X's value 2, so with each mask
+    spread one bit per byte the codes are one sum with no carries.
+    """
+    word = TWord(bits, xmask, tmask, width)
+    return (
+        2 * _spread(word.bits, width)
+        + 4 * _spread(word.xmask, width)
+        + _spread(word.tmask, width)
+    ).to_bytes(width, "little")
 
 
 def unpack_codes(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -644,38 +696,18 @@ class CompiledCircuit:
     def _scatter_word(
         self, state: CircuitState, nets: np.ndarray, word: TWord
     ) -> None:
-        """One fancy-indexed write instead of a per-bit scalar loop."""
-        width = len(nets)
-        bits, xmask, tmask = word.bits, word.xmask, word.tmask
-        buffer = bytearray(width)
-        for index in range(width):
-            probe = 1 << index
-            if xmask & probe:
-                value = UNKNOWN
-            else:
-                value = 1 if bits & probe else 0
-            buffer[index] = value * 2 + (1 if tmask & probe else 0)
-        state.codes[nets] = np.frombuffer(bytes(buffer), dtype=np.uint8)
+        """One fancy-indexed write of the word's codes."""
+        state.codes[nets] = np.frombuffer(
+            encode_word(word.bits, word.xmask, word.tmask, len(nets)),
+            dtype=np.uint8,
+        )
 
     def _gather_word(
         self, state: CircuitState, nets: np.ndarray
     ) -> TWord:
-        """One gather + a bytes loop: numpy scalar indexing is ~10x the
-        cost of iterating a ``bytes`` of the same codes."""
-        bits = 0
-        xmask = 0
-        tmask = 0
-        probe = 1
-        for code in state.codes[nets].tobytes():
-            value = code >> 1
-            if value == UNKNOWN:
-                xmask |= probe
-            elif value:
-                bits |= probe
-            if code & 1:
-                tmask |= probe
-            probe <<= 1
-        return TWord(bits, xmask, tmask, len(nets))
+        """One gather, decoded as bytes: numpy scalar indexing is ~10x
+        the cost of decoding a ``bytes`` of the same codes."""
+        return decode_word(state.codes[nets].tobytes())
 
     def input_nets(self, name: str) -> Tuple[int, ...]:
         return self._inputs[name]

@@ -9,9 +9,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.isa.encode import EncodeError, decode
 from repro.isa.program import Program
-from repro.logic.ternary import ONE, UNKNOWN, ZERO
+from repro.logic.ternary import ONE, ZERO
 from repro.logic.words import TWord
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.soc import AddressSpace, CycleEvents, Rom, SoC
@@ -24,6 +26,23 @@ PHASE_NAMES = ("F", "SE", "SL", "DE", "DL", "E", "J")
 
 #: JSON for a boolean, indexed by it.
 _JSON_BOOL = ("false", "true")
+
+
+def _phase_of(codes: bytes) -> int:
+    """The phase of the first registered bit (1-6) whose code in
+    *codes* is a 1; else ``PHASE_F`` when all six are 0, and -1 when
+    one is X."""
+    unknown = False
+    for bit, code in enumerate(codes, start=1):
+        value = code >> 1
+        if value == ONE:
+            return bit
+        if value != ZERO:
+            unknown = True
+    if unknown:
+        return -1  # the FSM itself has unknown state bits
+    return PHASE_F
+
 
 InputSpec = Union[
     Callable[[str], int], Mapping[str, Union[int, Callable[[], int]]]
@@ -62,6 +81,12 @@ class GateRunner:
             name: index
             for index, name in enumerate(circuit.netlist.net_names)
         }
+        #: the six registered phase bits (``dbg_phase[1:7]``), and
+        #: :meth:`phase` by their codes (at most 6**6 entries)
+        self._phase_nets = np.array(
+            circuit.output_nets("dbg_phase")[1:7], dtype=np.int64
+        )
+        self._phases: Dict[bytes, int] = {}
         self.trace_interval = trace_interval
         self.soc.reset()
         self.events: List[CycleEvents] = []
@@ -127,17 +152,11 @@ class GateRunner:
         bit) are stale until the next evaluation, but the six registered
         phase bits are fresh; F is the all-zero case.
         """
-        word = self.soc.read_debug("dbg_phase")
-        unknown = False
-        for bit in range(1, 7):
-            value, _ = word.bit(bit)
-            if value == ONE:
-                return bit
-            if value != ZERO:
-                unknown = True
-        if unknown:
-            return -1  # the FSM itself has unknown state bits
-        return PHASE_F
+        codes = self.soc.state.codes[self._phase_nets].tobytes()
+        phase = self._phases.get(codes)
+        if phase is None:
+            phase = self._phases[codes] = _phase_of(codes)
+        return phase
 
     def at_halt(self, phase: Optional[int] = None) -> bool:
         """True when executing the idle self-loop (``jmp $``).

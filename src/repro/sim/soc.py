@@ -42,6 +42,26 @@ they are valid only after the full pass.  On a load cycle the data is
 applied and :meth:`~repro.sim.compiled.CompiledCircuit.fanout_plan`
 re-evaluates ``dmem_rdata``'s fanout (2 mapped ranks on the LP430).
 
+A plain cycle crosses the circuit's ports in as few blocks as that
+order allows, each one numpy gather or fancy assignment of net codes:
+
+1. one gather of ``pmem_addr``, decoded by a memoised word codec
+   (:func:`~repro.sim.compiled.decode_word`), then the ROM read;
+2. one write of ``rst``, ``dmem_rdata`` (all X) and ``pmem_rdata``
+   together, from pre-encoded codes: the reset's code, a constant, and
+   the instruction's codes memoised per word
+   (:func:`~repro.sim.compiled.encode_word`);
+3. the full pass, then one gather of the ``dmem_ren`` and ``dmem_wen``
+   codes, read as raw codes;
+4. on a load cycle only: one gather of ``dmem_addr``, one write of the
+   data to ``dmem_rdata``, the fanout pass, and one re-read of
+   ``dmem_wen``, which may depend on the data;
+5. on a store cycle only: one gather of ``dmem_addr`` and
+   ``dmem_wdata``.
+
+That block write is laid out for a 1-net ``rst`` and 16-net
+``pmem_rdata`` and ``dmem_rdata``, which the port check also requires.
+
 A SoC carrying a provenance recorder keeps an older order: a pass over
 the memory-interface cone, the fetch, the load, then a full pass.  Its
 cone pass reads the *previous* cycle's ``pmem_rdata`` codes, so its load
@@ -61,7 +81,15 @@ from repro import memmap
 from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
 from repro.obs import NO_INSTRUMENTS, Instruments
-from repro.sim.compiled import CircuitState, CompiledCircuit
+from repro.sim.compiled import (
+    CODE_X,
+    CircuitState,
+    CompiledCircuit,
+    code_of,
+    decode_code,
+    decode_word,
+    encode_word,
+)
 from repro.sim.memory import TaintedMemory
 from repro.sim.peripherals import AuxTimer, InputPort, OutputPort, PortEvent
 from repro.sim.watchdog import Watchdog
@@ -75,11 +103,11 @@ class Rom:
         self.words = np.zeros(size, dtype=np.uint32)
         self.tmask = np.zeros(size, dtype=np.uint32)
         self._indices = np.arange(size, dtype=np.uint32)
-        # Smeared-fetch results keyed by (known address bits, xmask).
-        # The ROM only changes via load(), which clears this, so the
-        # merge over each match footprint can be computed once per
-        # address pattern instead of every fetch.
-        self._read_memo: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+        # Fetched words keyed by (known address bits, xmask, address
+        # tainted).  The ROM only changes via load(), which clears this,
+        # so each address pattern's word -- for a smeared fetch, the
+        # merge over its match footprint -- is built once.
+        self._read_memo: Dict[Tuple[int, int, bool], TWord] = {}
 
     def load(self, base: int, words: Sequence[int], tmask: int = 0) -> None:
         for offset, word in enumerate(words):
@@ -91,32 +119,32 @@ class Rom:
         """Instruction fetch: value follows the unknown bits of the
         address; a tainted (attacker-steerable) address fully taints the
         fetched word even when concrete here."""
-        taint = 0xFFFF if address.tmask else 0
-        if address.xmask == 0:
-            index = address.bits % self.size
+        key = (address.bits, address.xmask, address.tmask != 0)
+        word = self._read_memo.get(key)
+        if word is None:
+            if len(self._read_memo) >= 4096:
+                self._read_memo.clear()
+            word = self._read_memo[key] = self._word_for(*key)
+        return word
+
+    def _word_for(self, bits: int, xmask: int, tainted: bool) -> TWord:
+        taint = 0xFFFF if tainted else 0
+        if xmask == 0:
+            index = bits % self.size
             return TWord(
                 int(self.words[index]), 0, int(self.tmask[index]) | taint, 16
             )
-        known = 0xFFFF & ~address.xmask
-        key = (address.bits & known, address.xmask)
-        memo = self._read_memo.get(key)
-        if memo is None:
-            match = (self._indices & known) == (address.bits & known)
-            if not match.any():
-                memo = (0, 0xFFFF, 0)
-            else:
-                and_bits = int(np.bitwise_and.reduce(self.words[match]))
-                or_bits = int(np.bitwise_or.reduce(self.words[match]))
-                rom_taint = int(np.bitwise_or.reduce(self.tmask[match]))
-                known1 = and_bits
-                known0 = ~or_bits & 0xFFFF
-                xmask = 0xFFFF & ~(known0 | known1)
-                memo = (known1, xmask, rom_taint)
-            if len(self._read_memo) >= 4096:
-                self._read_memo.clear()
-            self._read_memo[key] = memo
-        known1, xmask, rom_taint = memo
-        return TWord(known1, xmask, rom_taint | taint, 16)
+        known = 0xFFFF & ~xmask
+        match = (self._indices & known) == (bits & known)
+        if not match.any():
+            return TWord(0, 0xFFFF, taint, 16)
+        and_bits = int(np.bitwise_and.reduce(self.words[match]))
+        or_bits = int(np.bitwise_or.reduce(self.words[match]))
+        rom_taint = int(np.bitwise_or.reduce(self.tmask[match]))
+        known0 = ~or_bits & 0xFFFF
+        return TWord(
+            and_bits, 0xFFFF & ~(known0 | and_bits), rom_taint | taint, 16
+        )
 
 
 @dataclass
@@ -188,6 +216,10 @@ class AddressSpace:
             )
             self.ports[address] = port
             self.output_ports.append(port)
+        #: the GPIO ports, which log :class:`PortEvent` records
+        self._event_ports: Tuple[object, ...] = tuple(
+            self.input_ports + self.output_ports
+        )
         self.ports[memmap.WDTCTL] = self.watchdog
         self.ports[memmap.TACTL] = self.timer
         self.ports[memmap.TAR] = self.timer
@@ -259,9 +291,10 @@ class AddressSpace:
 
     def drain_port_events(self) -> List[PortEvent]:
         events: List[PortEvent] = []
-        for port in self.input_ports + self.output_ports:
-            events.extend(port.events)
-            port.events.clear()
+        for port in self._event_ports:
+            if port.events:
+                events.extend(port.events)
+                port.events.clear()
         return events
 
     # ------------------------------------------------------------------
@@ -327,14 +360,33 @@ class SoCState:
 
 #: ``dmem_rdata`` on a cycle without a load.
 _NO_DATA = TWord.unknown(16)
+#: Its codes, which a plain step writes with the reset and fetch codes.
+_NO_DATA_CODES = bytes([CODE_X]) * 16
+#: The one-byte ``rst`` code of each reset ``(value, taint)`` code.
+_RESET_CODES = tuple(bytes([code]) for code in range(6))
+#: A one-bit port's ``(value, taint)`` by its net code.
+_BIT_OF_CODE = tuple(decode_code(code) for code in range(6))
+
+#: The input ports the plain step writes in one assignment, with their
+#: widths, in the order it lays out their codes.
+PORT_WIDTHS = (("rst", 1), ("dmem_rdata", 16), ("pmem_rdata", 16))
 
 #: Circuits :func:`check_port_contract` has passed.
 _CONTRACT_MET: "weakref.WeakSet[CompiledCircuit]" = weakref.WeakSet()
 
 
 def check_port_contract(circuit: CompiledCircuit) -> None:
-    """Raise ``ValueError`` naming the port unless *circuit* meets the
-    two rules the step order relies on (see the module doc)."""
+    """Raise ``ValueError`` naming the port unless *circuit* has the
+    input-port widths the step's single write is laid out for
+    (:data:`PORT_WIDTHS`) and meets the two rules its order relies on
+    (see the module doc)."""
+    for name, width in PORT_WIDTHS:
+        nets = len(circuit.input_nets(name))
+        if nets != width:
+            raise ValueError(
+                f"{name} is {nets} nets, not {width}: the SoC writes its "
+                "input ports as one pre-encoded block"
+            )
     dffs = set(circuit.dff_nets().tolist())
     for bit, net in enumerate(circuit.output_nets("pmem_addr")):
         if net not in dffs:
@@ -379,6 +431,25 @@ class SoC:
             _CONTRACT_MET.add(circuit)
         # Re-run on load cycles, once dmem_rdata holds the loaded word.
         self._read_plan = circuit.fanout_plan(["dmem_rdata"])
+        # The plain step's port nets, in the order it writes or reads
+        # them as one block of codes.
+        ports = circuit.input_nets
+        self._input_nets = np.array(
+            [net for name, _ in PORT_WIDTHS for net in ports(name)],
+            dtype=np.int64,
+        )
+        self._rdata_nets = np.array(ports("dmem_rdata"), dtype=np.int64)
+        outs = circuit.output_nets
+        self._pmem_addr_nets = np.array(outs("pmem_addr"), dtype=np.int64)
+        self._dmem_addr_nets = np.array(outs("dmem_addr"), dtype=np.int64)
+        self._strobe_nets = np.array(
+            [outs("dmem_ren")[0], outs("dmem_wen")[0]], dtype=np.int64
+        )
+        self._wen_net = outs("dmem_wen")[0]
+        self._store_nets = np.array(
+            outs("dmem_addr") + outs("dmem_wdata"), dtype=np.int64
+        )
+        self._store_split = len(outs("dmem_addr"))
         # A provenance-recording step's first pass (see the module doc).
         self._interface_plan = circuit.cone_plan(
             ["pmem_addr", "dmem_addr", "dmem_ren"]
@@ -456,38 +527,33 @@ class SoC:
         reset = (reset_value, por_taint | ext_taint)
         if reset[0] == ONE:
             self.space.watchdog.power_on_reset(reset[1])
-        circuit.set_input(state, "rst", TWord(
-            1 if reset[0] == ONE else 0,
-            1 if reset[0] == UNKNOWN else 0,
-            reset[1],
-            1,
-        ))
-
         # While reset is asserted the FSM outputs are not yet meaningful
         # (they are X out of power-on); a real POR gates the memory
         # interface, so the SoC suppresses data-memory side effects.
         in_reset = reset[0] == ONE
-        circuit.set_input(state, "dmem_rdata", _NO_DATA)
         if recorder is None:
-            # Fetch off the PC flip-flops, settle every gate once, then
-            # load from the settled address and re-run its fanout.
-            pmem_addr, instruction = self._fetch(None)
-            circuit.eval_combinational(state)
-            read_event = self._load(in_reset, None)
-            if read_event is not None:
-                circuit.eval_plan(state, self._read_plan)
+            pmem_addr, instruction, read_event, wen = self._settle(
+                code_of(reset_value, reset[1] & 1), in_reset
+            )
         else:
+            circuit.set_input(state, "rst", TWord(
+                1 if reset[0] == ONE else 0,
+                1 if reset[0] == UNKNOWN else 0,
+                reset[1],
+                1,
+            ))
+            circuit.set_input(state, "dmem_rdata", _NO_DATA)
             circuit.eval_plan(state, self._interface_plan)
             pmem_addr, instruction = self._fetch(recorder)
             read_event = self._load(in_reset, recorder)
             circuit.eval_combinational(state)
+            wen = circuit.read_output(state, "dmem_wen").bit(0)
 
-        wen_word = circuit.read_output(state, "dmem_wen")
-        wen = wen_word.bit(0)
         write_event: Optional[MemWrite] = None
         if not in_reset and wen[0] != ZERO:
-            wdata = circuit.read_output(state, "dmem_wdata")
-            waddr = circuit.read_output(state, "dmem_addr")
+            raw = state.codes[self._store_nets].tobytes()
+            waddr = decode_word(raw[:self._store_split])
+            wdata = decode_word(raw[self._store_split:])
             ram_match = self.space.write(waddr, wdata, wen)
             write_event = MemWrite(waddr, wdata, wen, ram_match)
             if recorder is not None and (wdata.tmask or waddr.tmask):
@@ -521,6 +587,44 @@ class SoC:
         if instruments.obs.enabled:
             instruments.obs.metrics.counter("sim.cycles").inc()
         return events
+
+    def _settle(
+        self, reset_code: int, in_reset: bool
+    ) -> Tuple[TWord, TWord, Optional[MemRead], Tuple[int, int]]:
+        """A plain cycle up to the store: fetch, one write of every
+        input port, one full pass, then the load and its fanout.
+
+        Returns ``(address, instruction, read, wen)``.  The ports are
+        crossed as few times as the order allows: one gather of
+        ``pmem_addr``, one write of ``rst``, ``dmem_rdata`` (X) and
+        ``pmem_rdata``, and one gather of both strobes; a load cycle
+        adds one write of the data and one re-read of ``dmem_wen``.
+        """
+        circuit, state = self.circuit, self.state
+        codes = state.codes
+        pmem_addr = decode_word(codes[self._pmem_addr_nets].tobytes())
+        instruction = self.rom.read(pmem_addr)
+        codes[self._input_nets] = np.frombuffer(
+            _RESET_CODES[reset_code] + _NO_DATA_CODES + encode_word(
+                instruction.bits, instruction.xmask, instruction.tmask, 16
+            ),
+            dtype=np.uint8,
+        )
+        circuit.eval_combinational(state)
+        ren_code, wen_code = codes[self._strobe_nets].tobytes()
+        read_event = None
+        if not in_reset and ren_code >> 1 != ZERO:
+            ren = _BIT_OF_CODE[ren_code]
+            dmem_addr = decode_word(codes[self._dmem_addr_nets].tobytes())
+            data = self.space.read(dmem_addr, ren)
+            codes[self._rdata_nets] = np.frombuffer(
+                encode_word(data.bits, data.xmask, data.tmask, 16),
+                dtype=np.uint8,
+            )
+            circuit.eval_plan(state, self._read_plan)
+            wen_code = codes[self._wen_net]
+            read_event = MemRead(dmem_addr, data, ren)
+        return pmem_addr, instruction, read_event, _BIT_OF_CODE[wen_code]
 
     def _fetch(self, recorder) -> Tuple[TWord, TWord]:
         """Read the instruction word at ``pmem_addr`` and apply it to

@@ -142,17 +142,26 @@ def _buffer(builder, sig):
     return Sig(outs)
 
 
-def toy_soc(break_rule=None):
+def toy_soc(break_rule=None, store_loaded=False):
     """A SoC-shaped netlist whose next PC is the fetched word (so the
     ROM is a linked list), whose load address buffers the fetched word,
     whose load strobe is tied to 1, and whose ``data`` register latches
     the buffered load data.  *break_rule* wires one port against the
     contract: ``"pmem_addr"`` through a gate, ``"dmem_addr"`` or
-    ``"dmem_ren"`` from ``dmem_rdata``."""
+    ``"dmem_ren"`` from ``dmem_rdata``, or gives ``"rst"``,
+    ``"pmem_rdata"`` or ``"dmem_rdata"`` one net too many.  With
+    *store_loaded*, the store strobe is bit 0 of the load data and the
+    store data the load data (to the load address); else nothing is
+    stored."""
     b = CircuitBuilder("toy_soc")
-    rst = b.input("rst", 1)[0]
-    pmem_rdata = b.input("pmem_rdata", 16)
-    dmem_rdata = b.input("dmem_rdata", 16)
+
+    def port(name, width):
+        extra = 1 if break_rule == name else 0
+        return Sig(b.input(name, width + extra)[:width])
+
+    rst = port("rst", 1)[0]
+    pmem_rdata = port("pmem_rdata", 16)
+    dmem_rdata = port("dmem_rdata", 16)
     pc = b.reg("pc", 16)
     b.drive(pc, pmem_rdata, rst=rst)
     data = b.reg("data", 16)
@@ -166,8 +175,12 @@ def toy_soc(break_rule=None):
     b.output("dmem_ren", _buffer(b, Sig([
         dmem_rdata[0] if break_rule == "dmem_ren" else b.bit1()
     ])))
-    b.output("dmem_wen", Sig([b.bit0()]))
-    b.output("dmem_wdata", b.const(0, 16))
+    if store_loaded:
+        b.output("dmem_wen", _buffer(b, Sig([dmem_rdata[0]])))
+        b.output("dmem_wdata", _buffer(b, dmem_rdata))
+    else:
+        b.output("dmem_wen", Sig([b.bit0()]))
+        b.output("dmem_wdata", b.const(0, 16))
     return CompiledCircuit(b.build()), data
 
 
@@ -216,4 +229,16 @@ class TestPortContract:
             SoC(circuit)
         # A failed check is not remembered as passed.
         with pytest.raises(ValueError, match=port):
+            SoC(circuit)
+
+    @pytest.mark.parametrize(
+        "port, width", [("rst", 1), ("pmem_rdata", 16), ("dmem_rdata", 16)]
+    )
+    def test_input_width_names_the_port(self, port, width):
+        """The step writes the input ports as one pre-encoded block laid
+        out for these widths."""
+        circuit, _ = toy_soc(break_rule=port)
+        with pytest.raises(
+            ValueError, match=rf"^{port} is {width + 1} nets, not {width}:"
+        ):
             SoC(circuit)
