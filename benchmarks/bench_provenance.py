@@ -6,15 +6,16 @@ Two contracts from the provenance design:
   None check must cost < 2% over a build without the hook -- measured here as
   plain-vs-plain jitter with the hook compiled in, bounded at 2%;
 * recorder *on*: recording every newly-tainted net's cause edge must
-  stay under 25% over the plain analysis on a real Table 1 workload.
+  stay under 25% over the plain analysis on a real Table 1 workload:
+  the median CPU-time ratio of alternating pairs on one pinned CPU
+  (``_pairs.py``).
 
 Emits ``BENCH_provenance.json`` with both ratios so the trajectory is
 tracked across commits.
 """
 
-import time
-
 import pytest
+from _pairs import pinned_pairs
 
 from repro.core import TaintTracker, default_policy
 from repro.cpu import compiled_cpu
@@ -28,16 +29,10 @@ def circuit():
     return compiled_cpu()
 
 
-def _timed(func):
-    start = time.perf_counter()
-    result = func()
-    return result, time.perf_counter() - start
-
-
 def test_provenance_overhead(circuit, bench_json):
     program = assemble(BENCHMARKS["intAVG"].service_source, name="intavg")
     policy = default_policy()
-    rounds = 5
+    pairs = 11
 
     def run_plain():
         return TaintTracker(program, policy, circuit=circuit).run()
@@ -49,19 +44,14 @@ def test_provenance_overhead(circuit, bench_json):
         ).run()
         return result, recorder
 
-    baseline = run_plain()  # warm every lazy cache before timing
-
-    # Interleave the variants so clock drift biases neither side.
-    plain_times, recording_times = [], []
-    for _ in range(rounds):
-        plain_times.append(_timed(run_plain)[1])
-        (recorded_result, recorder), seconds = _timed(run_recording)
-        recording_times.append(seconds)
-    plain = min(plain_times)
-    recording = min(recording_times)
-    overhead = recording / plain
+    # Warm every lazy cache before timing.
+    baseline = run_plain()
+    run_recording()
+    timed = pinned_pairs(run_plain, run_recording, pairs)
+    recorded_result, recorder = timed.result
+    overhead, plain, recording = timed.overhead, timed.plain, timed.measured
     # Off-path jitter bound: successive plain runs against each other.
-    off_ratio = max(plain_times) / min(plain_times)
+    off_ratio = max(timed.plain_times) / min(timed.plain_times)
 
     # Recording must not perturb the analysis itself.
     assert recorded_result.verdict == baseline.verdict
@@ -91,11 +81,14 @@ def test_provenance_overhead(circuit, bench_json):
             "truncated": recorder.truncated,
             "violations": len(recorded_result.violations),
             "violations_explained": explained,
-            "rounds": rounds,
+            "pairs": pairs,
+            "pair_ratios": timed.ratios,
         },
         wall_seconds=recording,
     )
     assert overhead < 1.25, (
         f"provenance overhead {overhead:.3f}x exceeds the 25% target "
-        f"(plain {plain:.3f}s, recording {recording:.3f}s)"
+        f"(plain {plain:.3f}s, recording {recording:.3f}s CPU, "
+        f"median of {pairs} pinned pairs: "
+        + ", ".join(f"{ratio:.3f}" for ratio in sorted(timed.ratios)) + ")"
     )

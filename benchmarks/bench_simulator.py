@@ -6,12 +6,11 @@ Each test also emits a ``BENCH_*.json`` document (see conftest) so the
 perf trajectory is tracked commit over commit.
 """
 
-import contextlib
-import os
-import statistics
+import itertools
 import time
 
 import pytest
+from _pairs import pinned_pairs
 
 from repro.core import TaintTracker
 from repro.cpu import compiled_cpu
@@ -62,72 +61,34 @@ def test_gate_level_cycles_per_second(benchmark, circuit, bench_json):
     )
 
 
-def _cpu_timed(func, *args):
-    start = time.process_time()
-    result = func(*args)
-    return result, time.process_time() - start
-
-
-@contextlib.contextmanager
-def _one_cpu():
-    """Pin this process to one CPU for the block, as verdictbench's
-    reference kernel pins itself, so that both sides of a timed pair run
-    on the same core."""
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {max(allowed)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, allowed)
-
-
 def test_tracing_overhead(circuit, tmp_path, bench_json):
     """Full observability (JSONL trace + metrics + spans) on the
     gate-level runner must cost < 10% over the untraced run.
 
     The overhead is the median traced/plain ratio of the CPU times of
-    alternating pairs on one pinned CPU: each pair's two runs see the
-    same core and clock, CPU time leaves out the time other processes
-    hold the core, and the median drops the pairs a burst of host load
-    slowed anyway."""
+    alternating pairs on one pinned CPU (``benchmarks/_pairs.py``)."""
     program = assemble(LOOP, name="loop")
     cycles = 400
     pairs = 11
+    paths = (tmp_path / f"trace{index}.jsonl" for index in itertools.count())
 
     def run_plain():
         return GateRunner(circuit, program).run(max_cycles=cycles)
 
-    def run_traced(path):
-        observer = Observer(trace=TraceRecorder(path))
+    def run_traced():
+        observer = Observer(trace=TraceRecorder(next(paths)))
         runner = GateRunner(circuit, program)
         runner.soc.arm(Instruments(observer))
-        ran = runner.run(max_cycles=cycles)
+        runner.run(max_cycles=cycles)
         observer.close()
-        return ran, observer
+        return observer
 
     # Warm every lazy cache before timing.
     run_plain()
-    run_traced(tmp_path / "warm.jsonl")
-    plain_times = []
-    traced_times = []
-    observer = None
-    with _one_cpu():
-        for index in range(pairs):
-            path = tmp_path / f"trace{index}.jsonl"
-            # Alternate which side goes first, so a drift in clock speed
-            # over the run biases neither.
-            if index % 2:
-                (_, observer), traced = _cpu_timed(run_traced, path)
-                plain = _cpu_timed(run_plain)[1]
-            else:
-                plain = _cpu_timed(run_plain)[1]
-                (_, observer), traced = _cpu_timed(run_traced, path)
-            plain_times.append(plain)
-            traced_times.append(traced)
-    ratios = [t / p for p, t in zip(plain_times, traced_times)]
-    overhead = statistics.median(ratios)
-    plain = statistics.median(plain_times)
-    traced = statistics.median(traced_times)
+    run_traced()
+    timed = pinned_pairs(run_plain, run_traced, pairs)
+    observer, ratios, overhead = timed.result, timed.ratios, timed.overhead
+    plain, traced = timed.plain, timed.measured
 
     snapshot = observer.snapshot()
     bench_json(
@@ -212,9 +173,10 @@ app:
 
 
 def test_cpu_compile_time(benchmark, bench_json):
-    """Compiling the LP430: levelisation, the per-gate plan, the cut
-    mapping and the cut tables.  Mapping and tabulation are also timed
-    on their own, from the compiler's profiling spans."""
+    """Compiling the LP430: levelisation, the per-gate ranks, the cut
+    mapping, the cut tables and the mapped and every-net plans.  Mapping
+    and tabulation are also timed on their own, from the compiler's
+    profiling spans."""
     from repro.cpu.build import build_cpu
     from repro.sim.compiled import CompiledCircuit
 
@@ -241,6 +203,7 @@ def test_cpu_compile_time(benchmark, bench_json):
             "tabulation_seconds": min(spans["tabulate_cuts"]),
             "full_ranks": len(compiled._full_plan.ranks),
             "mapped_ranks": len(compiled._full_plan.mapped.ranks),
+            "every_ranks": len(compiled._full_plan.every.ranks),
         },
         wall_seconds=min(times),
     )

@@ -3,7 +3,8 @@
 Two contracts from the timeline design (DESIGN.md section 9):
 
 * recording every cycle's state delta into a ``TimelineRecorder`` must
-  cost < 15% over the unrecorded gate-level run;
+  cost < 15% over the unrecorded gate-level run: the median CPU-time
+  ratio of alternating pairs on one pinned CPU (``_pairs.py``);
 * the on-disk ``.timeline`` format must stay compact -- the document
   reports bytes per 1k recorded cycles so format regressions show up in
   the BENCH trajectory.
@@ -11,9 +12,8 @@ Two contracts from the timeline design (DESIGN.md section 9):
 Emits ``BENCH_timeline.json``.
 """
 
-import time
-
 import pytest
+from _pairs import pinned_pairs
 
 from repro.cpu import compiled_cpu
 from repro.isa.assembler import assemble
@@ -35,17 +35,11 @@ def circuit():
     return compiled_cpu()
 
 
-def _timed(func):
-    start = time.perf_counter()
-    result = func()
-    return result, time.perf_counter() - start
-
-
 def test_timeline_recording_overhead(circuit, tmp_path, bench_json):
     """Per-cycle delta capture must cost < 15% over the plain run."""
     program = assemble(LOOP, name="loop")
     cycles = 2_000
-    rounds = 5
+    pairs = 11
 
     def run_plain():
         return GateRunner(circuit, program).run(max_cycles=cycles)
@@ -54,22 +48,15 @@ def test_timeline_recording_overhead(circuit, tmp_path, bench_json):
         recorder = TimelineRecorder()
         runner = GateRunner(circuit, program)
         runner.soc.arm(Instruments(timeline=recorder))
-        ran = runner.run(max_cycles=cycles)
-        return ran, recorder
+        runner.run(max_cycles=cycles)
+        return recorder
 
-    run_plain()  # warm every lazy cache before timing
-
-    # Interleave the variants so clock drift biases neither side;
-    # compare best-of-N against best-of-N.
-    plain_times, recording_times = [], []
-    recorder = None
-    for _ in range(rounds):
-        plain_times.append(_timed(run_plain)[1])
-        (ran, recorder), seconds = _timed(run_recording)
-        recording_times.append(seconds)
-    plain = min(plain_times)
-    recording = min(recording_times)
-    overhead = recording / plain
+    # Warm every lazy cache before timing.
+    run_plain()
+    run_recording()
+    timed = pinned_pairs(run_plain, run_recording, pairs)
+    recorder, overhead = timed.result, timed.overhead
+    plain, recording = timed.plain, timed.measured
 
     assert recorder.num_frames > 1_000
 
@@ -88,7 +75,8 @@ def test_timeline_recording_overhead(circuit, tmp_path, bench_json):
             "overhead_ratio": overhead,
             "file_bytes": size,
             "bytes_per_1k_cycles": bytes_per_1k_cycles,
-            "rounds": rounds,
+            "pairs": pairs,
+            "pair_ratios": timed.ratios,
         },
         wall_seconds=recording,
         cycles_per_second=recorder.num_frames / recording,
@@ -100,5 +88,7 @@ def test_timeline_recording_overhead(circuit, tmp_path, bench_json):
     )
     assert overhead < 1.15, (
         f"timeline recording overhead {overhead:.3f}x exceeds the 15% "
-        f"target (plain {plain:.3f}s, recording {recording:.3f}s)"
+        f"target (plain {plain:.3f}s, recording {recording:.3f}s CPU, "
+        f"median of {pairs} pinned pairs: "
+        + ", ".join(f"{ratio:.3f}" for ratio in sorted(timed.ratios)) + ")"
     )

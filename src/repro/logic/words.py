@@ -19,7 +19,7 @@ simulator leans on this.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.logic import glift
 from repro.logic.ternary import ONE, UNKNOWN, ZERO
@@ -27,6 +27,31 @@ from repro.logic.ternary import ONE, UNKNOWN, ZERO
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
+
+
+#: Each byte's bits moved to the low bit of one 16-bit lane apiece.
+_BYTE_LANES = tuple(
+    sum(((byte >> bit) & 1) << (16 * bit) for bit in range(8))
+    for byte in range(256)
+)
+#: A lane's tick byte for an untainted bit; a tainted one is one more.
+_TICK_ABSENT = 4
+#: ``bytes.translate`` table of a repr lane's bytes: digit codes 0-3
+#: (``value + 2 * unknown``) and the tainted tick code.
+_REPR_BYTES = bytes.maketrans(b"\x00\x01\x02\x03\x05", b"01XX'")
+#: The untainted tick code, deleted by the translate.
+_REPR_DELETE = bytes([_TICK_ABSENT])
+
+
+def _lanes(mask: int) -> int:
+    """*mask* with bit *i* moved to bit ``16 * i`` (one lane per bit)."""
+    spread = 0
+    shift = 0
+    while mask:
+        spread |= _BYTE_LANES[mask & 255] << shift
+        mask >>= 8
+        shift += 128
+    return spread
 
 
 class EnumerationLimitError(ValueError):
@@ -350,9 +375,20 @@ class TWord:
         return hash((self.bits, self.xmask, self.tmask, self.width))
 
     def __repr__(self) -> str:
-        digits: List[str] = []
-        for index in reversed(range(self.width)):
-            value, taint = self.bit(index)
-            char = "X" if value == UNKNOWN else str(value)
-            digits.append(char + ("'" if taint else ""))
-        return "TWord(" + "".join(digits) + ")"
+        """``TWord(...)`` with one digit per bit, most significant
+        first: ``0``, ``1`` or ``X``, followed by ``'`` when tainted.
+
+        Checkpointed state digests hash this text, so it must not
+        change.  Each bit gets a two-byte lane (:func:`_lanes`): the
+        digit's code, then a tick code that one ``bytes.translate``
+        turns into ``'`` or deletes.
+        """
+        width = self.width
+        if not (self.xmask | self.tmask):
+            return f"TWord({self.bits:0{width}b})"
+        lanes = (
+            (_lanes(self.bits) + 2 * _lanes(self.xmask)) << 8
+        ) + _lanes(self.tmask) + _TICK_ABSENT * _lanes(_mask(width))
+        return "TWord(" + lanes.to_bytes(2 * width, "big").translate(
+            _REPR_BYTES, _REPR_DELETE
+        ).decode() + ")"

@@ -241,7 +241,8 @@ class Instruments:
     @property
     def needs_all_nets(self) -> bool:
         """True when a recorder reads nets inside the mapped cuts, so
-        passes must run the per-gate plan."""
+        passes must run the every-net plan, which writes every
+        gate-driven net with its per-gate code."""
         return self.provenance is not None or self.timeline is not None
 
 

@@ -10,20 +10,26 @@ Each cell type's full ternary+taint behaviour -- the GLIFT semantics of
 :func:`repro.logic.glift.glift_eval` -- is baked into a lookup table over
 its input codes (:func:`_lut_for`).
 
-The circuit holds two plans of the same logic (DESIGN.md section 13):
+The circuit holds three forms of the same logic (DESIGN.md section 13):
 
-* the **per-gate** plan: each topological rank of
+* the **per-gate** ranks: each topological rank of
   :func:`~repro.netlist.levelize.levelize` is one group, every gate one
-  lookup, and a pass writes every net (65 ranks on the LP430);
+  row (65 ranks on the LP430).  They define the gate order of
+  provenance edges and the gate-eval counts; no pass sweeps them.
 * the **cut-mapped** plan: a depth-oriented priority-cut pass, as FPGA
-  K-LUT mappers do (FlowMap, Cong & Ding 1994), covers the logic
-  feeding every flip-flop D and every output-port net with cuts of at
-  most four leaves (30 ranks on the LP430).  A cut's table composes its
-  gates' tables over every leaf-code combination, so each root gets the
-  per-gate code bit for bit; nets inside a cut are not written.
+  K-LUT mappers do (FlowMap, Cong & Ding 1994), gives every gate-driven
+  net a cut of at most four leaves, and the cuts covering the logic
+  feeding every flip-flop D and every output-port net form this plan
+  (30 ranks on the LP430).  A cut's table composes its gates' tables
+  over every leaf-code combination, so each root gets the per-gate code
+  bit for bit; nets inside a cut are not written.
+* the **every-net** plan: every gate-driven net's own cut, at the depth
+  the mapping gave it (also 30 ranks on the LP430).  A cut's leaves sit
+  lower than its net, so each rank reads only nets earlier ranks wrote,
+  and every net gets its per-gate code bit for bit.
 
 A pass runs the mapped plan unless the state's owner reads nets inside
-the cuts (:meth:`CompiledCircuit.pass_plan`).
+the cuts, and the every-net plan then (:meth:`CompiledCircuit.pass_plan`).
 
 Every gate or cut evaluates as a four-input function whose padded input
 columns repeat input 0; its table ignores them, so the padding is exact.
@@ -42,7 +48,7 @@ multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
 smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
 congruent to ``codes + f * CODE_MODULUS``, so no two keys share an entry
 (:func:`_suffix_words`).  Full passes, cone- and fanout-plan passes and
-provenance-recording passes all run that one kernel
+provenance-recording passes, in either cut form, all run that one kernel
 (:meth:`CompiledCircuit._sweep`).
 """
 
@@ -102,6 +108,8 @@ _CODE_KEYS = _CODE_DIGITS @ np.array(
 #: A cut's expression: a leaf (net id, or leaf position once relabelled)
 #: or a cell type applied to its inputs' expressions.
 Expr = Union[int, tuple]
+#: A net's cut: ``(depth, sorted leaves, expression, gate count)``.
+Cut = Tuple[int, Tuple[int, ...], Expr, int]
 
 
 def code_of(value: int, taint: int) -> int:
@@ -285,10 +293,10 @@ def _suffix_words(num_functions: int) -> np.ndarray:
 
 
 def _map_cuts(
-    gates: Sequence[Gate], num_nets: int, roots: Sequence[int]
-) -> Dict[int, Tuple[int, Tuple[int, ...], Expr]]:
-    """Cover the logic feeding *roots* with cuts of at most
-    :data:`MAX_ARITY` leaves, minimising depth.
+    gates: Sequence[Gate], num_nets: int
+) -> Dict[int, Cut]:
+    """Give every gate-driven net a cut of at most :data:`MAX_ARITY`
+    leaves, minimising depth.
 
     A depth-oriented priority-cut pass keeping one cut per net.  In
     topological order, a gate whose deepest inputs (its *critical*
@@ -296,25 +304,20 @@ def _map_cuts(
     input by that input's cut, at depth *d* -- no merge of input cuts
     goes lower -- when it has at most :data:`MAX_ARITY` leaves, and its
     own inputs, at depth *d + 1*, otherwise.  Sources (ports, flip-flop
-    Qs, constants) have depth 0.  A cut carries its expression (the cell
-    type applied to its inputs' expressions, a leaf being its net id),
-    so its table needs no second walk; a merge whose expression would
-    hold more than :data:`MAX_CUT_GATES` gates is refused, which bounds
+    Qs, constants) have depth 0, and every leaf of a net's cut sits
+    lower than the net.  A cut carries its expression (the cell type
+    applied to its inputs' expressions, a leaf being its net id), so
+    its table needs no second walk; a merge whose expression would hold
+    more than :data:`MAX_CUT_GATES` gates is refused, which bounds
     tabulation where reconvergent logic would double the tree at every
-    level.  The cover then takes each
-    root's cut and, recursively, the cuts of its gate-driven leaves.
-    Returns ``{net: (depth, sorted leaves, expression)}`` for every net
-    of the cover.
+    level.  Returns every gate output's :data:`Cut`, in *gates* order.
     """
     depth = [0] * num_nets
-    # each gate-driven net's cut: its leaves, expression and gate count
-    cut_leaves: List[Optional[Tuple[int, ...]]] = [None] * num_nets
-    cut_expr: List[Expr] = [0] * num_nets
-    cut_size = [0] * num_nets
+    cuts: Dict[int, Cut] = {}
     for gate in gates:
         inputs = gate.inputs
         critical = max([depth[net] for net in inputs])
-        leaves = inputs
+        leaves = set(inputs)
         expr = (gate.cell_type,) + inputs
         size = 1
         if critical:
@@ -323,32 +326,42 @@ def _map_cuts(
             grown = 1
             for net in inputs:
                 if depth[net] == critical:
-                    merged.update(cut_leaves[net])
-                    exprs.append(cut_expr[net])
-                    grown += cut_size[net]
+                    _, net_leaves, net_expr, net_size = cuts[net]
+                    merged.update(net_leaves)
+                    exprs.append(net_expr)
+                    grown += net_size
                 else:
                     merged.add(net)
                     exprs.append(net)
             if len(merged) <= MAX_ARITY and grown <= MAX_CUT_GATES:
-                leaves, expr, size = tuple(merged), tuple(exprs), grown
+                leaves, expr, size = merged, tuple(exprs), grown
             else:
                 critical += 1
         else:
             critical = 1
         out = gate.output
         depth[out] = critical
-        cut_leaves[out], cut_expr[out], cut_size[out] = leaves, expr, size
-    cover: Dict[int, Tuple[int, Tuple[int, ...], Expr]] = {}
-    stack = [net for net in roots if cut_leaves[net] is not None]
+        cuts[out] = (critical, tuple(sorted(leaves)), expr, size)
+    return cuts
+
+
+def _cover(
+    cuts: Dict[int, Cut],
+    roots: Sequence[int],
+    num_nets: int,
+) -> np.ndarray:
+    """Mask over nets: the nets whose cuts cover the logic feeding
+    *roots* -- each gate-driven root and, recursively, the gate-driven
+    leaves of the cuts taken."""
+    taken = set()
+    stack = list(roots)
     while stack:
         net = stack.pop()
-        if net not in cover:
-            leaves = cut_leaves[net]
-            cover[net] = (depth[net], tuple(sorted(set(leaves))),
-                          cut_expr[net])
-            stack.extend(
-                leaf for leaf in leaves if cut_leaves[leaf] is not None
-            )
+        if net not in taken and net in cuts:
+            taken.add(net)
+            stack.extend(cuts[net][1])
+    cover = np.zeros(num_nets, dtype=bool)
+    cover[list(taken)] = True
     return cover
 
 
@@ -400,16 +413,24 @@ class _Rank(NamedTuple):
 class _Plan:
     """Ranks in evaluation order plus their per-pass gate counts.
 
-    A per-gate plan carries its cut-mapped form in ``mapped``; the gate
-    counts are always the per-gate plan's, so gate-eval counters count
-    netlist gates whichever form runs.
+    A per-gate plan carries its two cut forms: ``mapped`` (the cuts of
+    the cover, rooted in flip-flop Ds and output ports) and ``every``
+    (one cut per gate-driven net).  The gate counts are always the
+    per-gate plan's, so gate-eval counters count netlist gates whichever
+    form runs.
     """
 
-    __slots__ = ("ranks", "gates_by_type", "total", "mapped")
+    __slots__ = ("ranks", "gates_by_type", "total", "mapped", "every")
 
-    def __init__(self, ranks: List[_Rank], mapped: Optional["_Plan"] = None):
+    def __init__(
+        self,
+        ranks: List[_Rank],
+        mapped: Optional["_Plan"] = None,
+        every: Optional["_Plan"] = None,
+    ):
         self.ranks = ranks
         self.mapped = mapped
+        self.every = every
         by_type: Dict[str, int] = {}
         for rank in ranks:
             for cell_type, count in rank.cells:
@@ -494,17 +515,19 @@ class CompiledCircuit:
             net for port in netlist.outputs for net in port.nets
         ]
         with obs.span("map_cuts"):
-            cover = _map_cuts(
-                [gate for level in levels for gate in level],
-                self.num_nets,
-                roots,
+            cuts = _map_cuts(
+                [gate for level in levels for gate in level], self.num_nets
             )
+            cover = _cover(cuts, roots, self.num_nets)
         with obs.span("tabulate_cuts"):
             tables = [
                 _padded_lut(cell_type, taint_mode) for cell_type in CELL_TYPES
             ]
-            mapped_rows = self._cut_rows(cover, tables, type_of)
+            rows = self._cut_rows(cuts, tables, type_of)
             self._build_table(tables)
+        # The cuts' expressions are the compile's largest transient:
+        # drop them before the rank arrays are built.
+        del cuts, tables
 
         ranks = []
         for gates in levels:
@@ -516,7 +539,10 @@ class CompiledCircuit:
             functions = np.array([type_of[gate.cell_type] for gate in gates],
                                  dtype=np.int64)
             ranks.append(self._rank(inputs, outputs, functions))
-        self._full_plan = _Plan(ranks, _Plan(self._mapped_ranks(mapped_rows)))
+        every, mapped = self._cut_ranks(rows, cover)
+        self._full_plan = _Plan(
+            ranks, mapped=_Plan(mapped), every=_Plan(every)
+        )
         #: cone and fanout plans by kind and port tuple (see
         #: :meth:`cone_plan` and :meth:`fanout_plan`)
         self._subplans: Dict[Tuple[str, Tuple[str, ...]], _Plan] = {}
@@ -542,7 +568,7 @@ class CompiledCircuit:
 
     def _cut_rows(
         self,
-        cover: Dict[int, Tuple[int, Tuple[int, ...], Expr]],
+        cuts: Dict[int, Cut],
         tables: List[np.ndarray],
         type_of: Dict[str, int],
     ) -> List[Tuple[int, int, int, Tuple[int, ...]]]:
@@ -561,8 +587,8 @@ class CompiledCircuit:
         }
         self._cut_structures: List[Expr] = []
         rows = []
-        for root, (depth, leaves, expr) in cover.items():
-            if all(isinstance(child, int) for child in expr[1:]):
+        for root, (depth, leaves, expr, size) in cuts.items():
+            if size == 1:
                 function, inputs = type_of[expr[0]], expr[1:]
             else:
                 inputs = leaves
@@ -599,26 +625,49 @@ class CompiledCircuit:
         for word, table in zip(words.tolist(), tables):
             self._table[(_CODE_KEYS + (word << 32)) % modulus] = table
 
-    def _mapped_ranks(
-        self, rows: List[Tuple[int, int, int, Tuple[int, ...]]]
-    ) -> List[_Rank]:
-        """Cut rows grouped into ranks by depth, each rank sorted by
-        function, then root net."""
+    def _cut_ranks(
+        self,
+        rows: List[Tuple[int, int, int, Tuple[int, ...]]],
+        cover: np.ndarray,
+    ) -> Tuple[List[_Rank], List[_Rank]]:
+        """The every-net and mapped ranks of the cut *rows*.
+
+        Rows are grouped into ranks by depth.  Each every-net rank holds
+        its rows in *cover* (a mask over nets) first, then the rest,
+        each part sorted by function, then root net; its mapped rank is
+        the cover prefix, as views, so the mapped plan costs no memory
+        of its own.
+        """
         by_depth: Dict[int, list] = {}
-        for depth, function, root, inputs in sorted(rows):
-            by_depth.setdefault(depth, []).append((function, root, inputs))
-        ranks = []
-        for depth in sorted(by_depth):
-            functions, outputs, inputs = zip(*by_depth[depth])
-            ranks.append(
-                self._rank(
-                    np.array(inputs, dtype=np.int64),
-                    np.array(outputs, dtype=np.int64),
-                    np.array(functions, dtype=np.int64),
-                    per_gate=False,
-                )
+        for depth, function, root, inputs in rows:
+            by_depth.setdefault(depth, []).append(
+                (not cover[root], function, root, inputs)
             )
-        return ranks
+        every: List[_Rank] = []
+        mapped: List[_Rank] = []
+        for depth in sorted(by_depth):
+            interior, functions, outputs, inputs = zip(
+                *sorted(by_depth[depth])
+            )
+            rank = self._rank(
+                np.array(inputs, dtype=np.int64),
+                np.array(outputs, dtype=np.int64),
+                np.array(functions, dtype=np.int64),
+                per_gate=False,
+            )
+            every.append(rank)
+            roots = interior.count(False)
+            if roots == len(interior):
+                mapped.append(rank)
+            elif roots:
+                mapped.append(_Rank(
+                    rank.inputs[:roots],
+                    rank.outputs[:roots],
+                    rank.columns[:roots * KEY_BYTES],
+                    rank.functions[:roots],
+                    (),
+                ))
+        return every, mapped
 
     def _rank(self, inputs: np.ndarray, outputs: np.ndarray,
               functions: np.ndarray, per_gate: bool = True) -> _Rank:
@@ -728,21 +777,23 @@ class CompiledCircuit:
         self._evaluate(state, plan)
 
     def pass_plan(self, state: CircuitState, plan: _Plan) -> _Plan:
-        """The form of the per-gate *plan* a pass on *state* runs.
+        """The cut form of the per-gate *plan* a pass on *state* runs.
 
         The cut-mapped form writes only cut roots -- flip-flop Ds and
         output ports -- which is all the tracker, the checker and the
-        runner read.  A state whose owner reads the nets inside the cuts
-        sets ``state.every_net`` and gets the per-gate plan, which
-        writes every net: direct circuit users, the *-logic baseline,
-        and a SoC carrying a provenance recorder or timeline.
+        runner read.  A state whose owner reads the nets inside those
+        cuts sets ``state.every_net`` and gets the every-net form, whose
+        rows write every gate-driven net with its per-gate code:
+        direct circuit users, the *-logic baseline, and a SoC carrying a
+        provenance recorder or timeline.  No pass sweeps the per-gate
+        ranks themselves; they define the gate order of provenance
+        edges and the gate-eval counts.
         """
-        return plan if state.every_net else plan.mapped
+        return plan.every if state.every_net else plan.mapped
 
     def _evaluate(self, state: CircuitState, plan: _Plan) -> None:
-        """One pass over *plan* (or its mapped form, see
-        :meth:`pass_plan`), counted and recorded by the state's
-        instruments."""
+        """One pass over a cut form of *plan* (see :meth:`pass_plan`),
+        counted and recorded by the state's instruments."""
         codes = state.codes
         if len(self._const_nets_arr):
             codes[self._const_nets_arr] = self._const_codes_arr
@@ -776,8 +827,10 @@ class CompiledCircuit:
         producer -- DFF Qs, ports, constants -- stay all -1).
         ``rank[n]`` is the driving gate's position in evaluation order,
         used to emit a pass's edges cause-before-effect.  Built lazily
-        on the first provenance-recording pass, from the per-gate plan
-        such passes run.
+        on the first provenance-recording pass, from the per-gate ranks:
+        a recording pass runs the every-net plan, which writes each net
+        with the code its gate gives it, so the per-gate order still
+        describes it.
         """
         cached = getattr(self, "_prod_tables", None)
         if cached is None:
@@ -876,7 +929,7 @@ class CompiledCircuit:
 
     def _subplan(self, kind: str, port_names: Tuple[str, ...]) -> _Plan:
         """The memoised cone or fanout plan of *port_names*, with its
-        mapped form: the cuts rooted in the same nets, whose leaves
+        two cut forms: the cuts rooted in the same nets, whose leaves
         then lie in those nets or outside the ports' reach."""
         plan = self._subplans.get((kind, port_names))
         if plan is None:
@@ -884,9 +937,11 @@ class CompiledCircuit:
                 self._cone_nets(port_names) if kind == "cone"
                 else self.fanout_nets(port_names)
             )
+            full = self._full_plan
             plan = self._subplans[kind, port_names] = _Plan(
-                self._cone_ranks(self._full_plan, nets),
-                _Plan(self._cone_ranks(self._full_plan.mapped, nets)),
+                self._cone_ranks(full, nets),
+                mapped=_Plan(self._cone_ranks(full.mapped, nets)),
+                every=_Plan(self._cone_ranks(full.every, nets)),
             )
         return plan
 
@@ -965,7 +1020,7 @@ class CompiledCircuit:
         """Fraction of nets currently tainted (used by the *-logic study).
 
         Like :meth:`unknown_fraction`, it reads every net, so it is
-        meaningful on a state whose passes run the per-gate plan
+        meaningful on a state whose passes run the every-net plan
         (``state.every_net``, the default).
         """
         return float(np.mean(state.codes & 1))

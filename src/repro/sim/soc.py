@@ -370,6 +370,8 @@ _BIT_OF_CODE = tuple(decode_code(code) for code in range(6))
 #: The input ports the plain step writes in one assignment, with their
 #: widths, in the order it lays out their codes.
 PORT_WIDTHS = (("rst", 1), ("dmem_rdata", 16), ("pmem_rdata", 16))
+#: The output ports a provenance-recording step's cone pass settles.
+INTERFACE_PORTS = ("pmem_addr", "dmem_addr", "dmem_ren")
 
 #: Circuits :func:`check_port_contract` has passed.
 _CONTRACT_MET: "weakref.WeakSet[CompiledCircuit]" = weakref.WeakSet()
@@ -450,10 +452,13 @@ class SoC:
             outs("dmem_addr") + outs("dmem_wdata"), dtype=np.int64
         )
         self._store_split = len(outs("dmem_addr"))
-        # A provenance-recording step's first pass (see the module doc).
-        self._interface_plan = circuit.cone_plan(
-            ["pmem_addr", "dmem_addr", "dmem_ren"]
-        )
+
+    @property
+    def _interface_plan(self):
+        """A provenance-recording step's first pass (see the module
+        doc), built on the circuit's first such step: a plain SoC never
+        runs it."""
+        return self.circuit.cone_plan(INTERFACE_PORTS)
 
     @property
     def instruments(self) -> Instruments:
@@ -464,7 +469,7 @@ class SoC:
         disarms).  They ride on this SoC's circuit state, which the
         shared circuit's passes read.  A provenance recorder or timeline
         reads every net, so while one rides along the passes run the
-        per-gate plan."""
+        every-net plan."""
         self.state.instruments = instruments
         self.state.every_net = instruments.needs_all_nets
 

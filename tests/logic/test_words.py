@@ -74,6 +74,38 @@ class TestConstruction:
         word = TWord(0b01, 0b100, 0b10, 3)
         assert repr(word) == "TWord(X0'1)"
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.integers(0, (1 << 18) - 1),
+        st.integers(0, (1 << 18) - 1),
+        st.integers(0, (1 << 18) - 1),
+    )
+    def test_repr_matches_the_per_bit_walk(self, width, bits, xmask, tmask):
+        """Checkpointed state digests hash ``repr`` of words, so the
+        string must equal the per-bit walk it replaced, byte for byte:
+        for constructed words (masks drawn past the width) and for raw
+        attributes whose known bits overlap the X mask."""
+        word = TWord(bits, xmask, tmask, width)
+        assert repr(word) == frozen_repr(word)
+        raw = object.__new__(TWord)
+        mask = (1 << width) - 1
+        raw.bits, raw.xmask, raw.tmask, raw.width = (
+            bits & mask, xmask & mask, tmask & mask, width
+        )
+        assert repr(raw) == frozen_repr(raw)
+
+
+def frozen_repr(word):
+    """``TWord.__repr__`` as it was written before the lane encoding:
+    one ``TWord.bit`` call per bit, most significant first."""
+    digits = []
+    for index in reversed(range(word.width)):
+        value, taint = word.bit(index)
+        char = "X" if value == UNKNOWN else str(value)
+        digits.append(char + ("'" if taint else ""))
+    return "TWord(" + "".join(digits) + ")"
+
 
 class TestPossibleValues:
     def test_concrete_single(self):

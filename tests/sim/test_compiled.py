@@ -37,6 +37,7 @@ from repro.sim.compiled import (
     decode_code,
 )
 from repro.sim.runner import GateRunner
+from repro.sim.soc import INTERFACE_PORTS
 from repro.workloads.registry import BENCHMARKS
 
 
@@ -436,7 +437,8 @@ class TestLutFor:
 
 class TestPlanChoice:
     """One method picks the plan a pass runs: the cut-mapped one unless
-    the state's owner reads nets inside the cuts."""
+    the state's owner reads nets inside the cuts, the every-net one
+    otherwise; no pass sweeps the per-gate ranks."""
 
     @staticmethod
     def _soc_plans():
@@ -449,11 +451,12 @@ class TestPlanChoice:
         assert soc.circuit.pass_plan(soc.state, full) is full.mapped
         assert soc.circuit.pass_plan(soc.state, cone) is cone.mapped
         assert len(full.mapped.ranks) < len(full.ranks)
+        assert len(full.every.ranks) < len(full.ranks)
 
     @pytest.mark.parametrize("armed", ["provenance", "timeline"])
-    def test_whole_net_readers_run_the_per_gate_plans(self, armed):
+    def test_whole_net_readers_run_the_every_net_plans(self, armed):
         """Two SoCs share the one cached circuit; arming a whole-net
-        recorder on one gives that SoC the per-gate plans while the
+        recorder on one gives that SoC the every-net plans while the
         other keeps the mapped ones."""
         soc, full, cone = self._soc_plans()
         other = _mult_runner().soc
@@ -464,8 +467,8 @@ class TestPlanChoice:
             "timeline": TimelineRecorder,
         }
         soc.arm(Instruments(**{armed: recorders[armed]()}))
-        assert circuit.pass_plan(soc.state, full) is full
-        assert circuit.pass_plan(soc.state, cone) is cone
+        assert circuit.pass_plan(soc.state, full) is full.every
+        assert circuit.pass_plan(soc.state, cone) is cone.every
         assert circuit.pass_plan(other.state, full) is full.mapped
         assert circuit.pass_plan(other.state, cone) is cone.mapped
         soc.arm()
@@ -515,12 +518,27 @@ class TestPlanChoice:
                 assert passes == ["full"]
         assert loads >= 2
 
+    def test_only_a_provenance_step_builds_the_interface_cone(self):
+        """A plain SoC never runs the memory-interface cone, so it does
+        not build it; the first provenance step does."""
+        circuit = CompiledCircuit(build_cpu())
+        program = assemble(BENCHMARKS["mult"].service_source, name="mult")
+        runner = GateRunner(circuit, program)
+        runner.run(max_cycles=20)
+        assert [kind for kind, _ in circuit._subplans] == ["fanout"]
+        runner.soc.arm(Instruments(provenance=ProvenanceRecorder()))
+        runner.step()
+        assert ("cone", INTERFACE_PORTS) in circuit._subplans
+        assert runner.soc._interface_plan is circuit.cone_plan(
+            INTERFACE_PORTS
+        )
+
     def test_direct_circuit_states_read_every_net(self):
         circuit = adder_circuit()
         state = circuit.new_state()
         assert state.every_net and state.copy().every_net
         plan = circuit._full_plan
-        assert circuit.pass_plan(state, plan) is plan
+        assert circuit.pass_plan(state, plan) is plan.every
 
     def test_star_logic_reads_every_net(self, monkeypatch):
         seen = []
@@ -528,7 +546,7 @@ class TestPlanChoice:
 
         def spy(self, state, plan):
             chosen = original(self, state, plan)
-            seen.append(chosen is plan)
+            seen.append(chosen is plan.every)
             return chosen
 
         monkeypatch.setattr(CompiledCircuit, "pass_plan", spy)

@@ -1,15 +1,18 @@
 """The compiled evaluator against the reference GLIFT semantics.
 
 :class:`CompiledCircuit` evaluates each rank with one hashed table
-lookup, over a per-gate plan or a plan of 4-input cuts.  These tests
-hold both, bit for bit, to an independent reference: a per-gate walk
+lookup, over one of two plans of 4-input cuts: the cut-mapped plan,
+which writes only cut roots, and the every-net plan, which gives each
+gate-driven net its own cut.  These tests hold both, bit for bit, to an
+independent reference: a per-gate walk
 over ``levelize(netlist)`` that calls
 :func:`repro.logic.glift.glift_eval` for every gate.  The reference
 shares nothing with the kernel -- no tables, no cuts, no gate keys or
 suffix words, no modulus, no padded inputs -- so a wrong suffix word, a
 colliding modulus, a bad broadcast, a misordered rank or a mis-tabulated
-cut shows up as a code mismatch.  A per-gate pass is compared on every
-net; a cut-mapped pass on every net it keeps fresh (:func:`root_nets`).
+cut shows up as a code mismatch.  An every-net pass is compared on
+every net; a cut-mapped pass on every net it keeps fresh
+(:func:`root_nets`).
 
 * Random netlists: seeded random DAGs over all 16 combinational cell
   types (arity 1-4), shallow and deep, in both taint modes and both
@@ -20,8 +23,12 @@ net; a cut-mapped pass on every net it keeps fresh (:func:`root_nets`).
 * LP430 mapping: rank counts, and every net read by name is a root.
 * Analysis equivalence: an analysis forced onto the per-gate plan
   equals a plain one (cut-mapped plan) on every Table 2 violator.
+* Recording equivalence: provenance edges, flow slices and timeline
+  frames recorded on the every-net plan equal those recorded with every
+  pass forced onto the per-gate ranks, on every Table 2 violator.
 """
 
+import hashlib
 import random
 import re
 
@@ -37,6 +44,7 @@ from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.cells import CELL_LIBRARY
 from repro.netlist.levelize import levelize
+from repro.obs.provenance import ProvenanceRecorder, explain_violation
 from repro.sim.compiled import CODE_0, CODE_1, CompiledCircuit, code_of
 from repro.sim.runner import GateRunner
 from repro.workloads.registry import BENCHMARKS, TABLE2_VIOLATORS
@@ -220,7 +228,7 @@ def _random_word(rng):
 def _lockstep(netlist, circuit, seed, every_net, cycles=40):
     """Drive *circuit* and the reference with the same random inputs,
     comparing after every pass and clock edge: the whole code array for
-    the per-gate plan (*every_net*), every root net for the cut-mapped
+    the every-net plan (*every_net*), every root net for the cut-mapped
     plan."""
     reference = Reference(netlist, circuit.taint_mode)
     cone, reference_cone = circuit.cone_plan(["out"]), reference.cone(["out"])
@@ -228,7 +236,10 @@ def _lockstep(netlist, circuit, seed, every_net, cycles=40):
     state.every_net = every_net
     full = circuit._full_plan
     assert circuit.pass_plan(state, full) is (
-        full if every_net else full.mapped
+        full.every if every_net else full.mapped
+    )
+    assert circuit.pass_plan(state, cone) is (
+        cone.every if every_net else cone.mapped
     )
     nets = slice(None) if every_net else root_nets(circuit)
     rng = random.Random(1000 + seed)
@@ -283,8 +294,9 @@ class TestRandomNetlists:
     def test_lockstep_on_deep_random_dag(self, seed):
         netlist = random_netlist(seed, num_gates=160, recent=6)
         circuit = CompiledCircuit(netlist)
-        mapped = circuit._full_plan.mapped
-        assert len(mapped.ranks) < len(circuit._full_plan.ranks) / 1.5
+        full = circuit._full_plan
+        assert len(full.mapped.ranks) < len(full.ranks) / 1.5
+        assert len(full.every.ranks) < len(full.ranks) / 1.5
         assert max(map(_depth, circuit._cut_structures)) >= 3
         _both_plans(netlist, seed)
 
@@ -331,11 +343,31 @@ class TestLP430Mapping:
         circuit = compiled_cpu()
         cone = circuit.cone_plan(["pmem_addr", "dmem_addr", "dmem_ren"])
         read = circuit.fanout_plan(["dmem_rdata"])
-        assert len(circuit._full_plan.ranks) == 65
-        assert len(circuit._full_plan.mapped.ranks) <= 32
+        full = circuit._full_plan
+        assert len(full.ranks) == 65
+        assert len(full.mapped.ranks) <= 32
+        assert len(full.every.ranks) <= 32
         assert len(cone.mapped.ranks) <= 22
+        assert len(cone.every.ranks) <= 22
         assert len(read.mapped.ranks) <= 3
         assert len(circuit._cut_structures) > 0
+
+    def test_mapped_ranks_are_every_net_prefixes(self):
+        """Each mapped rank is the cover prefix of the every-net rank of
+        its depth, as views: the mapped plan holds no arrays of its
+        own."""
+        full = compiled_cpu()._full_plan
+        prefixes = []
+        for every in full.every.ranks:
+            for rank in full.mapped.ranks:
+                if np.shares_memory(rank.columns, every.columns):
+                    count = len(rank.outputs)
+                    assert np.array_equal(rank.outputs, every.outputs[:count])
+                    assert np.array_equal(
+                        rank.columns, every.columns[:len(rank.columns)]
+                    )
+                    prefixes.append(id(rank))
+        assert prefixes == [id(rank) for rank in full.mapped.ranks]
 
     def test_named_reads_are_roots(self):
         """``GateRunner.read_named`` reads register nets and the SoC
@@ -372,3 +404,82 @@ class TestAnalysisEquivalence:
         assert per_gate.stats.merges == plain.stats.merges
         assert per_gate.stats.cycles_simulated == plain.stats.cycles_simulated
         assert _normalize(per_gate.report()) == _normalize(plain.report())
+
+
+# ---------------------------------------------------------------------------
+# Recording on the every-net plan
+# ---------------------------------------------------------------------------
+def _per_gate_passes(monkeypatch):
+    """Force every pass onto the per-gate ranks."""
+    monkeypatch.setattr(
+        CompiledCircuit, "pass_plan", lambda self, state, plan: plan
+    )
+
+
+def _slice_rows(flow):
+    return (
+        [(e.src, e.dst, e.cycle, e.kind) for e in flow.edges],
+        [(leaf.node, leaf.name, leaf.cycle, leaf.labelled)
+         for leaf in flow.leaves],
+        flow.truncated,
+    )
+
+
+def _provenance(name):
+    """``(recorded rows, flow slices)`` of a provenance-recording
+    analysis of *name*."""
+    recorder = ProvenanceRecorder()
+    result = TaintTracker(
+        _program(name), circuit=compiled_cpu(), provenance=recorder
+    ).run()
+    state = recorder.export_state()
+    rows = {field: state[field] for field in ("src", "dst", "at", "kind")}
+    slices = [
+        _slice_rows(explain_violation(result, index))
+        for index in range(len(result.violations))
+    ]
+    return rows, slices
+
+
+class FrameDigests:
+    """A timeline hook keeping each frame's cycle and code digest."""
+
+    def __init__(self):
+        self.frames = []
+
+    def ensure_bound(self, circuit):
+        pass
+
+    def on_step(self, cycle, codes):
+        self.frames.append((cycle, hashlib.sha256(codes.tobytes()).digest()))
+
+
+def _timeline(name):
+    frames = FrameDigests()
+    TaintTracker(
+        _program(name), circuit=compiled_cpu(), timeline=frames
+    ).run()
+    return frames.frames
+
+
+class TestRecordingEquivalence:
+    """A recording pass runs the every-net plan, which must write every
+    net with the code the per-gate ranks give it: the recorded edge
+    stream, every violation's flow slice and every timeline frame equal
+    those of a run whose passes sweep the per-gate ranks."""
+
+    @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
+    def test_provenance_edges_and_slices(self, name, monkeypatch):
+        rows, slices = _provenance(name)
+        _per_gate_passes(monkeypatch)
+        per_gate_rows, per_gate_slices = _provenance(name)
+        assert len(rows["src"]) > 0 and slices
+        for field, column in rows.items():
+            assert np.array_equal(column, per_gate_rows[field]), field
+        assert slices == per_gate_slices
+
+    @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
+    def test_timeline_frames(self, name, monkeypatch):
+        frames = _timeline(name)
+        _per_gate_passes(monkeypatch)
+        assert frames and frames == _timeline(name)
