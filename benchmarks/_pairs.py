@@ -71,6 +71,20 @@ class Pairs(NamedTuple):
         return statistics.median(self.measured_times)
 
 
+def repeated(func: Callable[[], object], times: int) -> Callable[[], object]:
+    """A callable that runs *func* *times* times and returns its last
+    result: one timed run long enough that a short analysis (intAVG's
+    is under 0.1 s of CPU) is not lost in the host's scheduling
+    jitter."""
+
+    def run():
+        for _ in range(times - 1):
+            func()
+        return func()
+
+    return run
+
+
 def pinned_pairs(
     plain: Callable[[], object], measured: Callable[[], object], pairs: int
 ) -> Pairs:

@@ -4,7 +4,8 @@ The estimator rides the same boundaries as the budget (worklist pops,
 fetch boundaries) behind a counter-then-interval double throttle, so an
 *armed* estimator -- attached and snapshotting at the service's default
 cadence -- must cost under 5% over a plain analysis on a real Table 1
-workload.  Measured interleaved, best-of-N, like the other overhead
+workload: the median CPU-time ratio of alternating pairs on one pinned
+CPU (``_pairs.py``), each run five analyses, like the other overhead
 benches.
 
 Emits ``BENCH_progress.json`` with the ratio plus the snapshot counts so
@@ -12,9 +13,8 @@ the trajectory (and the throttle's effectiveness) is tracked across
 commits.
 """
 
-import time
-
 import pytest
+from _pairs import pinned_pairs, repeated
 
 from repro.core import TaintTracker, default_policy
 from repro.cpu import compiled_cpu
@@ -34,16 +34,11 @@ def circuit():
     return compiled_cpu()
 
 
-def _timed(func):
-    start = time.perf_counter()
-    result = func()
-    return result, time.perf_counter() - start
-
-
 def test_progress_overhead(circuit, bench_json):
     program = assemble(BENCHMARKS["intAVG"].service_source, name="intavg")
     policy = default_policy()
-    rounds = 5
+    pairs = 11
+    analyses = 5  # per timed run: one intAVG analysis is under 0.1 s
 
     def run_plain():
         return TaintTracker(
@@ -61,19 +56,16 @@ def test_progress_overhead(circuit, bench_json):
         ).run()
         return result, estimator
 
-    baseline = run_plain()  # warm every lazy cache before timing
-
-    # Interleave the variants so clock drift biases neither side.
-    plain_times, armed_times = [], []
-    estimator = None
-    for _ in range(rounds):
-        plain_times.append(_timed(run_plain)[1])
-        (armed_result, estimator), seconds = _timed(run_armed)
-        armed_times.append(seconds)
-    plain = min(plain_times)
-    armed = min(armed_times)
-    overhead = armed / plain
-    jitter = max(plain_times) / min(plain_times)
+    # Warm every lazy cache before timing.
+    baseline = run_plain()
+    run_armed()
+    timed = pinned_pairs(
+        repeated(run_plain, analyses), repeated(run_armed, analyses), pairs
+    )
+    armed_result, estimator = timed.result
+    overhead = timed.overhead
+    plain, armed = timed.plain / analyses, timed.measured / analyses
+    jitter = max(timed.plain_times) / min(timed.plain_times)
 
     # The estimator must not perturb the analysis itself.
     assert armed_result.verdict == baseline.verdict
@@ -100,11 +92,15 @@ def test_progress_overhead(circuit, bench_json):
             "plain_jitter_ratio": jitter,
             "snapshots_taken": estimator.snapshots_taken,
             "interval_seconds": ARMED_INTERVAL,
-            "rounds": rounds,
+            "pairs": pairs,
+            "analyses_per_run": analyses,
+            "pair_ratios": timed.ratios,
         },
         wall_seconds=armed,
     )
     assert overhead < OVERHEAD_CEILING, (
         f"armed progress overhead {overhead:.3f}x exceeds the 5% target "
-        f"(plain {plain:.3f}s, armed {armed:.3f}s)"
+        f"(plain {plain:.3f}s, armed {armed:.3f}s CPU, "
+        f"median of {pairs} pinned pairs: "
+        + ", ".join(f"{ratio:.3f}" for ratio in sorted(timed.ratios)) + ")"
     )

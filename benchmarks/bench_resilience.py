@@ -2,13 +2,14 @@
 
 The budget checks and checkpoint-cadence test run on every worklist pop
 and instruction fetch; an armed-but-unexhausted budget plus a
-never-due checkpointer must cost < 5% over the unbudgeted analysis.
-Emits ``BENCH_resilience.json``.
+never-due checkpointer must cost < 5% over the unbudgeted analysis: the
+median CPU-time ratio of alternating pairs on one pinned CPU
+(``_pairs.py``), each run five analyses.  Emits
+``BENCH_resilience.json``.
 """
 
-import time
-
 import pytest
+from _pairs import pinned_pairs, repeated
 
 from repro.core import TaintTracker, default_policy
 from repro.cpu import compiled_cpu
@@ -22,17 +23,12 @@ def circuit():
     return compiled_cpu()
 
 
-def _timed(func):
-    start = time.perf_counter()
-    result = func()
-    return result, time.perf_counter() - start
-
-
 def test_budget_and_checkpoint_overhead(circuit, tmp_path, bench_json):
     """Armed budgets + cadence checks on a real Table 1 analysis."""
     program = assemble(BENCHMARKS["intAVG"].service_source, name="intavg")
     policy = default_policy()
-    rounds = 5
+    pairs = 11
+    analyses = 5  # per timed run: one intAVG analysis is under 0.1 s
 
     def run_plain():
         return TaintTracker(program, policy, circuit=circuit).run()
@@ -58,17 +54,15 @@ def test_budget_and_checkpoint_overhead(circuit, tmp_path, bench_json):
             checkpointer=checkpointer,
         ).run()
 
-    baseline = run_plain()  # warm every lazy cache before timing
-
-    # Interleave the variants so clock drift biases neither side.
-    plain_times, armed_times = [], []
-    for _ in range(rounds):
-        plain_times.append(_timed(run_plain)[1])
-        armed_result, seconds = _timed(run_armed)
-        armed_times.append(seconds)
-    plain = min(plain_times)
-    armed = min(armed_times)
-    overhead = armed / plain
+    # Warm every lazy cache before timing.
+    baseline = run_plain()
+    run_armed()
+    timed = pinned_pairs(
+        repeated(run_plain, analyses), repeated(run_armed, analyses), pairs
+    )
+    armed_result = timed.result
+    overhead = timed.overhead
+    plain, armed = timed.plain / analyses, timed.measured / analyses
 
     # The armed run must not have degraded anything.
     assert armed_result.verdict == baseline.verdict
@@ -85,11 +79,15 @@ def test_budget_and_checkpoint_overhead(circuit, tmp_path, bench_json):
             "plain_seconds": plain,
             "armed_seconds": armed,
             "overhead_ratio": overhead,
-            "rounds": rounds,
+            "pairs": pairs,
+            "analyses_per_run": analyses,
+            "pair_ratios": timed.ratios,
         },
         wall_seconds=armed,
     )
     assert overhead < 1.05, (
         f"budget/checkpoint overhead {overhead:.3f}x exceeds the 5% "
-        f"target (plain {plain:.3f}s, armed {armed:.3f}s)"
+        f"target (plain {plain:.3f}s, armed {armed:.3f}s CPU, "
+        f"median of {pairs} pinned pairs: "
+        + ", ".join(f"{ratio:.3f}" for ratio in sorted(timed.ratios)) + ")"
     )

@@ -439,6 +439,18 @@ class TaintTracker:
         if self._merged_states > self.stats.peak_merged_states:
             self.stats.peak_merged_states = self._merged_states
 
+    def _absorb(self, entry: "_BranchEntry", key, state: SoCState) -> None:
+        """Fold *state* into *entry*'s merged state: the first state at a
+        site becomes it, a later one is merged in, counted and traced."""
+        if entry.merged is None:
+            entry.merged = state
+            self._note_merged_state()
+        else:
+            entry.merged = self._merge(entry.merged, state)
+            self.stats.merges += 1
+            if self.obs.enabled:
+                self.obs.emit("merge", site=_site(key), cycle=state.cycle)
+
     def _visit_widening(self, key, state: SoCState) -> Tuple[bool, SoCState]:
         """Conservative-state bookkeeping for widening points (X-PC forks
         and power-on resets), where exploration continues from the merged
@@ -454,16 +466,7 @@ class TaintTracker:
         ):
             self.stats.terminations_by_merge += 1
             return True, entry.merged
-        if entry.merged is None:
-            entry.merged = state
-            self._note_merged_state()
-        else:
-            entry.merged = self._merge(entry.merged, state)
-            self.stats.merges += 1
-            if self.obs.enabled:
-                self.obs.emit(
-                    "merge", site=_site(key), cycle=state.cycle
-                )
+        self._absorb(entry, key, state)
         entry.widened = True
         return False, entry.merged
 
@@ -497,16 +500,7 @@ class TaintTracker:
         ):
             self.stats.terminations_by_merge += 1
             return "stop", entry.merged
-        if entry.merged is None:
-            entry.merged = state
-            self._note_merged_state()
-        else:
-            entry.merged = self._merge(entry.merged, state)
-            self.stats.merges += 1
-            if self.obs.enabled:
-                self.obs.emit(
-                    "merge", site=_site(key), cycle=state.cycle
-                )
+        self._absorb(entry, key, state)
         if len(entry.seen) < self.exact_branch_visits:
             entry.seen.add(digest)
             return "exact", state

@@ -290,11 +290,12 @@ class TraceRecorder:
         object members (``"name": value, ...``), already encoded, or
         ``""``.  A per-cycle emitter encodes its few scalar fields
         itself; everything else goes through :meth:`emit`.  *members*
-        must repeat no reserved or context field."""
+        must repeat no reserved or context field.  ``wall`` is one
+        ``%.6f``, the number ``round(..., 6)`` gives."""
         self._file.write(
-            '{"event": %s, "wall": %r, "v": %d, "seq": %d%s%s}\n' % (
+            '{"event": %s, "wall": %.6f, "v": %d, "seq": %d%s%s}\n' % (
                 _encode_string(event),
-                round(self._clock.wall() - self._start, 6),
+                self._clock.wall() - self._start,
                 TRACE_SCHEMA_VERSION,
                 self.sequence,
                 self._context_json,

@@ -10,12 +10,8 @@ Each cell type's full ternary+taint behaviour -- the GLIFT semantics of
 :func:`repro.logic.glift.glift_eval` -- is baked into a lookup table over
 its input codes (:func:`_lut_for`).
 
-The circuit holds three forms of the same logic (DESIGN.md section 13):
+The circuit holds two forms of the same logic (DESIGN.md section 13):
 
-* the **per-gate** ranks: each topological rank of
-  :func:`~repro.netlist.levelize.levelize` is one group, every gate one
-  row (65 ranks on the LP430).  They define the gate order of
-  provenance edges and the gate-eval counts; no pass sweeps them.
 * the **cut-mapped** plan: a depth-oriented priority-cut pass, as FPGA
   K-LUT mappers do (FlowMap, Cong & Ding 1994), gives every gate-driven
   net a cut of at most four leaves, and the cuts covering the logic
@@ -30,6 +26,12 @@ The circuit holds three forms of the same logic (DESIGN.md section 13):
 
 A pass runs the mapped plan unless the state's owner reads nets inside
 the cuts, and the every-net plan then (:meth:`CompiledCircuit.pass_plan`).
+The gates themselves are kept only as the levelized gate list (each
+:func:`~repro.netlist.levelize.levelize` level sorted by cell type),
+which numbers them in the order provenance edges are emitted
+(:meth:`CompiledCircuit._producer_tables`).  Every gate drives exactly
+one every-net row, so a plan's gate-eval counts are the cell types of
+its every-net roots.
 
 Every gate or cut evaluates as a four-input function whose padded input
 columns repeat input 0; its table ignores them, so the padding is exact.
@@ -48,14 +50,14 @@ multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
 smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
 congruent to ``codes + f * CODE_MODULUS``, so no two keys share an entry
 (:func:`_suffix_words`).  Full passes, cone- and fanout-plan passes and
-provenance-recording passes, in either cut form, all run that one kernel
+provenance-recording passes, in either form, all run that one kernel
 (:meth:`CompiledCircuit._sweep`).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -380,7 +382,7 @@ def _tabulate(structure: Expr, taint_mode: str) -> np.ndarray:
 
     Leaves past the cut's own repeat leaf 0 and are never read, so they
     are don't-care exactly as a gate's padded inputs are.  Per-gate
-    composition is what the per-gate plan computes; a cut's precise
+    composition is the paper's per-gate GLIFT; a cut's precise
     whole-function GLIFT would be more precise and change verdicts.
     """
     index = 0
@@ -396,47 +398,41 @@ def _tabulate(structure: Expr, taint_mode: str) -> np.ndarray:
 
 
 class _Rank(NamedTuple):
-    """The gates (or cuts) of one rank, or a cone or fanout plan's subset.
+    """The cuts of one rank, or a cone or fanout plan's subset."""
 
-    In a per-gate rank, gates are ordered by cell type, then netlist
-    order; provenance ranks and the recorded edge stream depend on that
-    order.
-    """
-
-    inputs: np.ndarray  # (n, MAX_ARITY) net ids, padded with input 0
     outputs: np.ndarray  # (n,) net ids
     columns: np.ndarray  # (n * KEY_BYTES,) buffer index of each key byte
-    functions: np.ndarray  # (n,) function index (a CELL_TYPES index)
-    cells: Tuple[Tuple[str, int], ...]  # (cell type, gates), per-gate only
 
 
 class _Plan:
-    """Ranks in evaluation order plus their per-pass gate counts.
+    """A pass's two forms, each a list of ranks in evaluation order, plus
+    its per-pass gate counts.
 
-    A per-gate plan carries its two cut forms: ``mapped`` (the cuts of
-    the cover, rooted in flip-flop Ds and output ports) and ``every``
-    (one cut per gate-driven net).  The gate counts are always the
-    per-gate plan's, so gate-eval counters count netlist gates whichever
-    form runs.
+    ``mapped`` holds the cuts of the cover, rooted in flip-flop Ds and
+    output ports; ``every`` one cut per gate-driven net.  Each gate
+    drives one every-net row, so the counts are the cell types of those
+    rows' roots (*cell_types*: a ``CELL_TYPES`` index per net), and
+    gate-eval counters count netlist gates whichever form runs.
     """
 
-    __slots__ = ("ranks", "gates_by_type", "total", "mapped", "every")
+    __slots__ = ("mapped", "every", "gates_by_type", "total")
 
     def __init__(
-        self,
-        ranks: List[_Rank],
-        mapped: Optional["_Plan"] = None,
-        every: Optional["_Plan"] = None,
+        self, mapped: List[_Rank], every: List[_Rank], cell_types: np.ndarray
     ):
-        self.ranks = ranks
         self.mapped = mapped
         self.every = every
-        by_type: Dict[str, int] = {}
-        for rank in ranks:
-            for cell_type, count in rank.cells:
-                by_type[cell_type] = by_type.get(cell_type, 0) + count
-        self.gates_by_type = by_type
-        self.total = sum(by_type.values())
+        counts = np.zeros(len(CELL_TYPES), dtype=np.int64)
+        for rank in every:
+            counts += np.bincount(
+                cell_types[rank.outputs], minlength=len(CELL_TYPES)
+            )
+        self.gates_by_type = {
+            cell_type: count
+            for cell_type, count in zip(CELL_TYPES, counts.tolist())
+            if count
+        }
+        self.total = sum(self.gates_by_type.values())
 
 
 class CircuitState:
@@ -499,25 +495,28 @@ class CompiledCircuit:
         self._const_codes_arr = np.array(self._const_codes, dtype=np.uint8)
 
         with obs.span("levelize"):
-            levels = [
-                sorted(level, key=lambda gate: gate.cell_type)
+            #: the combinational gates in evaluation order: each
+            #: ``levelize`` level sorted by cell type, then netlist order
+            self._gates = [
+                gate
                 for level in levelize(netlist)[1:]
+                for gate in sorted(level, key=lambda gate: gate.cell_type)
             ]
         type_of = {
             cell_type: index for index, cell_type in enumerate(CELL_TYPES)
         }
-        #: arity of each cell type, by type index
-        self._arity = np.array(
-            [CELL_LIBRARY[cell_type].arity for cell_type in CELL_TYPES],
-            dtype=np.int64,
-        )
+        #: the cell type (a ``CELL_TYPES`` index) of the gate driving
+        #: each net, -1 for nets no gate here drives
+        cell_types = np.full(self.num_nets, -1, dtype=np.int64)
+        cell_types[[gate.output for gate in self._gates]] = [
+            type_of[gate.cell_type] for gate in self._gates
+        ]
+        self._cell_types = cell_types
         roots = [dff.d for dff in netlist.dffs] + [
             net for port in netlist.outputs for net in port.nets
         ]
         with obs.span("map_cuts"):
-            cuts = _map_cuts(
-                [gate for level in levels for gate in level], self.num_nets
-            )
+            cuts = _map_cuts(self._gates, self.num_nets)
             cover = _cover(cuts, roots, self.num_nets)
         with obs.span("tabulate_cuts"):
             tables = [
@@ -529,20 +528,7 @@ class CompiledCircuit:
         # drop them before the rank arrays are built.
         del cuts, tables
 
-        ranks = []
-        for gates in levels:
-            inputs = np.array(
-                [_padded(gate.inputs) for gate in gates], dtype=np.int64
-            )
-            outputs = np.array([gate.output for gate in gates],
-                               dtype=np.int64)
-            functions = np.array([type_of[gate.cell_type] for gate in gates],
-                                 dtype=np.int64)
-            ranks.append(self._rank(inputs, outputs, functions))
-        every, mapped = self._cut_ranks(rows, cover)
-        self._full_plan = _Plan(
-            ranks, mapped=_Plan(mapped), every=_Plan(every)
-        )
+        self._full_plan = _Plan(*self._cut_ranks(rows, cover), cell_types)
         #: cone and fanout plans by kind and port tuple (see
         #: :meth:`cone_plan` and :meth:`fanout_plan`)
         self._subplans: Dict[Tuple[str, Tuple[str, ...]], _Plan] = {}
@@ -630,7 +616,7 @@ class CompiledCircuit:
         rows: List[Tuple[int, int, int, Tuple[int, ...]]],
         cover: np.ndarray,
     ) -> Tuple[List[_Rank], List[_Rank]]:
-        """The every-net and mapped ranks of the cut *rows*.
+        """The mapped and every-net ranks of the cut *rows*.
 
         Rows are grouped into ranks by depth.  Each every-net rank holds
         its rows in *cover* (a mask over nets) first, then the rest,
@@ -649,47 +635,23 @@ class CompiledCircuit:
             interior, functions, outputs, inputs = zip(
                 *sorted(by_depth[depth])
             )
-            rank = self._rank(
-                np.array(inputs, dtype=np.int64),
-                np.array(outputs, dtype=np.int64),
-                np.array(functions, dtype=np.int64),
-                per_gate=False,
+            columns = np.empty((len(outputs), KEY_BYTES), dtype=np.int64)
+            columns[:, :MAX_ARITY] = inputs
+            columns[:, MAX_ARITY:] = (
+                self.num_nets
+                + SUFFIX_BYTES * np.array(functions)[:, None]
+                + np.arange(SUFFIX_BYTES)
             )
+            rank = _Rank(np.array(outputs, dtype=np.int64), columns.ravel())
             every.append(rank)
             roots = interior.count(False)
             if roots == len(interior):
                 mapped.append(rank)
             elif roots:
                 mapped.append(_Rank(
-                    rank.inputs[:roots],
-                    rank.outputs[:roots],
-                    rank.columns[:roots * KEY_BYTES],
-                    rank.functions[:roots],
-                    (),
+                    rank.outputs[:roots], rank.columns[:roots * KEY_BYTES]
                 ))
-        return every, mapped
-
-    def _rank(self, inputs: np.ndarray, outputs: np.ndarray,
-              functions: np.ndarray, per_gate: bool = True) -> _Rank:
-        """A rank; its ``inputs`` are a view of its key columns."""
-        columns = np.empty((len(outputs), KEY_BYTES), dtype=np.int64)
-        columns[:, :MAX_ARITY] = inputs
-        columns[:, MAX_ARITY:] = (
-            self.num_nets
-            + SUFFIX_BYTES * functions[:, None]
-            + np.arange(SUFFIX_BYTES)
-        )
-        cells: Tuple[Tuple[str, int], ...] = ()
-        if per_gate:
-            counts = np.bincount(functions, minlength=len(CELL_TYPES))
-            cells = tuple(
-                (cell_type, count)
-                for cell_type, count in zip(CELL_TYPES, counts.tolist())
-                if count
-            )
-        return _Rank(
-            columns[:, :MAX_ARITY], outputs, columns.ravel(), functions, cells
-        )
+        return mapped, every
 
     # ------------------------------------------------------------------
     # State management
@@ -776,8 +738,8 @@ class CompiledCircuit:
         :meth:`cone_plan` and :meth:`fanout_plan`)."""
         self._evaluate(state, plan)
 
-    def pass_plan(self, state: CircuitState, plan: _Plan) -> _Plan:
-        """The cut form of the per-gate *plan* a pass on *state* runs.
+    def pass_plan(self, state: CircuitState, plan: _Plan) -> List[_Rank]:
+        """The form of *plan* a pass on *state* runs.
 
         The cut-mapped form writes only cut roots -- flip-flop Ds and
         output ports -- which is all the tracker, the checker and the
@@ -785,68 +747,62 @@ class CompiledCircuit:
         cuts sets ``state.every_net`` and gets the every-net form, whose
         rows write every gate-driven net with its per-gate code:
         direct circuit users, the *-logic baseline, and a SoC carrying a
-        provenance recorder or timeline.  No pass sweeps the per-gate
-        ranks themselves; they define the gate order of provenance
-        edges and the gate-eval counts.
+        provenance recorder or timeline.
         """
         return plan.every if state.every_net else plan.mapped
 
     def _evaluate(self, state: CircuitState, plan: _Plan) -> None:
-        """One pass over a cut form of *plan* (see :meth:`pass_plan`),
+        """One pass over a form of *plan* (see :meth:`pass_plan`),
         counted and recorded by the state's instruments."""
         codes = state.codes
         if len(self._const_nets_arr):
             codes[self._const_nets_arr] = self._const_codes_arr
-        runs = self.pass_plan(state, plan)
+        ranks = self.pass_plan(state, plan)
         instruments = state.instruments
         recorder = instruments.provenance
         if recorder is not None:
             before = codes.copy()
-            self._sweep(state.buffer, runs)
+            self._sweep(state.buffer, ranks)
             self._record_fresh_taint(codes, before, recorder)
         else:
-            self._sweep(state.buffer, runs)
+            self._sweep(state.buffer, ranks)
         obs = instruments.obs
         if obs.enabled:
             self._count_gate_evals(obs.metrics, plan)
 
-    def _sweep(self, buffer: np.ndarray, plan: _Plan) -> None:
-        """The gate kernel: evaluate *plan*'s ranks in order on a state
+    def _sweep(self, buffer: np.ndarray, ranks: List[_Rank]) -> None:
+        """The gate kernel: evaluate *ranks* in order on a state
         *buffer* (net codes plus the suffix words)."""
         table = self._table
         modulus = self._modulus
-        for _inputs, outputs, columns, _functions, _cells in plan.ranks:
+        for outputs, columns in ranks:
             buffer[outputs] = table[buffer[columns].view(_KEY) % modulus]
 
     def _producer_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-net fan-in table and topological rank for provenance.
 
         ``table`` is ``(num_nets, max_arity)``: row *n* holds the input
-        net ids of the gate driving net *n* (-1 padded, including the
-        kernel's repeated padding inputs; nets without a combinational
-        producer -- DFF Qs, ports, constants -- stay all -1).
-        ``rank[n]`` is the driving gate's position in evaluation order,
-        used to emit a pass's edges cause-before-effect.  Built lazily
-        on the first provenance-recording pass, from the per-gate ranks:
-        a recording pass runs the every-net plan, which writes each net
-        with the code its gate gives it, so the per-gate order still
-        describes it.
+        net ids of the gate driving net *n* (-1 padded; nets without a
+        combinational producer -- DFF Qs, ports, constants -- stay all
+        -1).  ``rank[n]`` is the driving gate's position in the
+        levelized gate list, used to emit a pass's edges
+        cause-before-effect.  Built lazily on the first
+        provenance-recording pass: a recording pass runs the every-net
+        plan, which writes each net with the code its gate gives it, so
+        the gate order still describes it.
         """
         cached = getattr(self, "_prod_tables", None)
         if cached is None:
-            ranks = self._full_plan.ranks
-            used = np.concatenate([rank.functions for rank in ranks])
-            width = int(self._arity[used].max(initial=1))
+            gates = self._gates
+            width = max([len(gate.inputs) for gate in gates], default=1)
+            outputs = [gate.output for gate in gates]
             table = np.full((self.num_nets, width), -1, dtype=np.int64)
+            table[outputs] = [
+                gate.inputs + (-1,) * (width - len(gate.inputs))
+                for gate in gates
+            ]
             rank = np.zeros(self.num_nets, dtype=np.int64)
-            counter = 0
-            for inputs, outputs, _columns, functions, _cells in ranks:
-                arity = self._arity[functions]
-                for position in range(width):
-                    real = arity > position
-                    table[outputs[real], position] = inputs[real, position]
-                rank[outputs] = np.arange(counter, counter + len(outputs))
-                counter += len(outputs)
+            rank[outputs] = np.arange(len(gates))
             cached = self._prod_tables = (table, rank)
         return cached
 
@@ -928,9 +884,9 @@ class CompiledCircuit:
         return self._subplan("fanout", tuple(port_names))
 
     def _subplan(self, kind: str, port_names: Tuple[str, ...]) -> _Plan:
-        """The memoised cone or fanout plan of *port_names*, with its
-        two cut forms: the cuts rooted in the same nets, whose leaves
-        then lie in those nets or outside the ports' reach."""
+        """The memoised cone or fanout plan of *port_names*: in each form,
+        the cuts rooted in the same nets, whose leaves then lie in those
+        nets or outside the ports' reach."""
         plan = self._subplans.get((kind, port_names))
         if plan is None:
             nets = (
@@ -939,9 +895,9 @@ class CompiledCircuit:
             )
             full = self._full_plan
             plan = self._subplans[kind, port_names] = _Plan(
-                self._cone_ranks(full, nets),
-                mapped=_Plan(self._cone_ranks(full.mapped, nets)),
-                every=_Plan(self._cone_ranks(full.every, nets)),
+                _cone_ranks(full.mapped, nets),
+                _cone_ranks(full.every, nets),
+                self._cell_types,
             )
         return plan
 
@@ -980,25 +936,6 @@ class CompiledCircuit:
         mask[list(reached)] = True
         return mask
 
-    def _cone_ranks(self, plan: _Plan, in_cone: np.ndarray) -> List[_Rank]:
-        """*plan*'s rank rows whose outputs are *in_cone* (a mask over
-        nets)."""
-        ranks = []
-        for rank in plan.ranks:
-            keep = in_cone[rank.outputs]
-            if keep.all():
-                ranks.append(rank)
-            elif keep.any():
-                ranks.append(
-                    self._rank(
-                        rank.inputs[keep],
-                        rank.outputs[keep],
-                        rank.functions[keep],
-                        per_gate=bool(rank.cells),
-                    )
-                )
-        return ranks
-
     def clock_edge(self, state: CircuitState) -> None:
         """Latch every flip-flop: ``Q <= D``."""
         recorder = state.instruments.provenance
@@ -1028,6 +965,22 @@ class CompiledCircuit:
     def unknown_fraction(self, state: CircuitState) -> float:
         """Fraction of nets currently unknown."""
         return float(np.mean(state.codes >= 4))
+
+
+def _cone_ranks(ranks: List[_Rank], in_cone: np.ndarray) -> List[_Rank]:
+    """The rows of *ranks* whose outputs are *in_cone* (a mask over
+    nets), each kept rank's key columns sliced row by row."""
+    kept = []
+    for rank in ranks:
+        keep = in_cone[rank.outputs]
+        if keep.all():
+            kept.append(rank)
+        elif keep.any():
+            kept.append(_Rank(
+                rank.outputs[keep],
+                rank.columns.reshape(-1, KEY_BYTES)[keep].ravel(),
+            ))
+    return kept
 
 
 def _padded(inputs: Sequence[int]) -> Tuple[int, ...]:

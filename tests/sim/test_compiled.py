@@ -17,6 +17,7 @@ from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.cells import CELL_LIBRARY
+from repro.netlist.levelize import levelize
 from repro.obs import Instruments
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.timeline import TimelineRecorder
@@ -384,7 +385,7 @@ class TestHashedTable:
     @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
     def test_kernel_evaluates_every_input_combination(self, taint_mode):
         circuit, word, outputs = every_cell_circuit(taint_mode)
-        assert len(circuit._full_plan.ranks) == 1
+        assert len(circuit._full_plan.every) == 1
         state = circuit.new_state()
         circuit.set_input(state, "codes", word)
         circuit.eval_combinational(state)
@@ -407,7 +408,7 @@ class TestCutMapping:
             net = out
         builder.output("out", Sig([net]))
         circuit = CompiledCircuit(builder.build())
-        assert len(circuit._full_plan.mapped.ranks) == 750
+        assert len(circuit._full_plan.mapped) == 750
         state = circuit.new_state()
         state.every_net = False
         for word in (TWord.const(1, 1, tmask=1), TWord.unknown(1)):
@@ -438,7 +439,7 @@ class TestLutFor:
 class TestPlanChoice:
     """One method picks the plan a pass runs: the cut-mapped one unless
     the state's owner reads nets inside the cuts, the every-net one
-    otherwise; no pass sweeps the per-gate ranks."""
+    otherwise."""
 
     @staticmethod
     def _soc_plans():
@@ -450,8 +451,9 @@ class TestPlanChoice:
         soc, full, cone = self._soc_plans()
         assert soc.circuit.pass_plan(soc.state, full) is full.mapped
         assert soc.circuit.pass_plan(soc.state, cone) is cone.mapped
-        assert len(full.mapped.ranks) < len(full.ranks)
-        assert len(full.every.ranks) < len(full.ranks)
+        levels = len(levelize(soc.circuit.netlist)) - 1
+        assert len(full.mapped) < levels
+        assert len(full.every) < levels
 
     @pytest.mark.parametrize("armed", ["provenance", "timeline"])
     def test_whole_net_readers_run_the_every_net_plans(self, armed):

@@ -20,12 +20,15 @@ every net; a cut-mapped pass on every net it keeps fresh
 * SoC lockstep: the compiled LP430 (cut-mapped, as analyses run it)
   against a reference-evaluated copy, cycle by cycle, on every forking
   Table 1 workload and one clean one.
-* LP430 mapping: rank counts, and every net read by name is a root.
-* Analysis equivalence: an analysis forced onto the per-gate plan
-  equals a plain one (cut-mapped plan) on every Table 2 violator.
+* LP430 mapping: rank counts, every net read by name is a root, and
+  each plan's per-type gate-eval counts equal the gates ``levelize``
+  and the reference's cone and fanout closures give it.
+* Analysis equivalence: an analysis forced onto per-gate ranks
+  (:func:`per_gate_ranks`) equals a plain one (cut-mapped plan) on every
+  Table 2 violator.
 * Recording equivalence: provenance edges, flow slices and timeline
   frames recorded on the every-net plan equal those recorded with every
-  pass forced onto the per-gate ranks, on every Table 2 violator.
+  pass forced onto per-gate ranks, on every Table 2 violator.
 """
 
 import hashlib
@@ -44,8 +47,18 @@ from repro.logic.words import TWord
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.cells import CELL_LIBRARY
 from repro.netlist.levelize import levelize
+from repro.obs import Instruments, Observer
 from repro.obs.provenance import ProvenanceRecorder, explain_violation
-from repro.sim.compiled import CODE_0, CODE_1, CompiledCircuit, code_of
+from repro.sim.compiled import (
+    CELL_TYPES,
+    CODE_0,
+    CODE_1,
+    MAX_ARITY,
+    SUFFIX_BYTES,
+    CompiledCircuit,
+    code_of,
+)
+from repro.sim.soc import INTERFACE_PORTS
 from repro.sim.runner import GateRunner
 from repro.workloads.registry import BENCHMARKS, TABLE2_VIOLATORS
 
@@ -161,11 +174,60 @@ def _normalize(report):
     return re.sub(r"wall=\S+", "wall=<t>", report)
 
 
+def per_gate_ranks(circuit, nets=None):
+    """Per-gate ranks keyed on *circuit*'s own table: each level of
+    ``levelize`` one rank, its gates (those driving *nets*, if given)
+    sorted by cell type, one row per gate.  Cell type *i* of
+    ``CELL_TYPES`` is function *i* of the table, so a row's key is its
+    inputs padded with input 0, then that function's suffix bytes past
+    the nets.  A rank is ``(outputs, columns)``, as the kernel reads it.
+    """
+    ranks = []
+    for level in levelize(circuit.netlist)[1:]:
+        gates = sorted(
+            (gate for gate in level if nets is None or gate.output in nets),
+            key=lambda gate: gate.cell_type,
+        )
+        if not gates:
+            continue
+        columns = [
+            gate.inputs
+            + gate.inputs[:1] * (MAX_ARITY - len(gate.inputs))
+            + tuple(
+                circuit.num_nets
+                + SUFFIX_BYTES * CELL_TYPES.index(gate.cell_type)
+                + byte
+                for byte in range(SUFFIX_BYTES)
+            )
+            for gate in gates
+        ]
+        ranks.append((
+            np.array([gate.output for gate in gates], dtype=np.int64),
+            np.array(columns, dtype=np.int64).ravel(),
+        ))
+    return ranks
+
+
+def plan_nets(circuit, plan):
+    """The nets whose gates *plan* covers, from the reference alone:
+    ``None`` (every gate) for the full plan, the reference's cone or
+    fanout closure for a cone or fanout plan."""
+    if plan is circuit._full_plan:
+        return None
+    (kind, ports), = [
+        key for key, subplan in circuit._subplans.items() if subplan is plan
+    ]
+    reference = Reference(circuit.netlist)
+    return (
+        reference.cone(ports) if kind == "cone" else reference.fanout(ports)
+    )
+
+
 def root_nets(circuit):
     """Every net a cut-mapped pass keeps fresh: the cut roots, the
     flip-flop Qs and the port nets."""
     netlist = circuit.netlist
-    nets = [rank.outputs for rank in circuit._full_plan.mapped.ranks]
+    nets = [rank.outputs for rank in circuit._full_plan.mapped]
     nets.append(circuit.dff_nets())
     nets.extend(
         np.array(port.nets) for port in netlist.inputs + netlist.outputs
@@ -295,8 +357,9 @@ class TestRandomNetlists:
         netlist = random_netlist(seed, num_gates=160, recent=6)
         circuit = CompiledCircuit(netlist)
         full = circuit._full_plan
-        assert len(full.mapped.ranks) < len(full.ranks) / 1.5
-        assert len(full.every.ranks) < len(full.ranks) / 1.5
+        levels = len(per_gate_ranks(circuit))
+        assert len(full.mapped) < levels / 1.5
+        assert len(full.every) < levels / 1.5
         assert max(map(_depth, circuit._cut_structures)) >= 3
         _both_plans(netlist, seed)
 
@@ -344,12 +407,12 @@ class TestLP430Mapping:
         cone = circuit.cone_plan(["pmem_addr", "dmem_addr", "dmem_ren"])
         read = circuit.fanout_plan(["dmem_rdata"])
         full = circuit._full_plan
-        assert len(full.ranks) == 65
-        assert len(full.mapped.ranks) <= 32
-        assert len(full.every.ranks) <= 32
-        assert len(cone.mapped.ranks) <= 22
-        assert len(cone.every.ranks) <= 22
-        assert len(read.mapped.ranks) <= 3
+        assert len(per_gate_ranks(circuit)) == 65
+        assert len(full.mapped) <= 32
+        assert len(full.every) <= 32
+        assert len(cone.mapped) <= 22
+        assert len(cone.every) <= 22
+        assert len(read.mapped) <= 3
         assert len(circuit._cut_structures) > 0
 
     def test_mapped_ranks_are_every_net_prefixes(self):
@@ -358,8 +421,8 @@ class TestLP430Mapping:
         own."""
         full = compiled_cpu()._full_plan
         prefixes = []
-        for every in full.every.ranks:
-            for rank in full.mapped.ranks:
+        for every in full.every:
+            for rank in full.mapped:
                 if np.shares_memory(rank.columns, every.columns):
                     count = len(rank.outputs)
                     assert np.array_equal(rank.outputs, every.outputs[:count])
@@ -367,7 +430,7 @@ class TestLP430Mapping:
                         rank.columns, every.columns[:len(rank.columns)]
                     )
                     prefixes.append(id(rank))
-        assert prefixes == [id(rank) for rank in full.mapped.ranks]
+        assert prefixes == [id(rank) for rank in full.mapped]
 
     def test_named_reads_are_roots(self):
         """``GateRunner.read_named`` reads register nets and the SoC
@@ -384,6 +447,45 @@ class TestLP430Mapping:
         for port in circuit.netlist.outputs:
             assert set(port.nets) <= roots, port.name
 
+    @pytest.mark.parametrize("kind", ["full", "cone", "fanout"])
+    def test_gate_eval_counts(self, kind):
+        """One pass over each plan adds, per cell type, the gates the
+        reference gives it: every gate ``levelize`` ranks, the gates of
+        the memory interface's cone, or those of ``dmem_rdata``'s
+        fanout."""
+        circuit = compiled_cpu()
+        reference = Reference(circuit.netlist)
+        plan, nets, total = {
+            "full": (circuit._full_plan, None, 2650),
+            "cone": (
+                circuit.cone_plan(INTERFACE_PORTS),
+                reference.cone(INTERFACE_PORTS),
+                858,
+            ),
+            "fanout": (
+                circuit.fanout_plan(["dmem_rdata"]),
+                reference.fanout(["dmem_rdata"]),
+                80,
+            ),
+        }[kind]
+        expected = {"sim.gate_evals": 0}
+        for gate in reference.gates:
+            if nets is None or gate.output in nets:
+                key = f"sim.gate_evals.{gate.cell_type}"
+                expected[key] = expected.get(key, 0) + 1
+                expected["sim.gate_evals"] += 1
+        observer = Observer()
+        state = circuit.new_state()
+        state.instruments = Instruments(observer)
+        circuit.eval_plan(state, plan)
+        counters = observer.snapshot()["metrics"]["counters"]
+        assert {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("sim.gate_evals")
+        } == expected
+        assert expected["sim.gate_evals"] == total
+
 
 class TestAnalysisEquivalence:
     """A plain analysis runs the cut-mapped plan; one whose passes all
@@ -393,9 +495,7 @@ class TestAnalysisEquivalence:
     @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
     def test_verdict_violations_report(self, name, monkeypatch):
         plain = TaintTracker(_program(name), circuit=compiled_cpu()).run()
-        monkeypatch.setattr(
-            CompiledCircuit, "pass_plan", lambda self, state, plan: plan
-        )
+        _per_gate_passes(monkeypatch)
         per_gate = TaintTracker(_program(name), circuit=compiled_cpu()).run()
         assert per_gate.verdict == plain.verdict
         assert list(per_gate.violations) == list(plain.violations)
@@ -410,10 +510,17 @@ class TestAnalysisEquivalence:
 # Recording on the every-net plan
 # ---------------------------------------------------------------------------
 def _per_gate_passes(monkeypatch):
-    """Force every pass onto the per-gate ranks."""
-    monkeypatch.setattr(
-        CompiledCircuit, "pass_plan", lambda self, state, plan: plan
-    )
+    """Force every pass onto :func:`per_gate_ranks`: over every gate for
+    the full plan, over the gates of :func:`plan_nets` for a cone or
+    fanout plan."""
+    ranks = {}
+
+    def pass_plan(self, state, plan):
+        if plan not in ranks:
+            ranks[plan] = per_gate_ranks(self, plan_nets(self, plan))
+        return ranks[plan]
+
+    monkeypatch.setattr(CompiledCircuit, "pass_plan", pass_plan)
 
 
 def _slice_rows(flow):
