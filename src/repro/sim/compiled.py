@@ -50,8 +50,16 @@ multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
 smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
 congruent to ``codes + f * CODE_MODULUS``, so no two keys share an entry
 (:func:`_suffix_words`).  Full passes, cone- and fanout-plan passes and
-provenance-recording passes, in either form, all run that one kernel
-(:meth:`CompiledCircuit._sweep`).
+the two-row pair passes of a provenance-recording step, in either form,
+all run that one kernel (:meth:`CompiledCircuit._sweep`).
+
+A *pair* pass settles two rows of one buffer at once
+(:meth:`CompiledCircuit.pair_state`, :meth:`CompiledCircuit.pair_plan`):
+row 1 sits one :attr:`~CompiledCircuit.stride` past row 0, and each pair
+rank is an every-net rank followed by its rows in a cone, their output
+nets and key columns shifted one stride on.  Passes record no flow
+edges themselves: the recording step diffs the rows' codes with
+:meth:`CompiledCircuit.record_fresh_taint`.
 """
 
 from __future__ import annotations
@@ -411,8 +419,9 @@ class _Plan:
     ``mapped`` holds the cuts of the cover, rooted in flip-flop Ds and
     output ports; ``every`` one cut per gate-driven net.  Each gate
     drives one every-net row, so the counts are the cell types of those
-    rows' roots (*cell_types*: a ``CELL_TYPES`` index per net), and
-    gate-eval counters count netlist gates whichever form runs.
+    rows' roots (*cell_types*: a ``CELL_TYPES`` index per buffer index
+    a row writes), and gate-eval counters count netlist gates whichever
+    form runs.
     """
 
     __slots__ = ("mapped", "every", "gates_by_type", "total")
@@ -439,12 +448,14 @@ class CircuitState:
     """Per-net codes for one simulation state (mutable, cheap to copy).
 
     ``buffer`` holds the net codes followed by the constant suffix words
-    the gate kernel gathers from; ``codes`` is a view of just the nets.
-    ``every_net`` says whether this state's readers may read any net
-    (the default) or only flip-flops and ports, which lets passes run the
-    cut-mapped plan (see :meth:`CompiledCircuit.pass_plan`).
-    ``instruments`` are what records this state's passes (the default
-    records nothing; a copy starts with the default).  A SoC arms both
+    the gate kernel gathers from (two such rows for a
+    :meth:`CompiledCircuit.pair_state`); ``codes`` is a view of just the
+    nets (of row 0).  ``every_net`` says whether this state's readers
+    may read any net (the default) or only flip-flops and ports, which
+    lets passes run the cut-mapped plan (see
+    :meth:`CompiledCircuit.pass_plan`).  ``instruments`` are what counts
+    this state's passes and records its clock edges (the default does
+    neither; a copy starts with the default).  A SoC arms both
     (:meth:`repro.sim.soc.SoC.arm`): the circuit is shared, so a run's
     instruments ride on its state, never on the circuit.
     """
@@ -528,9 +539,12 @@ class CompiledCircuit:
         # drop them before the rank arrays are built.
         del cuts, tables
 
-        self._full_plan = _Plan(*self._cut_ranks(rows, cover), cell_types)
-        #: cone and fanout plans by kind and port tuple (see
-        #: :meth:`cone_plan` and :meth:`fanout_plan`)
+        every, self._cover_rows = self._cut_ranks(rows, cover)
+        self._full_plan = _Plan(
+            _prefixes(every, self._cover_rows), every, cell_types
+        )
+        #: cone, fanout and pair plans by kind and port tuple (see
+        #: :meth:`cone_plan`, :meth:`fanout_plan` and :meth:`pair_plan`)
         self._subplans: Dict[Tuple[str, Tuple[str, ...]], _Plan] = {}
         #: gate-eval counter increments per plan, valid for
         #: ``_counter_registry`` only (see :meth:`_count_gate_evals`)
@@ -605,6 +619,8 @@ class CompiledCircuit:
         self._modulus = np.int64(modulus)
         #: the state buffer's suffix past the nets: each function's word
         self._suffix = words.view(np.uint8)
+        #: bytes in one state buffer, and so between the rows of a pair
+        self.stride = self.num_nets + len(self._suffix)
         #: entry ``key % modulus`` is the output code of the key's
         #: function at the key's input codes
         self._table = np.zeros(modulus, dtype=np.uint8)
@@ -615,14 +631,15 @@ class CompiledCircuit:
         self,
         rows: List[Tuple[int, int, int, Tuple[int, ...]]],
         cover: np.ndarray,
-    ) -> Tuple[List[_Rank], List[_Rank]]:
-        """The mapped and every-net ranks of the cut *rows*.
+    ) -> Tuple[List[_Rank], List[int]]:
+        """The every-net ranks of the cut *rows*, and how many rows of
+        each lie in *cover* (a mask over nets).
 
-        Rows are grouped into ranks by depth.  Each every-net rank holds
-        its rows in *cover* (a mask over nets) first, then the rest,
-        each part sorted by function, then root net; its mapped rank is
-        the cover prefix, as views, so the mapped plan costs no memory
-        of its own.
+        Rows are grouped into ranks by depth.  Each rank holds its cover
+        rows first, then the rest, each part sorted by function, then
+        root net; its mapped rank is the cover prefix, as views
+        (:func:`_prefixes`), so the mapped plan costs no memory of its
+        own.
         """
         by_depth: Dict[int, list] = {}
         for depth, function, root, inputs in rows:
@@ -630,7 +647,7 @@ class CompiledCircuit:
                 (not cover[root], function, root, inputs)
             )
         every: List[_Rank] = []
-        mapped: List[_Rank] = []
+        cover_rows: List[int] = []
         for depth in sorted(by_depth):
             interior, functions, outputs, inputs = zip(
                 *sorted(by_depth[depth])
@@ -642,16 +659,11 @@ class CompiledCircuit:
                 + SUFFIX_BYTES * np.array(functions)[:, None]
                 + np.arange(SUFFIX_BYTES)
             )
-            rank = _Rank(np.array(outputs, dtype=np.int64), columns.ravel())
-            every.append(rank)
-            roots = interior.count(False)
-            if roots == len(interior):
-                mapped.append(rank)
-            elif roots:
-                mapped.append(_Rank(
-                    rank.outputs[:roots], rank.columns[:roots * KEY_BYTES]
-                ))
-        return mapped, every
+            every.append(
+                _Rank(np.array(outputs, dtype=np.int64), columns.ravel())
+            )
+            cover_rows.append(interior.count(False))
+        return every, cover_rows
 
     # ------------------------------------------------------------------
     # State management
@@ -753,20 +765,11 @@ class CompiledCircuit:
 
     def _evaluate(self, state: CircuitState, plan: _Plan) -> None:
         """One pass over a form of *plan* (see :meth:`pass_plan`),
-        counted and recorded by the state's instruments."""
-        codes = state.codes
+        counted by the state's instruments."""
         if len(self._const_nets_arr):
-            codes[self._const_nets_arr] = self._const_codes_arr
-        ranks = self.pass_plan(state, plan)
-        instruments = state.instruments
-        recorder = instruments.provenance
-        if recorder is not None:
-            before = codes.copy()
-            self._sweep(state.buffer, ranks)
-            self._record_fresh_taint(codes, before, recorder)
-        else:
-            self._sweep(state.buffer, ranks)
-        obs = instruments.obs
+            state.codes[self._const_nets_arr] = self._const_codes_arr
+        self._sweep(state.buffer, self.pass_plan(state, plan))
+        obs = state.instruments.obs
         if obs.enabled:
             self._count_gate_evals(obs.metrics, plan)
 
@@ -786,10 +789,10 @@ class CompiledCircuit:
         combinational producer -- DFF Qs, ports, constants -- stay all
         -1).  ``rank[n]`` is the driving gate's position in the
         levelized gate list, used to emit a pass's edges
-        cause-before-effect.  Built lazily on the first
-        provenance-recording pass: a recording pass runs the every-net
-        plan, which writes each net with the code its gate gives it, so
-        the gate order still describes it.
+        cause-before-effect.  Built lazily on the first recorded pass:
+        a recorded pass runs the every-net plan, which writes each net
+        with the code its gate gives it, so the gate order still
+        describes it.
         """
         cached = getattr(self, "_prod_tables", None)
         if cached is None:
@@ -806,20 +809,22 @@ class CompiledCircuit:
             cached = self._prod_tables = (table, rank)
         return cached
 
-    def _record_fresh_taint(
+    def record_fresh_taint(
         self, codes: np.ndarray, before: np.ndarray, recorder
     ) -> None:
-        """Per-gate taint provenance for the pass that turned *before*
-        into *codes*.
+        """Record on *recorder* the per-gate taint provenance of the
+        every-net pass that turned *before* into *codes* (net codes).
 
         Provenance costs two whole-array operations per pass -- the
-        snapshot taken before, the taint diff here -- plus fan-in
+        codes kept from before it, the taint diff here -- plus fan-in
         resolution for just the newly-tainted nets.  Each net is written
         at most once per pass and its fan-ins come from earlier ranks,
         so the post-pass codes are exactly what the producing gate read,
         and the diff attributes every new taint bit to the right edges.
-        Edges are emitted in the gates' evaluation order: the backward
-        slicer relies on a cause being recorded before its effect.
+        Nets no gate drives (ports, flip-flop Qs, constants) record no
+        edge, whatever their codes did.  Edges are emitted in the gates'
+        evaluation order: the backward slicer relies on a cause being
+        recorded before its effect.
         """
         fresh = np.nonzero(codes & ~before & 1)[0]
         if len(fresh) == 0:
@@ -865,12 +870,70 @@ class CompiledCircuit:
     def cone_plan(self, port_names: Sequence[str]) -> _Plan:
         """The rank rows feeding the named output ports.
 
-        A provenance-recording SoC's first pass runs it to read the
-        memory interface before the full pass.  Memoised per port tuple,
-        so every SoC on this circuit shares one plan and the per-plan
-        gate-eval counter cache stays bounded.
+        Memoised per port tuple, so every user of this circuit shares
+        one plan and the per-plan gate-eval counter cache stays bounded.
         """
         return self._subplan("cone", tuple(port_names))
+
+    def pair_state(self, state: CircuitState) -> CircuitState:
+        """A state for :meth:`pair_plan` passes: its buffer is two rows,
+        one :attr:`stride` apart, and row 0 is *state*'s own.
+
+        *state*'s buffer moves into row 0, so *state* keeps its codes
+        and reads and writes them there; the pair state's codes are row
+        0's nets too, and row 1 starts as a copy.  *state*'s constant
+        cells are tied first, as every pass ties them, so row 0 always
+        holds them and a copy of it into row 1 carries them.
+        """
+        if len(self._const_nets_arr):
+            state.codes[self._const_nets_arr] = self._const_codes_arr
+        rows = np.tile(state.buffer, 2)
+        state.buffer = rows[:self.stride]
+        state.codes = rows[:self.num_nets]
+        return CircuitState(rows, self.num_nets)
+
+    def pair_plan(self, port_names: Sequence[str]) -> _Plan:
+        """One pass over both rows of a :meth:`pair_state`: the full
+        plan on row 0 and the cone plan of the named output ports on
+        row 1.
+
+        Each rank is an every-net rank of the full plan followed by its
+        rows in the cone, their outputs and key columns shifted one
+        :attr:`stride` on (the suffix words of row 1 included).  The
+        two rows' writes are disjoint and each row reads only its own
+        nets, so one pass leaves row 0 as a full pass and row 1 as a
+        cone pass would, with one kernel line per rank.  A pair pass
+        serves a provenance-recording step, which reads every net, so
+        both forms are these every-net ranks; the gate counts are the
+        full plan's plus the cone's.  Memoised like :meth:`cone_plan`.
+
+        The full plan's ranks then become views of the pair ranks' row-0
+        prefixes, as its mapped ranks are of its every-net ones, so the
+        pair plan holds only its cone rows' arrays of its own.
+        """
+        key = ("pair", tuple(port_names))
+        plan = self._subplans.get(key)
+        if plan is None:
+            in_cone = self._cone_nets(port_names)
+            stride = self.stride
+            full = self._full_plan
+            ranks = []
+            for rank in full.every:
+                cone = _keep_rows(rank, in_cone[rank.outputs])
+                ranks.append(_Rank(
+                    np.concatenate([rank.outputs, cone.outputs + stride]),
+                    np.concatenate([rank.columns, cone.columns + stride]),
+                ))
+            full.every = _prefixes(
+                ranks, [len(rank.outputs) for rank in full.every]
+            )
+            full.mapped = _prefixes(full.every, self._cover_rows)
+            row_types = np.full(stride, -1, dtype=np.int64)
+            row_types[:self.num_nets] = self._cell_types
+            plan = self._subplans[key] = _Plan(
+                ranks, ranks, np.tile(row_types, 2)
+            )
+        return plan
 
     def fanout_plan(self, port_names: Sequence[str]) -> _Plan:
         """The rank rows the named input ports reach.
@@ -969,18 +1032,35 @@ class CompiledCircuit:
 
 def _cone_ranks(ranks: List[_Rank], in_cone: np.ndarray) -> List[_Rank]:
     """The rows of *ranks* whose outputs are *in_cone* (a mask over
-    nets), each kept rank's key columns sliced row by row."""
+    nets); ranks left with none are dropped."""
     kept = []
     for rank in ranks:
         keep = in_cone[rank.outputs]
         if keep.all():
             kept.append(rank)
         elif keep.any():
-            kept.append(_Rank(
-                rank.outputs[keep],
-                rank.columns.reshape(-1, KEY_BYTES)[keep].ravel(),
-            ))
+            kept.append(_keep_rows(rank, keep))
     return kept
+
+
+def _prefixes(ranks: List[_Rank], rows: Sequence[int]) -> List[_Rank]:
+    """The first ``rows[i]`` rows of each ``ranks[i]``, as views; ranks
+    left with none are dropped."""
+    return [
+        rank if count == len(rank.outputs)
+        else _Rank(rank.outputs[:count], rank.columns[:count * KEY_BYTES])
+        for rank, count in zip(ranks, rows)
+        if count
+    ]
+
+
+def _keep_rows(rank: _Rank, keep: np.ndarray) -> _Rank:
+    """The rows of *rank* that *keep* (a mask over its rows) selects,
+    its key columns sliced row by row."""
+    return _Rank(
+        rank.outputs[keep],
+        rank.columns.reshape(-1, KEY_BYTES)[keep].ravel(),
+    )
 
 
 def _padded(inputs: Sequence[int]) -> Tuple[int, ...]:

@@ -62,11 +62,33 @@ order allows, each one numpy gather or fancy assignment of net codes:
 That block write is laid out for a 1-net ``rst`` and 16-net
 ``pmem_rdata`` and ``dmem_rdata``, which the port check also requires.
 
-A SoC carrying a provenance recorder keeps an older order: a pass over
-the memory-interface cone, the fetch, the load, then a full pass.  Its
-cone pass reads the *previous* cycle's ``pmem_rdata`` codes, so its load
-address can be stale; the recorded flow edges (and the flow-slice
-fingerprints benchmarks pin) depend on that order.
+A SoC carrying a provenance recorder records the flow edges of an
+older order: a pass over the memory-interface cone (:data:`INTERFACE_PORTS`),
+the fetch, the load, then a full pass.  That cone pass reads the
+*previous* cycle's ``pmem_rdata`` codes, so its load address can be
+stale; the recorded edges (and the flow-slice fingerprints benchmarks
+pin) depend on that order.  The step settles both of its passes in one
+two-row sweep (:meth:`~repro.sim.compiled.CompiledCircuit.pair_plan`):
+
+1. one write of ``rst`` and ``dmem_rdata`` (all X) to row 0, the SoC's
+   own state; the codes then are the *pre-pass* codes, and row 1 of the
+   sweep's buffer gets a copy of them;
+2. one gather of ``pmem_addr`` and the ROM read, whose word is written
+   to row 0's ``pmem_rdata`` only;
+3. the sweep: the full every-net plan on row 0, the interface cone on
+   row 1, which still holds the previous cycle's ``pmem_rdata``;
+4. the cone's edges (row 1 against the pre-pass codes), then the
+   fetch's record;
+5. on a load cycle only: the strobe and address read off row 1, the
+   load and its record, the data written to row 0 and its fanout
+   re-run (every-net form);
+6. the full pass's edges: row 0 against row 1, whose codes differ from
+   the older order's pre-full-pass codes only on the input ports, which
+   record no edges.  Then one read of ``dmem_wen`` off row 0.
+
+The fanout re-run leaves row 0 with the codes the older order's full
+pass, which read the data, gave every net, so its edges are the older
+order's row for row.
 """
 
 from __future__ import annotations
@@ -358,20 +380,33 @@ class SoCState:
     cycle: int
 
 
-#: ``dmem_rdata`` on a cycle without a load.
-_NO_DATA = TWord.unknown(16)
-#: Its codes, which a plain step writes with the reset and fetch codes.
+#: ``dmem_rdata``'s codes on a cycle without a load, which a step writes
+#: with the reset (and, on a plain step, the fetch) codes.
 _NO_DATA_CODES = bytes([CODE_X]) * 16
 #: The one-byte ``rst`` code of each reset ``(value, taint)`` code.
 _RESET_CODES = tuple(bytes([code]) for code in range(6))
+#: A provenance-recording step's first write, ``rst`` then ``dmem_rdata``,
+#: by reset code.
+_RESET_NO_DATA = tuple(
+    np.frombuffer(code + _NO_DATA_CODES, dtype=np.uint8)
+    for code in _RESET_CODES
+)
 #: A one-bit port's ``(value, taint)`` by its net code.
 _BIT_OF_CODE = tuple(decode_code(code) for code in range(6))
 
 #: The input ports the plain step writes in one assignment, with their
 #: widths, in the order it lays out their codes.
 PORT_WIDTHS = (("rst", 1), ("dmem_rdata", 16), ("pmem_rdata", 16))
-#: The output ports a provenance-recording step's cone pass settles.
+#: The output ports a provenance-recording step's cone row settles.
 INTERFACE_PORTS = ("pmem_addr", "dmem_addr", "dmem_ren")
+
+
+def _word_codes(word: TWord) -> np.ndarray:
+    """The net codes of a 16-bit port word, bit 0 first."""
+    return np.frombuffer(
+        encode_word(word.bits, word.xmask, word.tmask, 16), dtype=np.uint8
+    )
+
 
 #: Circuits :func:`check_port_contract` has passed.
 _CONTRACT_MET: "weakref.WeakSet[CompiledCircuit]" = weakref.WeakSet()
@@ -452,13 +487,19 @@ class SoC:
             outs("dmem_addr") + outs("dmem_wdata"), dtype=np.int64
         )
         self._store_split = len(outs("dmem_addr"))
-
-    @property
-    def _interface_plan(self):
-        """A provenance-recording step's first pass (see the module
-        doc), built on the circuit's first such step: a plain SoC never
-        runs it."""
-        return self.circuit.cone_plan(INTERFACE_PORTS)
+        # A provenance-recording step's ports: its first write, the
+        # fetch (row 0 only) and the load strobe (read off row 1).
+        self._reset_nets = np.array(
+            ports("rst") + ports("dmem_rdata"), dtype=np.int64
+        )
+        self._fetch_nets = np.array(ports("pmem_rdata"), dtype=np.int64)
+        self._ren_net = outs("dmem_ren")[0]
+        #: the two-row state a provenance-recording step sweeps, whose
+        #: row 0 is :attr:`state`, the plan it runs, and its row 1 (the
+        #: whole row and its nets); built on this SoC's first such step
+        #: (see :meth:`_record`): a plain SoC never runs them
+        self._rows: Optional[CircuitState] = None
+        self._pair_plan = self._cone_row = self._cone_codes = None
 
     @property
     def instruments(self) -> Instruments:
@@ -536,23 +577,15 @@ class SoC:
         # (they are X out of power-on); a real POR gates the memory
         # interface, so the SoC suppresses data-memory side effects.
         in_reset = reset[0] == ONE
+        reset_code = code_of(reset_value, reset[1] & 1)
         if recorder is None:
             pmem_addr, instruction, read_event, wen = self._settle(
-                code_of(reset_value, reset[1] & 1), in_reset
+                reset_code, in_reset
             )
         else:
-            circuit.set_input(state, "rst", TWord(
-                1 if reset[0] == ONE else 0,
-                1 if reset[0] == UNKNOWN else 0,
-                reset[1],
-                1,
-            ))
-            circuit.set_input(state, "dmem_rdata", _NO_DATA)
-            circuit.eval_plan(state, self._interface_plan)
-            pmem_addr, instruction = self._fetch(recorder)
-            read_event = self._load(in_reset, recorder)
-            circuit.eval_combinational(state)
-            wen = circuit.read_output(state, "dmem_wen").bit(0)
+            pmem_addr, instruction, read_event, wen = self._record(
+                reset_code, in_reset, recorder
+            )
 
         write_event: Optional[MemWrite] = None
         if not in_reset and wen[0] != ZERO:
@@ -631,14 +664,35 @@ class SoC:
             read_event = MemRead(dmem_addr, data, ren)
         return pmem_addr, instruction, read_event, _BIT_OF_CODE[wen_code]
 
-    def _fetch(self, recorder) -> Tuple[TWord, TWord]:
-        """Read the instruction word at ``pmem_addr`` and apply it to
-        ``pmem_rdata``; returns ``(address, instruction)``."""
+    def _record(
+        self, reset_code: int, in_reset: bool, recorder
+    ) -> Tuple[TWord, TWord, Optional[MemRead], Tuple[int, int]]:
+        """A provenance-recording cycle up to the store: one two-row
+        sweep, then the load and its fanout, recording the older
+        order's edges and records in its order (see the module doc).
+
+        Returns what :meth:`_settle` returns.  Row 0 is :attr:`state`;
+        row 1 is a copy of the pre-pass codes, on which the sweep runs
+        the memory-interface cone.
+        """
         circuit, state = self.circuit, self.state
-        pmem_addr = circuit.read_output(state, "pmem_addr")
+        if self._rows is None:
+            self._rows = circuit.pair_state(state)
+            self._pair_plan = circuit.pair_plan(INTERFACE_PORTS)
+            self._cone_row = self._rows.buffer[circuit.stride:]
+            self._cone_codes = self._cone_row[:circuit.num_nets]
+        rows, cone_row, cone = self._rows, self._cone_row, self._cone_codes
+        rows.instruments = state.instruments
+        codes = state.codes
+        codes[self._reset_nets] = _RESET_NO_DATA[reset_code]
+        before = codes.copy()
+        cone_row[:] = state.buffer
+        pmem_addr = decode_word(codes[self._pmem_addr_nets].tobytes())
         instruction = self.rom.read(pmem_addr)
-        circuit.set_input(state, "pmem_rdata", instruction)
-        if recorder is not None and instruction.tmask:
+        codes[self._fetch_nets] = _word_codes(instruction)
+        circuit.eval_plan(rows, self._pair_plan)
+        circuit.record_fresh_taint(cone, before, recorder)
+        if instruction.tmask:
             # Tainted instruction bits were introduced at the fetch
             # interface: label them with their program-memory origin.
             label = (
@@ -649,22 +703,22 @@ class SoC:
             recorder.record_input(
                 circuit.input_nets("pmem_rdata"), instruction.tmask, label
             )
-        return pmem_addr, instruction
-
-    def _load(self, in_reset: bool, recorder) -> Optional[MemRead]:
-        """Service a possible load at ``dmem_addr``: apply the data to
-        ``dmem_rdata`` and return the read, or ``None`` when the strobe
-        is 0 or reset holds."""
-        circuit, state = self.circuit, self.state
-        ren = circuit.read_output(state, "dmem_ren").bit(0)
-        if in_reset or ren[0] == ZERO:
-            return None
-        dmem_addr = circuit.read_output(state, "dmem_addr")
-        data = self.space.read(dmem_addr, ren)
-        circuit.set_input(state, "dmem_rdata", data)
-        if recorder is not None and data.tmask:
-            self._record_read_provenance(recorder, dmem_addr, data)
-        return MemRead(dmem_addr, data, ren)
+        ren_code = cone[self._ren_net]
+        read_event = None
+        if not in_reset and ren_code >> 1 != ZERO:
+            ren = _BIT_OF_CODE[ren_code]
+            dmem_addr = decode_word(cone[self._dmem_addr_nets].tobytes())
+            data = self.space.read(dmem_addr, ren)
+            codes[self._rdata_nets] = _word_codes(data)
+            if data.tmask:
+                self._record_read_provenance(recorder, dmem_addr, data)
+            circuit.eval_plan(rows, self._read_plan)
+            read_event = MemRead(dmem_addr, data, ren)
+        circuit.record_fresh_taint(codes, cone, recorder)
+        return (
+            pmem_addr, instruction, read_event,
+            _BIT_OF_CODE[codes[self._wen_net]],
+        )
 
     def _record_read_provenance(
         self, recorder, address: TWord, data: TWord

@@ -445,7 +445,7 @@ class TestPlanChoice:
     def _soc_plans():
         runner = _mult_runner()
         soc = runner.soc
-        return soc, soc.circuit._full_plan, soc._interface_plan
+        return soc, soc.circuit._full_plan, soc._read_plan
 
     def test_plain_soc_runs_the_mapped_plans(self):
         soc, full, cone = self._soc_plans()
@@ -478,19 +478,25 @@ class TestPlanChoice:
 
     @pytest.mark.parametrize("armed", [None, "timeline", "provenance"])
     def test_step_order(self, armed, monkeypatch):
-        """A plain or timeline SoC settles each cycle with one full pass
-        and re-runs the load data's fanout on load cycles only; a
-        provenance SoC keeps the cone pass before its full pass."""
+        """A plain or timeline SoC settles each cycle with one full pass;
+        a provenance SoC with one pair pass, its full and cone passes
+        as the two rows of one sweep.  Each re-runs the load data's
+        fanout on load cycles only."""
         program = assemble(
             "mov #0x200, r4\nmov 0(r4), r5\nmov &0x202, r6\nhalt"
         )
-        runner = GateRunner(compiled_cpu(), program)
+        circuit = compiled_cpu()
+        runner = GateRunner(circuit, program)
         soc = runner.soc
         if armed == "provenance":
             soc.arm(Instruments(provenance=ProvenanceRecorder()))
         elif armed == "timeline":
             soc.arm(Instruments(timeline=TimelineRecorder()))
-        names = {id(soc._interface_plan): "cone", id(soc._read_plan): "read"}
+        names = {
+            id(circuit.pair_plan(INTERFACE_PORTS)): "pair",
+            id(soc._read_plan): "read",
+        }
+        sweep = "pair" if armed == "provenance" else "full"
         passes = []
         full = CompiledCircuit.eval_combinational
         subset = CompiledCircuit.eval_plan
@@ -512,28 +518,51 @@ class TestPlanChoice:
             passes.clear()
             events = runner.step()
             loads += events.read is not None
-            if armed == "provenance":
-                assert passes == ["cone", "full"]
-            elif events.read is not None:
-                assert passes == ["full", "read"]
+            if events.read is not None:
+                assert passes == [sweep, "read"]
             else:
-                assert passes == ["full"]
+                assert passes == [sweep]
         assert loads >= 2
 
     def test_only_a_provenance_step_builds_the_interface_cone(self):
-        """A plain SoC never runs the memory-interface cone, so it does
-        not build it; the first provenance step does."""
+        """A plain SoC never runs the memory-interface cone, so it
+        builds neither it nor the pair plan whose row 1 it is, nor a
+        second row; the first provenance step builds the pair plan and
+        the SoC's two-row state, whose row 0 is the SoC's state.  The
+        full plan's ranks then are views of the pair ranks' row-0
+        prefixes, and its mapped ranks still prefixes of those."""
         circuit = CompiledCircuit(build_cpu())
         program = assemble(BENCHMARKS["mult"].service_source, name="mult")
         runner = GateRunner(circuit, program)
         runner.run(max_cycles=20)
+        soc = runner.soc
+        full = circuit._full_plan
+        every = [rank.columns.copy() for rank in full.every]
+        mapped = [rank.columns.copy() for rank in full.mapped]
         assert [kind for kind, _ in circuit._subplans] == ["fanout"]
-        runner.soc.arm(Instruments(provenance=ProvenanceRecorder()))
+        assert soc._rows is None
+        assert len(soc.state.buffer) == circuit.stride
+        soc.arm(Instruments(provenance=ProvenanceRecorder()))
         runner.step()
-        assert ("cone", INTERFACE_PORTS) in circuit._subplans
-        assert runner.soc._interface_plan is circuit.cone_plan(
-            INTERFACE_PORTS
-        )
+        assert [kind for kind, _ in circuit._subplans] == ["fanout", "pair"]
+        assert soc._pair_plan is circuit.pair_plan(INTERFACE_PORTS)
+        rows = soc._rows.buffer
+        assert len(rows) == 2 * circuit.stride
+        assert np.shares_memory(soc.state.buffer, rows[:circuit.stride])
+        assert len(soc.state.buffer) == circuit.stride
+        pairs = soc._pair_plan.every
+        assert len(full.every) == len(pairs) == len(every)
+        for rank, pair, columns in zip(full.every, pairs, every):
+            assert np.shares_memory(rank.columns, pair.columns)
+            assert np.array_equal(rank.columns, columns)
+            assert np.array_equal(pair.columns[:len(columns)], columns)
+        assert len(full.mapped) == len(mapped)
+        for rank, columns in zip(full.mapped, mapped):
+            assert np.array_equal(rank.columns, columns)
+            assert any(
+                np.shares_memory(rank.columns, pair.columns)
+                for pair in pairs
+            )
 
     def test_direct_circuit_states_read_every_net(self):
         circuit = adder_circuit()

@@ -16,7 +16,9 @@ every net; a cut-mapped pass on every net it keeps fresh
 
 * Random netlists: seeded random DAGs over all 16 combinational cell
   types (arity 1-4), shallow and deep, in both taint modes and both
-  plans, compared after every cone-plan pass, full pass and clock edge.
+  plans, compared after every cone-plan pass, full pass and clock edge;
+  a pair pass from the same codes must leave its row 0 as the full pass
+  and its row 1 as the cone pass left every net.
 * SoC lockstep: the compiled LP430 (cut-mapped, as analyses run it)
   against a reference-evaluated copy, cycle by cycle, on every forking
   Table 1 workload and one clean one.
@@ -28,7 +30,9 @@ every net; a cut-mapped pass on every net it keeps fresh
   Table 2 violator.
 * Recording equivalence: provenance edges, flow slices and timeline
   frames recorded on the every-net plan equal those recorded with every
-  pass forced onto per-gate ranks, on every Table 2 violator.
+  pass -- a recording step's two-row pair pass included
+  (:func:`per_gate_pair_ranks`) -- forced onto per-gate ranks, on every
+  Table 2 violator.
 """
 
 import hashlib
@@ -174,53 +178,76 @@ def _normalize(report):
     return re.sub(r"wall=\S+", "wall=<t>", report)
 
 
+def _level_rank(circuit, level, nets=None, shift=0):
+    """One per-gate rank keyed on *circuit*'s own table: the gates of a
+    ``levelize`` *level* (those driving *nets*, if given) sorted by cell
+    type, one row per gate, every index *shift* bytes on; ``None`` when
+    no gate is left.  Cell type *i* of ``CELL_TYPES`` is function *i*
+    of the table, so a row's key is its inputs padded with input 0,
+    then that function's suffix bytes past the nets.  A rank is
+    ``(outputs, columns)``, as the kernel reads it."""
+    gates = sorted(
+        (gate for gate in level if nets is None or gate.output in nets),
+        key=lambda gate: gate.cell_type,
+    )
+    if not gates:
+        return None
+    columns = [
+        gate.inputs
+        + gate.inputs[:1] * (MAX_ARITY - len(gate.inputs))
+        + tuple(
+            circuit.num_nets
+            + SUFFIX_BYTES * CELL_TYPES.index(gate.cell_type)
+            + byte
+            for byte in range(SUFFIX_BYTES)
+        )
+        for gate in gates
+    ]
+    return (
+        np.array([gate.output for gate in gates], dtype=np.int64) + shift,
+        np.array(columns, dtype=np.int64).ravel() + shift,
+    )
+
+
 def per_gate_ranks(circuit, nets=None):
-    """Per-gate ranks keyed on *circuit*'s own table: each level of
-    ``levelize`` one rank, its gates (those driving *nets*, if given)
-    sorted by cell type, one row per gate.  Cell type *i* of
-    ``CELL_TYPES`` is function *i* of the table, so a row's key is its
-    inputs padded with input 0, then that function's suffix bytes past
-    the nets.  A rank is ``(outputs, columns)``, as the kernel reads it.
-    """
+    """Per-gate ranks: each level of ``levelize`` one rank
+    (:func:`_level_rank`), levels without a gate in *nets* left out."""
+    ranks = [
+        _level_rank(circuit, level, nets)
+        for level in levelize(circuit.netlist)[1:]
+    ]
+    return [rank for rank in ranks if rank is not None]
+
+
+def per_gate_pair_ranks(circuit, cone):
+    """Per-gate ranks of a pair pass: each level's gates on row 0, then
+    its gates in *cone* on row 1, one ``circuit.stride`` on."""
     ranks = []
     for level in levelize(circuit.netlist)[1:]:
-        gates = sorted(
-            (gate for gate in level if nets is None or gate.output in nets),
-            key=lambda gate: gate.cell_type,
-        )
-        if not gates:
-            continue
-        columns = [
-            gate.inputs
-            + gate.inputs[:1] * (MAX_ARITY - len(gate.inputs))
-            + tuple(
-                circuit.num_nets
-                + SUFFIX_BYTES * CELL_TYPES.index(gate.cell_type)
-                + byte
-                for byte in range(SUFFIX_BYTES)
-            )
-            for gate in gates
-        ]
-        ranks.append((
-            np.array([gate.output for gate in gates], dtype=np.int64),
-            np.array(columns, dtype=np.int64).ravel(),
-        ))
+        rank = _level_rank(circuit, level)
+        shifted = _level_rank(circuit, level, cone, circuit.stride)
+        if shifted is not None:
+            rank = tuple(np.concatenate(part) for part in zip(rank, shifted))
+        ranks.append(rank)
     return ranks
 
 
-def plan_nets(circuit, plan):
-    """The nets whose gates *plan* covers, from the reference alone:
-    ``None`` (every gate) for the full plan, the reference's cone or
-    fanout closure for a cone or fanout plan."""
+def plan_ranks(circuit, plan):
+    """Per-gate ranks of *plan*, from the reference alone: over every
+    gate for the full plan, over the gates of the reference's cone or
+    fanout closure for a cone or fanout plan, and both rows of a pair
+    plan."""
     if plan is circuit._full_plan:
-        return None
+        return per_gate_ranks(circuit)
     (kind, ports), = [
         key for key, subplan in circuit._subplans.items() if subplan is plan
     ]
     reference = Reference(circuit.netlist)
-    return (
+    if kind == "pair":
+        return per_gate_pair_ranks(circuit, reference.cone(ports))
+    return per_gate_ranks(circuit, (
         reference.cone(ports) if kind == "cone" else reference.fanout(ports)
-    )
+    ))
 
 
 def root_nets(circuit):
@@ -304,6 +331,7 @@ def _lockstep(netlist, circuit, seed, every_net, cycles=40):
         cone.every if every_net else cone.mapped
     )
     nets = slice(None) if every_net else root_nets(circuit)
+    pair_plan = circuit.pair_plan(["out"])
     rng = random.Random(1000 + seed)
     for cycle in range(cycles):
         words = {"rst": TWord.const(1 if cycle == 0 else 0, 1)}
@@ -314,17 +342,30 @@ def _lockstep(netlist, circuit, seed, every_net, cycles=40):
         for name, word in words.items():
             circuit.set_input(state, name, word)
             circuit.set_input(expected, name, word)
+        # One pair pass from the same codes: a full pass on row 0, the
+        # cone pass on row 1.
+        pair = circuit.pair_state(state.copy())
+        circuit.eval_plan(pair, pair_plan)
+        rows = pair.buffer.reshape(2, circuit.stride)[:, :circuit.num_nets]
         circuit.eval_plan(state, cone)
         reference.evaluate(expected.codes, nets=reference_cone)
         assert np.array_equal(state.codes[nets], expected.codes[nets]), (
             f"seed {seed} ({circuit.taint_mode}): cone pass diverged, "
             f"cycle {cycle}"
         )
+        assert np.array_equal(rows[1][nets], expected.codes[nets]), (
+            f"seed {seed} ({circuit.taint_mode}): pair pass row 1 "
+            f"diverged, cycle {cycle}"
+        )
         circuit.eval_combinational(state)
         reference.evaluate(expected.codes)
         assert np.array_equal(state.codes[nets], expected.codes[nets]), (
             f"seed {seed} ({circuit.taint_mode}): full pass diverged, "
             f"cycle {cycle}"
+        )
+        assert np.array_equal(rows[0][nets], expected.codes[nets]), (
+            f"seed {seed} ({circuit.taint_mode}): pair pass row 0 "
+            f"diverged, cycle {cycle}"
         )
         circuit.clock_edge(state)
         circuit.clock_edge(expected)
@@ -447,35 +488,36 @@ class TestLP430Mapping:
         for port in circuit.netlist.outputs:
             assert set(port.nets) <= roots, port.name
 
-    @pytest.mark.parametrize("kind", ["full", "cone", "fanout"])
+    @pytest.mark.parametrize("kind", ["full", "cone", "fanout", "pair"])
     def test_gate_eval_counts(self, kind):
         """One pass over each plan adds, per cell type, the gates the
         reference gives it: every gate ``levelize`` ranks, the gates of
-        the memory interface's cone, or those of ``dmem_rdata``'s
-        fanout."""
+        the memory interface's cone, those of ``dmem_rdata``'s fanout,
+        or, for the pair plan, every gate and then the cone's."""
         circuit = compiled_cpu()
         reference = Reference(circuit.netlist)
-        plan, nets, total = {
-            "full": (circuit._full_plan, None, 2650),
-            "cone": (
-                circuit.cone_plan(INTERFACE_PORTS),
-                reference.cone(INTERFACE_PORTS),
-                858,
-            ),
+        cone = reference.cone(INTERFACE_PORTS)
+        plan, row_nets, total = {
+            "full": (circuit._full_plan, [None], 2650),
+            "cone": (circuit.cone_plan(INTERFACE_PORTS), [cone], 858),
             "fanout": (
                 circuit.fanout_plan(["dmem_rdata"]),
-                reference.fanout(["dmem_rdata"]),
+                [reference.fanout(["dmem_rdata"])],
                 80,
             ),
+            "pair": (circuit.pair_plan(INTERFACE_PORTS), [None, cone], 3508),
         }[kind]
         expected = {"sim.gate_evals": 0}
-        for gate in reference.gates:
-            if nets is None or gate.output in nets:
-                key = f"sim.gate_evals.{gate.cell_type}"
-                expected[key] = expected.get(key, 0) + 1
-                expected["sim.gate_evals"] += 1
+        for nets in row_nets:
+            for gate in reference.gates:
+                if nets is None or gate.output in nets:
+                    key = f"sim.gate_evals.{gate.cell_type}"
+                    expected[key] = expected.get(key, 0) + 1
+                    expected["sim.gate_evals"] += 1
         observer = Observer()
         state = circuit.new_state()
+        if kind == "pair":
+            state = circuit.pair_state(state)
         state.instruments = Instruments(observer)
         circuit.eval_plan(state, plan)
         counters = observer.snapshot()["metrics"]["counters"]
@@ -510,17 +552,17 @@ class TestAnalysisEquivalence:
 # Recording on the every-net plan
 # ---------------------------------------------------------------------------
 def _per_gate_passes(monkeypatch):
-    """Force every pass onto :func:`per_gate_ranks`: over every gate for
-    the full plan, over the gates of :func:`plan_nets` for a cone or
-    fanout plan."""
+    """Force every pass onto the per-gate ranks of :func:`plan_ranks`;
+    returns them by plan, as passes ask for them."""
     ranks = {}
 
     def pass_plan(self, state, plan):
         if plan not in ranks:
-            ranks[plan] = per_gate_ranks(self, plan_nets(self, plan))
+            ranks[plan] = plan_ranks(self, plan)
         return ranks[plan]
 
     monkeypatch.setattr(CompiledCircuit, "pass_plan", pass_plan)
+    return ranks
 
 
 def _slice_rows(flow):
@@ -578,8 +620,9 @@ class TestRecordingEquivalence:
     @pytest.mark.parametrize("name", TABLE2_VIOLATORS)
     def test_provenance_edges_and_slices(self, name, monkeypatch):
         rows, slices = _provenance(name)
-        _per_gate_passes(monkeypatch)
+        forced = _per_gate_passes(monkeypatch)
         per_gate_rows, per_gate_slices = _provenance(name)
+        assert compiled_cpu().pair_plan(INTERFACE_PORTS) in forced
         assert len(rows["src"]) > 0 and slices
         for field, column in rows.items():
             assert np.array_equal(column, per_gate_rows[field]), field
