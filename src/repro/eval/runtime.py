@@ -11,6 +11,8 @@ show *why* it terminates: merges prune the unbounded tree).
 
 from __future__ import annotations
 
+import statistics
+import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -19,10 +21,17 @@ from repro.eval.formatting import format_table
 from repro.workloads.registry import BENCHMARKS
 
 
+#: Analyses per benchmark; a row keeps the median times.
+RUNS = 3
+
+
 @dataclass
 class RuntimeRow:
     name: str
+    #: median over the runs of the tracker's own wall time
     wall_seconds: float
+    #: median over the runs of the analysis' process CPU time
+    cpu_seconds: float
     paths: int
     forks: int
     merges: int
@@ -32,16 +41,26 @@ class RuntimeRow:
 
 
 def build_runtime(names: Optional[List[str]] = None) -> List[RuntimeRow]:
+    """One row per benchmark; its times are medians over :data:`RUNS`
+    analyses (the effort counters are the same in every run)."""
     rows: List[RuntimeRow] = []
     for name, info in BENCHMARKS.items():
         if names is not None and name not in names:
             continue
-        result = TaintTracker(info.service_program()).run()
+        walls: List[float] = []
+        cpus: List[float] = []
+        for _ in range(RUNS):
+            tracker = TaintTracker(info.service_program())
+            start = time.process_time()
+            result = tracker.run()
+            cpus.append(time.process_time() - start)
+            walls.append(result.stats.wall_seconds)
         stats = result.stats
         rows.append(
             RuntimeRow(
                 name=name,
-                wall_seconds=stats.wall_seconds,
+                wall_seconds=statistics.median(walls),
+                cpu_seconds=statistics.median(cpus),
                 paths=stats.paths,
                 forks=stats.forks,
                 merges=stats.merges,
@@ -60,6 +79,7 @@ def render_runtime(rows=None, **kwargs) -> str:
         [
             "benchmark",
             "wall (s)",
+            "cpu (s)",
             "paths",
             "forks",
             "merges",
@@ -70,6 +90,7 @@ def render_runtime(rows=None, **kwargs) -> str:
             (
                 row.name,
                 f"{row.wall_seconds:.1f}",
+                f"{row.cpu_seconds:.2f}",
                 row.paths,
                 row.forks,
                 row.merges,

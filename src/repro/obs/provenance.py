@@ -31,8 +31,12 @@ cycle) through gates and cycles to the originally-labelled tainted
 inputs, returning a :class:`FlowSlice` that renders as text, exports as
 a Graphviz DOT flow graph, and feeds the HTML report.  The slicer walks a
 destination index (the valid rows stably sorted by ``dst``, built once
-per batch of appends) with one binary search per visited node, and its
-edges resolve node names only when rendered.
+per batch of appends) with one binary search per expanded node.  Each
+node's events become a shared run of :class:`FlowEdge` objects, built as
+far as a walk's bound reaches and reused by every later slice of the same
+index, so an expansion extends its slice by a prefix of the run instead
+of building an edge per event; edges resolve node names only when
+rendered.
 
 The recorder rides on the run's :class:`~repro.obs.Instruments`, which
 the tracker arms on its own SoC for the duration of ``run()``; the
@@ -57,7 +61,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import (
+    Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -68,6 +76,9 @@ KIND_RAM = 2
 KIND_INPUT = 3
 
 KIND_NAMES = ("gate", "dff", "ram", "input")
+_KIND_NAME_ARRAY = np.array(KIND_NAMES, dtype=object)
+#: A frontier entry's stream position (a run's hops are in its order).
+_POSITION = itemgetter(2)
 
 #: Per-event cap on cross-product edges (e.g. tainted-address smears).
 CROSS_EDGE_CAP = 256
@@ -320,9 +331,10 @@ class ProvenanceRecorder:
             self._index = _DstIndex(
                 spans=spans,
                 position=order.tolist(),
-                src=self._src[by_dst].tolist(),
-                at=self._at[by_dst].tolist(),
-                kind=[KIND_NAMES[k] for k in self._kind[by_dst].tolist()],
+                src=self._src[by_dst],
+                at=self._at[by_dst],
+                kind=self._kind[by_dst],
+                runs={},
             )
         return self._index
 
@@ -390,10 +402,15 @@ class ProvenanceRecorder:
         A node rediscovered with a higher position bound is expanded
         again, and re-emits the edges it emitted under the lower bound;
         the slice keeps those duplicates.
+
+        An expansion reads the node's shared :class:`_Run`: its edges up
+        to the bound extend the slice, its net-sourced hops extend the
+        frontier, and only each source's first event is looked at one by
+        one (a node's parent edge and leaf are its first), so a walk
+        costs per expanded node, not per emitted edge.
         """
         index = self._dst_index()
-        spans, positions = index.spans, index.position
-        srcs, ats, kinds = index.src, index.at, index.kind
+        spans, positions, runs = index.spans, index.position, index.runs
         num_nets = self._num_nets
         edges: List[FlowEdge] = []
         leaves: List[FlowLeaf] = []
@@ -443,16 +460,30 @@ class ProvenanceRecorder:
             if bounds.get(node, -1) >= before:
                 continue
             bounds[node] = before
+            count = 0
             span = spans.get(node)
-            if span is None:
-                found = range(0)
-            else:
+            if span is not None:
                 start, end = span
                 stop = bisect_left(positions, before, start, end)
-                found = range(start, stop)
                 if node in sinks:
-                    found = [i for i in found if ats[i] <= cycle]
-            if not found:
+                    # A sink's own events past the violation cycle are
+                    # not its cause: a run of this query's rows alone.
+                    columns = index.columns(start, stop)
+                    keep = [when <= cycle for when in columns[1]]
+                    run = _Run()
+                    run.grow(self, node, *[
+                        compress(column, keep) for column in columns
+                    ])
+                    count = len(run.edges)
+                else:
+                    run = runs.get(node)
+                    if run is None:
+                        run = runs[node] = _Run()
+                    count = stop - start
+                    built = start + len(run.edges)
+                    if built < stop:
+                        run.grow(self, node, *index.columns(built, stop))
+            if not count:
                 source = self.is_source_node(node)
                 if source or node in sinks:
                     note_leaf(node, at, source)
@@ -461,21 +492,21 @@ class ProvenanceRecorder:
                     # the ring): an honest dead end, not an origin.
                     note_leaf(node, at, False, " (unrecorded)")
                 continue
-            for i in found:
-                src = srcs[i]
-                edge = FlowEdge(src, node, ats[i], kinds[i], self)
-                edges.append(edge)
-                if src not in parents:
-                    parents[src] = edge
-                if src < 0:
+            run_edges = run.edges
+            edges.extend(run_edges[:count])
+            hops = run.hops
+            frontier.extend(hops[:bisect_left(hops, before, key=_POSITION)])
+            first_rows = run.first_rows
+            for row in first_rows[:bisect_left(first_rows, count)]:
+                edge = run_edges[row]
+                src = edge.src
+                parents.setdefault(src, edge)
+                if src < 0 or (num_nets and src >= num_nets):
+                    # Interned labels are origins; RAM pseudo-nets are
+                    # both origins (initially-tainted partitions) and
+                    # conduits (store->load), so their hops are chased
+                    # too.
                     note_leaf(src, edge.cycle, True)
-                    continue
-                if num_nets and src >= num_nets:
-                    # RAM pseudo-nets are both origins (initially-tainted
-                    # partitions) and conduits (store->load): surface the
-                    # origin and keep chasing the stores feeding it.
-                    note_leaf(src, edge.cycle, True)
-                frontier.append((src, edge.cycle, positions[i]))
         chain = self._chain_for(parents, leaves)
         return FlowSlice(
             sink_nets=[int(net) for net in sink_nets],
@@ -606,18 +637,76 @@ class ProvenanceRecorder:
 class _DstIndex(NamedTuple):
     """The recorder's valid rows, stably sorted by destination node.
 
-    Row ``i`` of the sorted order is event ``i`` of these lists; a node's
-    events are ``spans[node] = (start, end)``, oldest first, so the ones
-    before a stream position are one ``bisect_left`` on ``position``.
+    Row ``i`` of the sorted order is event ``i`` of these columns; a
+    node's events are ``spans[node] = (start, end)``, oldest first, so the
+    ones before a stream position are one ``bisect_left`` on
+    ``position``.  Only ``position`` is a list; the other columns stay
+    arrays until a run reads its rows (:meth:`columns`), so the index
+    holds no Python object per event it is never asked for.
     """
 
     spans: Dict[int, Tuple[int, int]]
     #: stream position (0 = oldest retained edge) of each event
     position: List[int]
-    src: List[int]
-    at: List[int]
-    #: ``KIND_NAMES`` entry of each event
-    kind: List[str]
+    src: np.ndarray
+    at: np.ndarray
+    #: ``KIND_*`` code of each event
+    kind: np.ndarray
+    #: each expanded node's shared edge run, filled by the slices
+    runs: Dict[int, "_Run"]
+
+    def columns(
+        self, start: int, stop: int
+    ) -> Tuple[List[int], List[int], List[str], List[int]]:
+        """Sources, cycles, kind names and stream positions of rows
+        ``start`` to ``stop``, as lists."""
+        return (
+            self.src[start:stop].tolist(),
+            self.at[start:stop].tolist(),
+            _KIND_NAME_ARRAY.take(self.kind[start:stop]).tolist(),
+            self.position[start:stop],
+        )
+
+
+class _Run:
+    """One destination's events as shared slice pieces, oldest first.
+
+    Row ``k`` is the node's ``k``-th event in its index span.  ``edges``
+    holds a :class:`FlowEdge` per row; ``hops`` the frontier entry
+    ``(src, cycle, position)`` of each row whose source is a net (a
+    plain net or a RAM pseudo-net); ``first_rows`` the row of each
+    source's first event.  The rows before a bound are therefore a
+    prefix of each list.  Runs grow as far as the walks' bounds reach and
+    are shared by every slice until an append drops the index.
+    """
+
+    __slots__ = ("edges", "hops", "first_rows")
+
+    def __init__(self) -> None:
+        self.edges: List[FlowEdge] = []
+        self.hops: List[Tuple[int, int, int]] = []
+        self.first_rows: List[int] = []
+
+    def grow(
+        self,
+        recorder: ProvenanceRecorder,
+        node: int,
+        srcs: Iterable[int],
+        ats: Iterable[int],
+        kinds: Iterable[str],
+        positions: Iterable[int],
+    ) -> None:
+        """Append *node*'s next events, given column by column."""
+        edges, hops, first_rows = self.edges, self.hops, self.first_rows
+        sources = {edges[row].src for row in first_rows}
+        rows = enumerate(zip(srcs, ats, kinds, positions), len(edges))
+        for row, (src, at, kind, position) in rows:
+            edges.append(FlowEdge(src, node, at, kind, recorder))
+            if src >= 0:
+                hops.append((src, at, position))
+            if src not in sources:
+                sources.add(src)
+                first_rows.append(row)
 
 
 class FlowEdge:
@@ -625,6 +714,8 @@ class FlowEdge:
 
     Node names resolve through the recorder on access: a slice holds
     tens of thousands of edges and only rendering reads their names.
+    The slices of one recorder share edge objects, so treat them as
+    read-only.
     """
 
     __slots__ = ("src", "dst", "cycle", "kind", "_recorder")
@@ -680,6 +771,9 @@ class FlowSlice:
     sink_nets: List[int]
     sink_names: List[str]
     cycle: int
+    #: every chased event, in walk order (duplicates included); the list
+    #: is this slice's own, but its :class:`FlowEdge` objects are shared
+    #: with other slices of the same recorder, so treat them as read-only
     edges: List[FlowEdge]
     leaves: List[FlowLeaf]
     #: one linear sink->origin path (root first, origin last)

@@ -149,11 +149,33 @@ class Watchdog:
         return self.counter
 
     def fast_forward(self, cycles: int) -> Tuple[int, int]:
-        """Advance *cycles* ticks at once; returns the final tick's POR."""
-        por = (ZERO, 0)
-        for _ in range(cycles):
+        """Advance *cycles* ticks at once; returns the final tick's POR.
+
+        The same as *cycles* calls of :meth:`tick`, in constant time: a
+        running watchdog counts down, reloads on each expiry and fires on
+        the last tick only if that tick expires.
+        """
+        if cycles <= 0:
+            return ZERO, 0
+        if self.pending_reset:
             por = self.tick()
-        return por
+            cycles -= 1
+            if not cycles:
+                return por
+        if self.corrupted:
+            return ZERO, 1
+        if not self.running:
+            return ZERO, 0
+        interval = WDT_INTERVALS[self.control.bits & 0x3]
+        first = max(self.counter, 1)  # the tick of the first expiry
+        if cycles < first:
+            self.counter -= cycles
+            return ZERO, 0
+        since = (cycles - first) % interval  # ticks after the last expiry
+        self.counter = interval - since
+        if since:
+            return ZERO, 0
+        return ONE, 1 if self.control.tmask else 0
 
     # ------------------------------------------------------------------
     # Tracker state management

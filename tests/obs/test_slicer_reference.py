@@ -7,6 +7,12 @@ restores into a smaller ring, sinks that reappear as sources and tiny
 ``max_nodes``/``max_edges`` caps are all drawn.  Every slice must equal
 :func:`tests.obs.slice_reference.reference_slice`: the same edges in the
 same order (duplicates included), leaves, chain and truncation flag.
+
+The slicer keeps each node's edges as a run shared by every slice of one
+destination index, so sequences of queries on one recorder are drawn too:
+a capped query before the uncapped one that must extend its runs, a
+repeat, sinks taken from an earlier slice's sources, and an append that
+drops the index between two queries.
 """
 
 import numpy as np
@@ -91,6 +97,7 @@ def _check(recorder, query):
         recorder, sinks, cycle, max_nodes=max_nodes, max_edges=max_edges
     )
     assert _as_tuples(flow) == expected
+    return flow
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,3 +139,69 @@ def test_unbound_recorder_matches_reference(stream, query):
         recorder.begin_cycle(cycle)
         getattr(recorder, name)(*args)
     _check(recorder, query)
+
+
+def _recorder_of(stream, capacity=64):
+    recorder = ProvenanceRecorder(capacity=capacity)
+    recorder.bind_raw(NUM_NETS, [f"n{net}" for net in range(NUM_NETS)])
+    for cycle, name, args in stream:
+        recorder.begin_cycle(cycle)
+        getattr(recorder, name)(*args)
+    return recorder
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.one_of(st.integers(4, 48), st.just(1024)),
+    stream=st.lists(records(), max_size=30),
+    first=queries,
+    caps=st.tuples(st.integers(0, 3), st.integers(0, 10)),
+    later=queries,
+    append=records(),
+    append_before=st.integers(0, 5),
+)
+def test_query_sequences_on_one_index_match_reference(
+    capacity, stream, first, caps, later, append, append_before
+):
+    """One recorder answers several queries from the runs the earlier
+    ones built; each answer still equals the reference walk."""
+    recorder = _recorder_of(stream, capacity)
+    sinks, cycle, _, _ = first
+    uncapped = (sinks, cycle, 4096, 100_000)
+    sequence = [(sinks, cycle) + caps, uncapped, uncapped, later]
+    flows = []
+    for number in range(len(sequence) + 1):
+        if number == append_before:
+            cycle_of_append, name, args = append
+            recorder.begin_cycle(cycle_of_append)
+            getattr(recorder, name)(*args)
+        if number < len(sequence):
+            query = sequence[number]
+        else:
+            # Sinks that were sources a moment ago: their runs exist.
+            sources = sorted(
+                {edge.src for edge in flows[-1].edges if edge.src >= 0}
+            )
+            query = (sources[:4] or [0], cycle, 4096, 100_000)
+        flows.append(_check(recorder, query))
+    # Runs share edge objects across slices, never a slice's edge list.
+    assert len({id(flow.edges) for flow in flows}) == len(flows)
+
+
+def test_repeated_query_shares_edges_not_lists():
+    """A repeated query reads the runs the first one built: the same
+    edge objects past the sink's own (a sink's events are filtered by
+    each query's cycle), in a list of its own."""
+    recorder = _recorder_of([
+        (1, "record_input", ([0, 1], 0b11, "P1IN")),
+        (2, "record_gate", (_ids([2, 2, 3]), _ids([0, 1, 2]))),
+        (3, "record_latch", (_ids([4]), _ids([3]))),
+    ])
+    first = recorder.slice_to([4], 3)
+    second = recorder.slice_to([4], 3)
+    assert [(e.src, e.dst) for e in first.edges] == [
+        (3, 4), (2, 3), (0, 2), (1, 2), (-1, 0), (-1, 1),
+    ]
+    assert first.edges is not second.edges
+    assert all(a is b for a, b in zip(first.edges[1:], second.edges[1:]))
+    assert _as_tuples(second) == reference_slice(recorder, [4], 3)

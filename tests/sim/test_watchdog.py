@@ -1,11 +1,13 @@
 """Tests for the watchdog timer model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.logic.ternary import ONE, UNKNOWN, ZERO
 from repro.logic.words import TWord
 from repro.memmap import WDTCTL
-from repro.sim.watchdog import WDT_INTERVALS, Watchdog
+from repro.sim.watchdog import HOLD_BIT, WDT_INTERVALS, Watchdog
 
 
 def armed_watchdog(interval_select=3):
@@ -150,3 +152,42 @@ class TestStateManagement:
         wdt.merge(armed_watchdog().snapshot())
         assert not wdt.corrupted
         assert wdt.running
+
+
+def _ticked(wdt, cycles):
+    """*cycles* single ticks: what ``fast_forward`` must equal."""
+    por = (ZERO, 0)
+    for _ in range(cycles):
+        por = wdt.tick()
+    return por
+
+
+@st.composite
+def watchdog_states(draw):
+    """A watchdog in any state a tracker can hand to ``fast_forward``,
+    with a cycle count up to a few of its intervals."""
+    select = draw(st.integers(0, 3))
+    interval = WDT_INTERVALS[select]
+    hold = draw(st.sampled_from([0, 1, None]))  # None: an unknown bit
+    wdt = Watchdog(WDTCTL)
+    wdt.control = TWord(
+        select | (1 << HOLD_BIT if hold else 0),
+        xmask=1 << HOLD_BIT if hold is None else 0,
+        tmask=draw(st.sampled_from([0, 0x0003, 0xFFFF])),
+    )
+    wdt.counter = draw(st.integers(-2, 3 * interval))
+    wdt.corrupted = draw(st.booleans())
+    wdt.pending_reset = draw(st.booleans())
+    wdt.pending_reset_taint = draw(st.integers(0, 1))
+    cycles = draw(st.integers(0, 3 * interval + 2))
+    return wdt, cycles
+
+
+@settings(max_examples=150, deadline=None)
+@given(watchdog_states())
+def test_fast_forward_equals_single_ticks(case):
+    wdt, cycles = case
+    ticked = Watchdog(WDTCTL)
+    ticked.restore(wdt.snapshot())
+    assert wdt.fast_forward(cycles) == _ticked(ticked, cycles)
+    assert wdt.snapshot() == ticked.snapshot()
