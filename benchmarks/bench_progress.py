@@ -37,7 +37,7 @@ def circuit():
 def test_progress_overhead(circuit, bench_json):
     program = assemble(BENCHMARKS["intAVG"].service_source, name="intavg")
     policy = default_policy()
-    pairs = 11
+    pairs = 21
     analyses = 5  # per timed run: one intAVG analysis is under 0.1 s
 
     def run_plain():

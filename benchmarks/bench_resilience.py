@@ -27,7 +27,7 @@ def test_budget_and_checkpoint_overhead(circuit, tmp_path, bench_json):
     """Armed budgets + cadence checks on a real Table 1 analysis."""
     program = assemble(BENCHMARKS["intAVG"].service_source, name="intavg")
     policy = default_policy()
-    pairs = 11
+    pairs = 21
     analyses = 5  # per timed run: one intAVG analysis is under 0.1 s
 
     def run_plain():

@@ -11,13 +11,14 @@ frozen list-scanning walk), in alternating rounds by process CPU time.
 The reported ratio is the median indexed round over the median frozen
 round.  Both sides read the same edges, so the ratio moves with the
 slicer, not with the host, the analysis or the gate kernel.  It is
-about 0.15 with the span-run slicer (about 0.28 when every expansion
+about 0.13 with the span-run slicer (about 0.28 when every expansion
 built its edges one by one) and 1.0 with the frozen walk on both
 sides.  The last line of standard output is a JSON document; the exit
 status is 1 when the ratio is not below ``--max-ratio``.
 """
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -46,9 +47,11 @@ def indexed(recorder, sinks, cycle):
 def _fresh_round(slicer, recorder, queries) -> float:
     """A round of *slicer*; an indexed round first drops the recorder's
     destination index, so each round builds it once, as explaining a
-    fresh analysis does."""
+    fresh analysis does.  A full collection runs before the timer
+    starts, so one seldom lands inside a round."""
     if slicer is indexed:
         recorder._index = None
+    gc.collect()
     return _round(slicer, recorder, queries)
 
 
@@ -73,6 +76,9 @@ def main(argv=None) -> int:
         edges, _, _, _ = frozen(recorder, flow.sink_nets, violation.cycle)
         if len(edges) != len(flow.edges):
             raise SystemExit(f"violation {index}: the slicers disagree")
+    # Nothing timed reads them, and a collection in a round would walk
+    # their edges.
+    del result, flow, edges
     times = {"indexed": [], "frozen": []}
     sides = (("indexed", indexed), ("frozen", frozen))
     for number in range(ROUNDS):

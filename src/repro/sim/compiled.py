@@ -38,13 +38,22 @@ columns repeat input 0; its table ignores them, so the padding is exact.
 Its *key* is eight bytes read as one little-endian 64-bit integer, so it
 does not depend on host byte order: the four input codes, then the four
 bytes of its function's *suffix word*.  The suffix words sit past the
-nets in the state buffer, so one gather reads a whole key, and a rank
-evaluates as::
+nets in the state buffer, so one gather reads a whole key.  A pass runs
+in a *work row* (:class:`_Kernel`): the state buffer's bytes, one slot
+per constant net, then one slot per row of the form, in rank order.
+Each rank's key columns are remapped to the slots that hold its leaves'
+codes, so a pass is::
 
-    buffer[outputs] = table[buffer[columns].view('<i8') % modulus]
+    work[:len(buffer)] = buffer
+    for each rank:
+        work.take(columns, None, keys, 'clip')
+        np.remainder(keys64, modulus, keys64)    # keys64: keys as '<i8'
+        table.take(keys64, None, slots, 'clip')  # slots: the rank's slice
+    buffer[outputs] = work[len(buffer):]
 
--- one gather, one modulo, one table lookup and one scatter per rank,
-whatever its mix of functions.  The modulus is built, not searched for:
+-- three calls per rank into preallocated memory, whatever its mix of
+functions, and one write-back of every row and constant net per pass.
+The modulus is built, not searched for:
 with F functions (the library cell types plus the netlist's distinct
 multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
 smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
@@ -412,6 +421,22 @@ class _Rank(NamedTuple):
     columns: np.ndarray  # (n * KEY_BYTES,) buffer index of each key byte
 
 
+class _Kernel(NamedTuple):
+    """A plan form laid out for passes on buffers of one length (see
+    :meth:`CompiledCircuit._kernel`).
+
+    Each step is a rank's key columns into ``work``, its key scratch,
+    that scratch as ``'<i8'`` keys, and its slots.  ``outputs`` are the
+    buffer indices of ``work[len(buffer):]``.  ``ranks`` keeps the form
+    alive, so its identity keys no other form.
+    """
+
+    ranks: list
+    work: np.ndarray
+    steps: list
+    outputs: np.ndarray
+
+
 class _Plan:
     """A pass's two forms, each a list of ranks in evaluation order, plus
     its per-pass gate counts.
@@ -421,16 +446,18 @@ class _Plan:
     drives one every-net row, so the counts are the cell types of those
     rows' roots (*cell_types*: a ``CELL_TYPES`` index per buffer index
     a row writes), and gate-eval counters count netlist gates whichever
-    form runs.
+    form runs.  ``kernels`` holds each form's :class:`_Kernel` by the
+    form's identity and buffer length, built on the form's first sweep.
     """
 
-    __slots__ = ("mapped", "every", "gates_by_type", "total")
+    __slots__ = ("mapped", "every", "gates_by_type", "total", "kernels")
 
     def __init__(
         self, mapped: List[_Rank], every: List[_Rank], cell_types: np.ndarray
     ):
         self.mapped = mapped
         self.every = every
+        self.kernels: Dict[Tuple[int, int], _Kernel] = {}
         counts = np.zeros(len(CELL_TYPES), dtype=np.int64)
         for rank in every:
             counts += np.bincount(
@@ -482,7 +509,9 @@ class CompiledCircuit:
     One compiled circuit may serve many SoCs and runs (see
     :func:`repro.cpu.compiled_cpu`), so it holds no run's instruments:
     *obs* only times the compile phases, and each pass reads its run's
-    :class:`~repro.obs.Instruments` from the state it evaluates.
+    :class:`~repro.obs.Instruments` from the state it evaluates.  Its
+    passes share each plan form's work row as scratch, so they are not
+    reentrant: two threads must not run passes on one circuit at once.
     """
 
     def __init__(
@@ -765,21 +794,76 @@ class CompiledCircuit:
 
     def _evaluate(self, state: CircuitState, plan: _Plan) -> None:
         """One pass over a form of *plan* (see :meth:`pass_plan`),
-        counted by the state's instruments."""
-        if len(self._const_nets_arr):
-            state.codes[self._const_nets_arr] = self._const_codes_arr
-        self._sweep(state.buffer, self.pass_plan(state, plan))
+        counted by the state's instruments.  The pass also ties the
+        constant nets (see :meth:`_sweep`)."""
+        self._sweep(state.buffer, self.pass_plan(state, plan), plan)
         obs = state.instruments.obs
         if obs.enabled:
             self._count_gate_evals(obs.metrics, plan)
 
-    def _sweep(self, buffer: np.ndarray, ranks: List[_Rank]) -> None:
-        """The gate kernel: evaluate *ranks* in order on a state
-        *buffer* (net codes plus the suffix words)."""
-        table = self._table
-        modulus = self._modulus
-        for outputs, columns in ranks:
-            buffer[outputs] = table[buffer[columns].view(_KEY) % modulus]
+    def _sweep(
+        self, buffer: np.ndarray, ranks: List[_Rank], plan: _Plan
+    ) -> None:
+        """The gate kernel: evaluate *ranks*, a form of *plan*, in order
+        on a state *buffer* (net codes plus the suffix words), in the
+        form's work row (:meth:`_kernel`), and write every slot back,
+        the constant nets' tied codes included.  ``'clip'`` lets take
+        write into its output without a temporary; it never clips."""
+        key = (id(ranks), len(buffer))
+        kernel = plan.kernels.get(key)
+        if kernel is None:
+            kernel = plan.kernels[key] = self._kernel(ranks, len(buffer))
+        work = kernel.work
+        work[:len(buffer)] = buffer
+        table, modulus, remainder = self._table, self._modulus, np.remainder
+        for columns, keys, keys64, slots in kernel.steps:
+            work.take(columns, None, keys, "clip")
+            remainder(keys64, modulus, keys64)
+            table.take(keys64, None, slots, "clip")
+        buffer[kernel.outputs] = work[len(buffer):]
+
+    def _kernel(self, ranks: List[_Rank], length: int) -> _Kernel:
+        """*ranks* laid out for buffers of *length* bytes (one state
+        buffer, or a pair state's two rows).
+
+        The work row holds the buffer's bytes, one slot per constant net
+        (its tied code), then one slot per row, in rank order.  A column
+        reads the buffer's byte unless an earlier rank writes it (then
+        that rank's slot) or it is a constant net of either row (then
+        its constant slot).  Every column is checked to lie in the
+        buffer and no net to be written twice, so ``'clip'`` never clips
+        and the write-back is exact; a key is non-negative, and
+        ``% modulus`` keeps it below ``len(table)``.
+        """
+        consts = self._const_nets_arr
+        sizes = [len(outputs) for outputs, _ in ranks]
+        start = length + len(consts)
+        work = np.empty(start + sum(sizes), dtype=np.uint8)
+        work[length:start] = self._const_codes_arr
+        # The work index holding each buffer byte's code at this rank.
+        source = np.arange(length)
+        for row in range(0, length, self.stride):
+            source[consts + row] = np.arange(length, start)
+        # One key scratch serves every rank: ranks run one at a time.
+        keys = np.empty(KEY_BYTES * max(sizes, default=0), dtype=np.uint8)
+        steps, outputs = [], [consts]
+        for (rank_outputs, columns), size in zip(ranks, sizes):
+            if columns.min() < 0 or columns.max() >= length:
+                raise ValueError("a key column lies outside the buffer")
+            stop = start + size
+            scratch = keys[:len(columns)]
+            steps.append((
+                source[columns], scratch, scratch.view(_KEY),
+                work[start:stop],
+            ))
+            source[rank_outputs] = np.arange(start, stop)
+            outputs.append(rank_outputs)
+            start = stop
+        outputs = np.concatenate(outputs)
+        # A net written twice keeps only its last slot.
+        if (source[outputs] != np.arange(length, len(work))).any():
+            raise ValueError("a net is written twice in one pass")
+        return _Kernel(ranks, work, steps, outputs)
 
     def _producer_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-net fan-in table and topological rank for provenance.
@@ -882,8 +966,8 @@ class CompiledCircuit:
         *state*'s buffer moves into row 0, so *state* keeps its codes
         and reads and writes them there; the pair state's codes are row
         0's nets too, and row 1 starts as a copy.  *state*'s constant
-        cells are tied first, as every pass ties them, so row 0 always
-        holds them and a copy of it into row 1 carries them.
+        cells are tied first, as every pass's write-back ties them, so
+        row 0 always holds them and a copy of it into row 1 carries them.
         """
         if len(self._const_nets_arr):
             state.codes[self._const_nets_arr] = self._const_codes_arr
@@ -902,7 +986,7 @@ class CompiledCircuit:
         :attr:`stride` on (the suffix words of row 1 included).  The
         two rows' writes are disjoint and each row reads only its own
         nets, so one pass leaves row 0 as a full pass and row 1 as a
-        cone pass would, with one kernel line per rank.  A pair pass
+        cone pass would, with one kernel step per rank.  A pair pass
         serves a provenance-recording step, which reads every net, so
         both forms are these every-net ranks; the gate counts are the
         full plan's plus the cone's.  Memoised like :meth:`cone_plan`.
@@ -924,10 +1008,12 @@ class CompiledCircuit:
                     np.concatenate([rank.outputs, cone.outputs + stride]),
                     np.concatenate([rank.columns, cone.columns + stride]),
                 ))
-            full.every = _prefixes(
+            # In place: the lists keep their identity and content, so a
+            # kernel built on them (keyed by identity) stays correct.
+            full.every[:] = _prefixes(
                 ranks, [len(rank.outputs) for rank in full.every]
             )
-            full.mapped = _prefixes(full.every, self._cover_rows)
+            full.mapped[:] = _prefixes(full.every, self._cover_rows)
             row_types = np.full(stride, -1, dtype=np.int64)
             row_types[:self.num_nets] = self._cell_types
             plan = self._subplans[key] = _Plan(

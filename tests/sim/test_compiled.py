@@ -40,6 +40,7 @@ from repro.sim.compiled import (
 from repro.sim.runner import GateRunner
 from repro.sim.soc import INTERFACE_PORTS
 from repro.workloads.registry import BENCHMARKS
+from tests.sim.test_engine_equivalence import Reference, random_netlist
 
 
 def adder_circuit(width=4):
@@ -662,3 +663,146 @@ class TestKeySuffix:
         assert timeline.num_frames == 10
         for frame in range(timeline.num_frames):
             assert len(timeline.seek(frame)) == runner.soc.circuit.num_nets
+
+
+# ---------------------------------------------------------------------------
+# The kernel's work row
+# ---------------------------------------------------------------------------
+def _kernel_forms(circuit, cone_ports, fanout_ports):
+    """``(ranks, buffer length)`` of every form of *circuit*'s full,
+    cone, fanout and pair plans, at each length a pass runs it on: the
+    fanout plan also runs on a provenance step's two-row buffer."""
+    stride = circuit.stride
+    plans = [
+        (circuit._full_plan, [stride]),
+        (circuit.cone_plan(cone_ports), [stride]),
+        (circuit.fanout_plan(fanout_ports), [stride, 2 * stride]),
+        (circuit.pair_plan(cone_ports), [2 * stride]),
+    ]
+    return [
+        (ranks, length)
+        for plan, lengths in plans
+        for ranks in (plan.mapped, plan.every)
+        for length in lengths
+    ]
+
+
+def _assert_kernel_layout(circuit, ranks, length):
+    """Every column of the kernel of *ranks* reads the byte the rank's
+    own column names: the buffer's, unless an earlier rank of the form
+    wrote it (then that rank's slot) or it is a constant net (then its
+    constant slot); the write-back covers the constant nets and each
+    row's output exactly once."""
+    kernel = circuit._kernel(ranks, length)
+    consts = circuit._const_nets_arr
+    base = length + len(consts)
+    rows = sum(len(outputs) for outputs, _ in ranks)
+    assert len(kernel.work) == base + rows
+    #: the buffer byte each work index holds a code for
+    origin = np.concatenate(
+        [np.arange(length), consts] + [outputs for outputs, _ in ranks]
+    )
+    constant = np.zeros(length, dtype=bool)
+    for row in range(0, length, circuit.stride):
+        constant[consts + row] = True
+    written = np.zeros(length, dtype=bool)
+    start = base
+    for (outputs, columns), step in zip(ranks, kernel.steps, strict=True):
+        work_columns, keys, keys64, slots = step
+        assert 0 <= work_columns.min() and work_columns.max() < len(
+            kernel.work
+        )
+        assert len(keys) == len(work_columns) == 8 * len(slots)
+        assert np.shares_memory(keys64, keys) and keys64.dtype == "<i8"
+        assert slots.__array_interface__["data"][0] == (
+            kernel.work.__array_interface__["data"][0] + start
+        )
+        # A slot a rank reads is written by an earlier rank.
+        assert (work_columns[work_columns >= base] < start).all()
+        read = origin[work_columns]
+        from_buffer = work_columns < length
+        from_constant = (work_columns >= length) & (work_columns < base)
+        assert np.array_equal(read[from_buffer], columns[from_buffer])
+        assert not (written | constant)[columns[from_buffer]].any()
+        assert constant[columns[from_constant]].all()
+        assert np.array_equal(
+            read[from_constant], columns[from_constant] % circuit.stride
+        )
+        from_slot = work_columns >= base
+        assert np.array_equal(read[from_slot], columns[from_slot])
+        written[outputs] = True
+        start += len(outputs)
+    assert np.array_equal(kernel.outputs, origin[length:])
+    assert len(np.unique(kernel.outputs)) == len(kernel.outputs)
+    assert np.array_equal(kernel.work[length:base], circuit._const_codes_arr)
+
+
+class TestKernel:
+    """A pass copies the buffer into its form's work row, runs three
+    calls per rank into the row's slots and writes every slot back."""
+
+    def test_lp430_forms_read_what_their_columns_name(self, lp430):
+        forms = _kernel_forms(lp430, INTERFACE_PORTS, ["dmem_rdata"])
+        assert len(forms) == 10
+        for ranks, length in forms:
+            _assert_kernel_layout(lp430, ranks, length)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_random_dag_forms_read_what_their_columns_name(self, seed):
+        circuit = CompiledCircuit(random_netlist(seed, recent=6))
+        assert len(circuit._const_nets_arr) == 2
+        for ranks, length in _kernel_forms(circuit, ["out"], ["in0"]):
+            _assert_kernel_layout(circuit, ranks, length)
+
+    def test_kernel_validates_its_layout(self, lp430):
+        rank = lp430._full_plan.every[0]
+        with pytest.raises(ValueError, match="written twice"):
+            lp430._kernel([rank, rank], lp430.stride)
+        with pytest.raises(ValueError, match="outside the buffer"):
+            lp430._kernel([rank], lp430.num_nets)
+
+    @pytest.mark.parametrize("every_net", [False, True])
+    def test_a_pass_reties_overwritten_constants(self, every_net):
+        circuit = CompiledCircuit(random_netlist(3))
+        consts = circuit._const_nets_arr
+        state = circuit.new_state()
+        state.every_net = every_net
+        circuit.set_input(state, "rst", TWord.const(1, 1))
+        circuit.eval_combinational(state)
+        expected = state.copy()
+        circuit.eval_combinational(expected)
+        state.codes[consts] = CODE_X
+        circuit.eval_combinational(state)
+        assert np.array_equal(state.codes[consts], circuit._const_codes_arr)
+        assert np.array_equal(state.codes, expected.codes)
+
+    def test_kernels_survive_the_pair_plan_repointing_the_full_plan(self):
+        """A mapped pass builds the full plan's kernel; arming a
+        provenance recorder then builds the pair plan, which re-points
+        the full plan's ranks at its own arrays.  Later passes in both
+        forms still match the reference walk."""
+        circuit = CompiledCircuit(build_cpu())
+        reference = Reference(circuit.netlist)
+        program = assemble(BENCHMARKS["mult"].service_source, name="mult")
+        runner = GateRunner(circuit, program)
+        runner.run(max_cycles=20)
+        full = circuit._full_plan
+        mapped, every = full.mapped, full.every
+        kernels = dict(full.kernels)
+        assert len(kernels) == 1
+        runner.soc.arm(Instruments(provenance=ProvenanceRecorder()))
+        runner.step()
+        assert full.mapped is mapped and full.every is every
+        assert all(full.kernels[key] is kernel
+                   for key, kernel in kernels.items())
+        for every_net in (False, True):
+            state = runner.soc.state.copy()
+            state.every_net = every_net
+            codes = state.codes.copy()
+            reference.evaluate(codes)
+            circuit.eval_combinational(state)
+            nets = slice(None) if every_net else np.unique(np.concatenate(
+                [rank.outputs for rank in full.mapped]
+                + [circuit.dff_nets()]
+            ))
+            assert np.array_equal(state.codes[nets], codes[nets])
