@@ -66,10 +66,12 @@ def test_tracing_overhead(circuit, tmp_path, bench_json):
     gate-level runner must cost < 10% over the untraced run.
 
     The overhead is the median traced/plain ratio of the CPU times of
-    alternating pairs on one pinned CPU (``benchmarks/_pairs.py``)."""
+    alternating pairs on one pinned CPU (``benchmarks/_pairs.py``).  A
+    run lasts about 30 ms, so many short pairs steady the median more
+    than fewer pairs of back-to-back runs do."""
     program = assemble(LOOP, name="loop")
     cycles = 400
-    pairs = 11
+    pairs = 81
     paths = (tmp_path / f"trace{index}.jsonl" for index in itertools.count())
 
     def run_plain():

@@ -292,15 +292,13 @@ class TraceRecorder:
         itself; everything else goes through :meth:`emit`.  *members*
         must repeat no reserved or context field.  ``wall`` is one
         ``%.6f``, the number ``round(..., 6)`` gives."""
+        # One f-string: a step event is written every traced cycle, and
+        # it formats faster than the equivalent ``%`` tuple.
         self._file.write(
-            '{"event": %s, "wall": %.6f, "v": %d, "seq": %d%s%s}\n' % (
-                _encode_string(event),
-                self._clock.wall() - self._start,
-                TRACE_SCHEMA_VERSION,
-                self.sequence,
-                self._context_json,
-                ", " + members if members else "",
-            )
+            f'{{"event": {_encode_string(event)}, '
+            f'"wall": {self._clock.wall() - self._start:.6f}, '
+            f'"v": {TRACE_SCHEMA_VERSION}, "seq": {self.sequence}'
+            f'{self._context_json}{", " + members if members else ""}}}\n'
         )
         self.events_written += 1
         self.sequence += 1

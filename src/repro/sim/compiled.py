@@ -644,8 +644,9 @@ class CompiledCircuit:
         table per function, in function order)."""
         words = _suffix_words(len(tables))
         modulus = _table_modulus(len(tables))
-        #: the table size, as a numpy scalar: the kernel converts nothing
-        self._modulus = np.int64(modulus)
+        #: the table size, as a 0-d int64 array: ``np.remainder`` takes
+        #: it as is, where a numpy scalar is converted on every call
+        self._modulus = np.array(modulus, dtype=np.int64)
         #: the state buffer's suffix past the nets: each function's word
         self._suffix = words.view(np.uint8)
         #: bytes in one state buffer, and so between the rows of a pair

@@ -200,23 +200,21 @@ class GateRunner:
     ) -> None:
         """One per-cycle summary trace event, encoded here and written
         straight to the trace recorder."""
+        pc = events.pc
         members = (
-            '"cycle": %d, "phase": "%s", "pc": %s, "reset": %s, '
-            '"read": %s, "write": %s, "port_events": %d' % (
-                cycle,
-                PHASE_NAMES[phase] if phase >= 0 else "X",
-                "null" if events.pc.xmask else events.pc.bits,
-                _JSON_BOOL[events.reset[0] == ONE],
-                _JSON_BOOL[events.read is not None],
-                _JSON_BOOL[events.write is not None],
-                len(events.port_events),
-            )
+            f'"cycle": {cycle}, '
+            f'"phase": "{PHASE_NAMES[phase] if phase >= 0 else "X"}", '
+            f'"pc": {"null" if pc.xmask else pc.bits}, '
+            f'"reset": {_JSON_BOOL[events.reset[0] == ONE]}, '
+            f'"read": {_JSON_BOOL[events.read is not None]}, '
+            f'"write": {_JSON_BOOL[events.write is not None]}, '
+            f'"port_events": {len(events.port_events)}'
         )
         provenance, timeline = instruments.provenance, instruments.timeline
         if provenance is not None:
-            members += ', "provenance_edges": %d' % provenance.edges_this_cycle
+            members += f', "provenance_edges": {provenance.edges_this_cycle}'
         if timeline is not None:
-            members += ', "timeline_frames": %d' % timeline.num_frames
+            members += f', "timeline_frames": {timeline.num_frames}'
         instruments.obs.trace.write("step", members)
 
     def run(

@@ -754,6 +754,15 @@ class TestKernel:
         for ranks, length in _kernel_forms(circuit, ["out"], ["in0"]):
             _assert_kernel_layout(circuit, ranks, length)
 
+    def test_remainder_modulus_is_a_0d_int64_array(self, lp430):
+        # np.remainder converts a numpy scalar operand on each of a
+        # pass's 30 calls (about 700 ns a call on a 65-row rank) and
+        # takes a 0-d array as it is (about 500 ns).
+        modulus = lp430._modulus
+        assert type(modulus) is np.ndarray
+        assert modulus.shape == () and modulus.dtype == np.int64
+        assert modulus == len(lp430._table)
+
     def test_kernel_validates_its_layout(self, lp430):
         rank = lp430._full_plan.every[0]
         with pytest.raises(ValueError, match="written twice"):
