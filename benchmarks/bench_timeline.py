@@ -2,9 +2,10 @@
 
 Two contracts from the timeline design (DESIGN.md section 9):
 
-* recording every cycle's state delta into a ``TimelineRecorder`` must
-  cost < 15% over the unrecorded gate-level run: the median CPU-time
-  ratio of alternating pairs on one pinned CPU (``_pairs.py``);
+* recording every cycle's step-log row (flip-flop and input-port codes)
+  into a ``TimelineRecorder`` must cost < 15% over the unrecorded
+  gate-level run: the median CPU-time ratio of alternating pairs on one
+  pinned CPU (``_pairs.py``);
 * the on-disk ``.timeline`` format must stay compact -- the document
   reports bytes per 1k recorded cycles so format regressions show up in
   the BENCH trajectory.
@@ -36,7 +37,7 @@ def circuit():
 
 
 def test_timeline_recording_overhead(circuit, tmp_path, bench_json):
-    """Per-cycle delta capture must cost < 15% over the plain run."""
+    """Per-cycle row capture must cost < 15% over the plain run."""
     program = assemble(LOOP, name="loop")
     cycles = 2_000
     pairs = 11
@@ -69,7 +70,6 @@ def test_timeline_recording_overhead(circuit, tmp_path, bench_json):
         "timeline",
         {
             "cycles": recorder.num_frames,
-            "keyframes": recorder.keyframes,
             "plain_seconds": plain,
             "recording_seconds": recording,
             "overhead_ratio": overhead,

@@ -742,9 +742,7 @@ def cmd_record(args) -> int:
     """Analyse a workload with the timeline flight recorder armed and
     write the recording to a ``.timeline`` file."""
     program, name = _assemble_workload(args.workload)
-    recorder = TimelineRecorder(
-        keyframe_interval=args.keyframe_every, max_frames=args.max_frames
-    )
+    recorder = TimelineRecorder(max_frames=args.max_frames)
     observer = _observer_for(args)
     try:
         result = TaintTracker(
@@ -769,7 +767,6 @@ def cmd_record(args) -> int:
                 "record",
                 out=str(out),
                 frames=recorder.num_frames,
-                keyframes=recorder.keyframes,
                 cycles=result.stats.cycles_simulated,
                 truncated=recorder.truncated,
                 workload=name,
@@ -781,8 +778,7 @@ def cmd_record(args) -> int:
     truncated = " [truncated]" if recorder.truncated else ""
     print(
         f"timeline written to {out} ({size} bytes, "
-        f"{recorder.num_frames} frame(s), {recorder.keyframes} "
-        f"keyframe(s), verdict {result.verdict}, "
+        f"{recorder.num_frames} frame(s), verdict {result.verdict}, "
         f"{len(result.violations)} violation(s)){truncated}"
     )
     return 0
@@ -1501,14 +1497,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="out.timeline",
         metavar="PATH",
         help="timeline file to write (default out.timeline)",
-    )
-    p.add_argument(
-        "--keyframe-every",
-        type=int,
-        default=64,
-        metavar="N",
-        help="frames between full-state keyframes (default 64); "
-        "smaller = faster seeks, bigger files",
     )
     p.add_argument(
         "--max-frames",

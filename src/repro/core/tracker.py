@@ -860,11 +860,9 @@ class TaintTracker:
         if self.timeline is not None:
             summary = self.timeline.snapshot()
             metrics.counter("timeline.frames").inc(summary["frames"])
-            metrics.gauge("timeline.keyframes").set(summary["keyframes"])
             obs.emit(
                 "timeline",
                 frames=summary["frames"],
-                keyframes=summary["keyframes"],
                 truncated=summary["truncated"],
                 max_frames=summary["max_frames"],
             )

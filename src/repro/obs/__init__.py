@@ -20,7 +20,7 @@ is no process-wide one::
     result = TaintTracker(program, obs=observer).run()
     print(observer.snapshot()["metrics"]["counters"]["tree.nodes"])
 
-Two opt-in whole-net recorders sit beside the facade:
+Two opt-in recorders sit beside the facade:
 :mod:`repro.obs.provenance` (per-gate taint flows, for ``repro
 explain``) and :mod:`repro.obs.timeline` (the flight recorder behind
 ``repro record``/``view``).  One run's observer, recorders and fault
@@ -242,8 +242,10 @@ class Instruments:
     def needs_all_nets(self) -> bool:
         """True when a recorder reads nets inside the mapped cuts, so
         passes must run the every-net plan, which writes every
-        gate-driven net with its per-gate code."""
-        return self.provenance is not None or self.timeline is not None
+        gate-driven net with its per-gate code: a provenance recorder
+        does.  A timeline records only flip-flops and input ports, which
+        the mapped plan leaves as the every-net one does."""
+        return self.provenance is not None
 
 
 NO_INSTRUMENTS = Instruments()

@@ -3,31 +3,40 @@
 The paper's core argument is that gate-level taint tracking makes
 security *auditable* -- yet a verdict plus a backward slice only shows
 the end of the story.  The timeline layer records the story itself: one
-frame per simulated cycle capturing every net's ternary value and taint
-bit, so any cycle can be reconstructed after the fact and taint can be
-watched spreading forward in time.
+frame per simulated cycle, from which every net's ternary value and
+taint bit at that cycle can be reconstructed after the fact, so taint
+can be watched spreading forward in time.
+
+A frame is one **step-log row**: the codes of the circuit's
+:attr:`~repro.sim.compiled.CompiledCircuit.row_nets` -- every flip-flop
+Q, then every input port's nets (375 bytes on the LP430).  ``SoC.step``
+hands the row over just before the clock edge, when the Qs are the ones
+the step's passes read and the input ports hold their final codes.  No
+gate drives those nets, and every other net is a function of them: a
+fresh state holding the row, settled by one every-net full pass and
+latched by one clock edge, holds every net's code as the step left it.
+So the recorder reads no net inside the mapped cuts, and a timeline
+SoC runs the same cut-mapped passes as a plain one.
 
 Three pieces:
 
 * :class:`TimelineRecorder` -- the flight recorder.  Passed as
   ``TaintTracker(timeline=...)``, it rides on the SoC's
   :class:`~repro.obs.Instruments` for the duration of ``run()`` (a
-  single ``None`` check per step when absent).  It diffs the
-  post-step net codes against the previous frame and stores only the
-  changed net indices (interned -- the CPU touches the same nets cycle
-  after cycle) plus their new codes.  Every ``keyframe_interval`` frames
-  a full keyframe is stored so reconstruction is O(delta-window), and
-  ``max_frames`` bounds the store (overflow sets ``truncated``, never an
-  error).  The recorder checkpoints and resumes (``export_state`` /
-  ``restore_state``) including the last-seen codes, so a timeline
-  recorded across a checkpoint/resume boundary is bit-identical to an
-  uninterrupted one.
+  single ``None`` check per step when absent) and appends each step's
+  row and cycle.  ``max_frames`` bounds the store (overflow sets
+  ``truncated``, never an error).  The recorder checkpoints and resumes
+  (``export_state`` / ``restore_state``), so a timeline recorded across
+  a checkpoint/resume boundary is bit-identical to an uninterrupted one.
 
 * :class:`Timeline` -- the scrub/query API over a finished recording:
-  ``seek(frame)`` reconstructs the full code array, ``net_history``
-  walks one net through a frame window, ``first_tainted`` finds the
-  frame where a net first picked up taint, ``taint_frontier`` lists the
-  nets that became tainted at a frame.  It composes with
+  ``seek(frame)`` derives the full code array with one full pass;
+  ``net_history`` walks one net through a frame window, ``first_tainted``
+  finds the frame where a net first picked up taint, and ``scan`` gives
+  the viewer every frame's port words and tainted-net count.  Those
+  three derive :data:`BLOCK` frames per pass
+  (:meth:`CompiledCircuit.block_plan
+  <repro.sim.compiled.CompiledCircuit.block_plan>`).  It composes with
   ``repro.obs.provenance``: a violation's FlowSlice names nets whose
   per-cycle state the timeline can replay.
 
@@ -35,31 +44,32 @@ Three pieces:
   persist a recording through the same versioned magic+header+payload
   container codec as ``repro.resilience.checkpoint``
   (``REPRO-TLIN\\n``), with violation markers resolved against the
-  recorded frames.
+  recorded frames.  A file is derived on the compiled LP430
+  (:func:`repro.cpu.compiled_cpu`) and must name its nets.
 
-Frames are captured at the *end* of ``SoC.step``, after the clock edge:
-the flip-flops hold the next cycle's state while the combinational nets
-still hold this cycle's settled values -- exactly what the policy
-checker saw, so a violation cycle's frame shows the tainted sink ports.
-The tracker explores by restoring snapshots, so frame *cycles* are not
+A frame shows the state at the *end* of ``SoC.step``, after the clock
+edge: the flip-flops hold the next cycle's state while the combinational
+nets hold this cycle's settled values -- exactly what the policy checker
+saw, so a violation cycle's frame shows the tainted sink ports.  The
+tracker explores by restoring snapshots, so frame *cycles* are not
 globally monotonic (same caveat as provenance); frame *indices* are the
-true timeline of the simulation, and lockstep tests assert a re-run
-reproduces every frame bit-identically.
+true timeline of the simulation, and lockstep tests assert every frame
+equals the state of a run whose passes write every net.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 TIMELINE_MAGIC = b"REPRO-TLIN\n"
-TIMELINE_VERSION = 1
+TIMELINE_VERSION = 2
 
-#: Frame kinds in the on-disk payload.
-FRAME_KEY = 0
-FRAME_DELTA = 1
+#: Frames a bulk query derives per pass: a pass over 16 stacked states
+#: costs about half as much per state as a pass over one.
+BLOCK = 16
 
 
 @dataclass
@@ -76,102 +86,43 @@ class TimelineMarker:
 
 
 class TimelineRecorder:
-    """Bounded per-cycle state-delta recorder for one analysis.
+    """Bounded per-cycle step-log recorder for one analysis.
 
-    *keyframe_interval* spaces full-state keyframes (reconstruction cost
-    is at most that many delta applications); *max_frames* bounds the
-    store -- recording stops there and :attr:`truncated` is set, the
-    analysis itself is never perturbed.
+    *max_frames* bounds the store -- recording stops there and
+    :attr:`truncated` is set, the analysis itself is never perturbed.
     """
 
-    def __init__(
-        self, keyframe_interval: int = 64, max_frames: int = 1 << 20
-    ):
-        if keyframe_interval <= 0:
-            raise ValueError(
-                f"keyframe_interval must be positive, got {keyframe_interval}"
-            )
+    def __init__(self, max_frames: int = 1 << 20):
         if max_frames <= 0:
             raise ValueError(
                 f"max_frames must be positive, got {max_frames}"
             )
-        self.keyframe_interval = keyframe_interval
         self.max_frames = max_frames
-        #: (kind, cycle, data) per frame; keyframe data is the full code
-        #: array, delta data is ``(changed_indices, new_codes)``
-        self._frames: List[tuple] = []
-        self._last_codes: Optional[np.ndarray] = None
+        #: the recorded rows, back to back, and each frame's cycle
+        self._rows = bytearray()
+        self._cycles: List[int] = []
         self.truncated = False
-        self.keyframes = 0
         #: frames dropped after the bound was hit
         self.dropped = 0
-        #: interned changed-index arrays (the CPU touches the same net
-        #: sets cycle after cycle, so deltas share index vectors)
-        self._interned: Dict[bytes, np.ndarray] = {}
-        self._num_nets = 0
-        self._net_names: Tuple[str, ...] = ()
-        self._port_nets: Dict[str, Tuple[int, ...]] = {}
+        self._circuit = None
 
-    # ------------------------------------------------------------------
-    # Binding (mirrors ProvenanceRecorder.ensure_bound)
-    # ------------------------------------------------------------------
     def ensure_bound(self, circuit) -> None:
-        """Adopt *circuit*'s net-id space (idempotent, first step only)."""
-        if self._num_nets:
-            return
-        netlist = circuit.netlist
-        port_nets: Dict[str, Tuple[int, ...]] = {}
-        for port in list(netlist.outputs) + list(netlist.inputs):
-            port_nets.setdefault(
-                port.name, tuple(int(n) for n in port.nets)
-            )
-        self.bind_raw(
-            circuit.num_nets, tuple(netlist.net_names), port_nets
-        )
-
-    def bind_raw(
-        self,
-        num_nets: int,
-        net_names: Sequence[str] = (),
-        port_nets: Optional[Dict[str, Tuple[int, ...]]] = None,
-    ) -> None:
-        """Testing/back-door bind without a compiled circuit."""
-        self._num_nets = num_nets
-        self._net_names = tuple(net_names)
-        self._port_nets = dict(port_nets or {})
+        """Adopt *circuit*, whose row nets the rows hold (idempotent)."""
+        if self._circuit is None:
+            self._circuit = circuit
 
     @property
     def num_frames(self) -> int:
-        return len(self._frames)
+        return len(self._cycles)
 
-    # ------------------------------------------------------------------
-    # Recording (hot path: called once per SoC.step)
-    # ------------------------------------------------------------------
-    def _intern(self, indices: np.ndarray) -> np.ndarray:
-        key = indices.tobytes()
-        kept = self._interned.get(key)
-        if kept is None:
-            kept = indices
-            self._interned[key] = kept
-        return kept
-
-    def on_step(self, cycle: int, codes: np.ndarray) -> None:
-        """Record the post-step code array as one frame."""
-        if len(self._frames) >= self.max_frames:
+    def on_step(self, cycle: int, row: np.ndarray) -> None:
+        """Record one step's row (its ``row_nets`` codes) as one frame."""
+        if len(self._cycles) >= self.max_frames:
             self.truncated = True
             self.dropped += 1
-            self._last_codes = None  # force a keyframe if the bound grows
             return
-        last = self._last_codes
-        if last is None or len(self._frames) % self.keyframe_interval == 0:
-            self._frames.append((FRAME_KEY, cycle, codes.copy()))
-            self.keyframes += 1
-        else:
-            changed = np.nonzero(codes != last)[0].astype(np.int32)
-            self._frames.append(
-                (FRAME_DELTA, cycle, (self._intern(changed), codes[changed]))
-            )
-        self._last_codes = codes.copy()
+        self._cycles.append(cycle)
+        self._rows += row.tobytes()
 
     # ------------------------------------------------------------------
     # Telemetry / checkpointing
@@ -179,70 +130,63 @@ class TimelineRecorder:
     def snapshot(self) -> dict:
         """JSON-ready summary (no frame dump)."""
         return {
-            "frames": len(self._frames),
-            "keyframes": self.keyframes,
+            "frames": len(self._cycles),
             "max_frames": self.max_frames,
-            "keyframe_interval": self.keyframe_interval,
             "truncated": self.truncated,
-            "nets": self._num_nets,
         }
 
     def export_state(self) -> dict:
         """Everything a checkpoint needs to continue this recording."""
         return {
-            "keyframe_interval": self.keyframe_interval,
             "max_frames": self.max_frames,
-            "frames": list(self._frames),
-            "last_codes": (
-                self._last_codes.copy()
-                if self._last_codes is not None
-                else None
-            ),
+            "rows": bytes(self._rows),
+            "cycles": list(self._cycles),
             "truncated": self.truncated,
-            "keyframes": self.keyframes,
             "dropped": self.dropped,
-            "num_nets": self._num_nets,
-            "net_names": self._net_names,
-            "port_nets": self._port_nets,
         }
 
     def restore_state(self, state: dict) -> None:
         """Adopt a checkpointed recording and continue appending."""
-        self.keyframe_interval = int(state["keyframe_interval"])
+        if "rows" not in state:
+            from repro.resilience.errors import CheckpointError
+
+            raise CheckpointError(
+                "the checkpoint holds a keyframe/delta timeline recording; "
+                "this build records step-log rows and cannot continue it",
+                code="TIMELINE_VERSION",
+            )
         self.max_frames = int(state["max_frames"])
-        self._frames = list(state["frames"])
-        last = state.get("last_codes")
-        self._last_codes = last.copy() if last is not None else None
+        self._rows = bytearray(state["rows"])
+        self._cycles = list(state["cycles"])
         self.truncated = bool(state["truncated"])
-        self.keyframes = int(state["keyframes"])
-        self.dropped = int(state.get("dropped", 0))
-        if not self._num_nets:
-            self._num_nets = int(state["num_nets"])
-            self._net_names = tuple(state.get("net_names", ()))
-            self._port_nets = dict(state.get("port_nets", {}))
-        # Re-intern the restored delta index arrays.
-        self._interned = {}
-        for kind, _, data in self._frames:
-            if kind == FRAME_DELTA:
-                self._interned.setdefault(data[0].tobytes(), data[0])
+        self.dropped = int(state["dropped"])
 
     def to_timeline(self, violations: Sequence = ()) -> "Timeline":
-        """Freeze the recording into a queryable :class:`Timeline`."""
+        """Freeze the recording into a queryable :class:`Timeline`.
+
+        A recorder that has not stepped yet (fresh, or restored from a
+        checkpoint) derives on the compiled LP430, as a loaded file does.
+        """
+        circuit = self._circuit
+        if circuit is None:
+            from repro.cpu import compiled_cpu
+
+            circuit = compiled_cpu()
+        rows = np.frombuffer(bytes(self._rows), dtype=np.uint8)
         return Timeline(
-            frames=list(self._frames),
-            num_nets=self._num_nets,
-            net_names=self._net_names,
-            port_nets=dict(self._port_nets),
-            markers=resolve_markers(self._frames, violations),
+            circuit,
+            rows.reshape(len(self._cycles), len(circuit.row_nets)),
+            self._cycles,
+            markers=resolve_markers(self._cycles, violations),
             truncated=self.truncated,
-            keyframe_interval=self.keyframe_interval,
         )
 
 
 def resolve_markers(
-    frames: Sequence[tuple], violations: Sequence
+    cycles: Sequence[int], violations: Sequence
 ) -> List[TimelineMarker]:
-    """Map each violation to the *latest* frame recorded at its cycle.
+    """Map each violation to the *latest* frame recorded at its cycle
+    (*cycles* holds each frame's cycle).
 
     The tracker re-simulates cycle numbers across restored paths; the
     latest frame is the most conservative (most merged) visit -- the
@@ -250,7 +194,7 @@ def resolve_markers(
     """
     markers: List[TimelineMarker] = []
     by_cycle: Dict[int, int] = {}
-    for index, (_, cycle, _) in enumerate(frames):
+    for index, cycle in enumerate(cycles):
         by_cycle[int(cycle)] = index
     for index, violation in enumerate(violations):
         frame = by_cycle.get(int(violation.cycle))
@@ -273,7 +217,9 @@ def resolve_markers(
 class Timeline:
     """Scrub/query API over one recorded timeline.
 
-    ``seek`` and friends take a *frame index* (the step sequence of the
+    *rows* holds each frame's step-log row (``(frames, len(row_nets))``
+    codes of *circuit*'s ``row_nets``), *cycles* its SoC cycle.  ``seek``
+    and friends take a *frame index* (the step sequence of the
     simulation -- the only globally monotonic clock the tracker has);
     ``cycle_of``/``frames_at_cycle``/``seek_cycle`` translate to and
     from SoC cycle numbers.
@@ -281,41 +227,37 @@ class Timeline:
 
     def __init__(
         self,
-        frames: List[tuple],
-        num_nets: int,
-        net_names: Tuple[str, ...] = (),
-        port_nets: Optional[Dict[str, Tuple[int, ...]]] = None,
+        circuit,
+        rows: np.ndarray,
+        cycles: Sequence[int],
         markers: Optional[List[TimelineMarker]] = None,
         truncated: bool = False,
-        keyframe_interval: int = 64,
         meta: Optional[dict] = None,
     ):
-        self._frames = frames
-        self.num_nets = num_nets
-        self.net_names = tuple(net_names)
-        self.port_nets = dict(port_nets or {})
+        self._circuit = circuit
+        self._rows = rows
+        self._cycles = np.array(cycles, dtype=np.int64)
+        self.row_nets = circuit.row_nets
+        self.num_nets = circuit.num_nets
+        #: BLOCK fresh state buffers, the rows a derivation starts from
+        self._blank = np.tile(circuit.new_state().buffer, (BLOCK, 1))
+        netlist = circuit.netlist
+        self.net_names = tuple(netlist.net_names)
+        self.port_nets: Dict[str, Tuple[int, ...]] = {}
+        for port in list(netlist.outputs) + list(netlist.inputs):
+            self.port_nets.setdefault(
+                port.name, tuple(int(net) for net in port.nets)
+            )
         self.markers = list(markers or [])
         self.truncated = truncated
-        self.keyframe_interval = keyframe_interval
         self.meta = dict(meta or {})
-        self._cycles = np.array(
-            [cycle for _, cycle, _ in frames], dtype=np.int64
-        )
-        self._keyframe_indices = [
-            index
-            for index, (kind, _, _) in enumerate(frames)
-            if kind == FRAME_KEY
-        ]
-        #: one-frame seek cache: scrubbing is usually sequential
-        self._cache_frame = -1
-        self._cache_codes: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Basic shape
     # ------------------------------------------------------------------
     @property
     def num_frames(self) -> int:
-        return len(self._frames)
+        return len(self._cycles)
 
     def cycle_of(self, frame: int) -> int:
         return int(self._cycles[self._check(frame)])
@@ -325,57 +267,67 @@ class Timeline:
         """Per-frame SoC cycle numbers (read-only view)."""
         return self._cycles
 
+    @property
+    def rows(self) -> np.ndarray:
+        """Per-frame step-log rows."""
+        return self._rows
+
     def _check(self, frame: int) -> int:
         frame = int(frame)
         if frame < 0:
-            frame += len(self._frames)
-        if not 0 <= frame < len(self._frames):
+            frame += self.num_frames
+        if not 0 <= frame < self.num_frames:
             raise IndexError(
                 f"frame {frame} out of range; the timeline has "
-                f"{len(self._frames)} frame(s)"
+                f"{self.num_frames} frame(s)"
             )
         return frame
 
-    # ------------------------------------------------------------------
-    # Reconstruction
-    # ------------------------------------------------------------------
-    def seek(self, frame: int) -> np.ndarray:
-        """The full per-net code array at *frame* (a fresh copy).
+    def _check_net(self, net: int) -> int:
+        if not 0 <= int(net) < self.num_nets:
+            raise IndexError(
+                f"net {net} out of range (num_nets={self.num_nets})"
+            )
+        return int(net)
 
-        Cost is O(delta-window): the nearest keyframe at or before
-        *frame* plus at most ``keyframe_interval - 1`` delta
-        applications (one fewer when scrubbing forward frame by frame,
-        served from the one-frame cache).
+    # ------------------------------------------------------------------
+    # Derivation
+    # ------------------------------------------------------------------
+    def _derive(self, rows: np.ndarray) -> np.ndarray:
+        """The ``(len(rows), num_nets)`` frame codes of *rows* (one row,
+        or up to :data:`BLOCK`).
+
+        Each row is written into a fresh state, the states are settled
+        by one every-net pass (the full plan for one row, the circuit's
+        :data:`BLOCK`-row block plan otherwise), and each is latched as
+        a clock edge latches it.
         """
-        frame = self._check(frame)
-        if frame == self._cache_frame and self._cache_codes is not None:
-            return self._cache_codes.copy()
-        start = frame
-        codes: Optional[np.ndarray] = None
-        if (
-            self._cache_codes is not None
-            and self._cache_frame < frame
-            and self._frames[frame][0] != FRAME_KEY
-        ):
-            # Roll forward from the cached frame when that is nearer
-            # than the previous keyframe.
-            nearest_key = frame
-            while self._frames[nearest_key][0] != FRAME_KEY:
-                nearest_key -= 1
-            if self._cache_frame >= nearest_key:
-                codes = self._cache_codes.copy()
-                start = self._cache_frame + 1
-        if codes is None:
-            while self._frames[start][0] != FRAME_KEY:
-                start -= 1
-            codes = self._frames[start][2].copy()
-            start += 1
-        for index in range(start, frame + 1):
-            _, _, (changed, values) = self._frames[index]
-            codes[changed] = values
-        self._cache_frame = frame
-        self._cache_codes = codes.copy()
+        from repro.sim.compiled import CircuitState
+
+        circuit = self._circuit
+        count = len(rows)
+        height = 1 if count == 1 else BLOCK
+        grid = self._blank[:height].copy()
+        grid[:count, self.row_nets] = rows
+        circuit.eval_plan(
+            CircuitState(grid.reshape(-1), circuit.num_nets),
+            circuit.block_plan(height),
+        )
+        codes = grid[:count, :circuit.num_nets]
+        circuit.latch_rows(codes)
         return codes
+
+    def _blocks(self, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(offset, codes)`` for each :data:`BLOCK` of *rows*: the
+        frames derived from ``rows[offset:offset + len(codes)]``."""
+        for start in range(0, len(rows), BLOCK):
+            yield start, self._derive(rows[start:start + BLOCK])
+
+    def seek(self, frame: int) -> np.ndarray:
+        """The full per-net code array at *frame* (a fresh array),
+        derived from its row with one full pass."""
+        frame = self._check(frame)
+        return self._derive(self._rows[frame:frame + 1])[0]
 
     def seek_cycle(self, cycle: int) -> np.ndarray:
         """The code array at the *latest* frame recorded for *cycle*."""
@@ -404,50 +356,27 @@ class Timeline:
         """``(frame, cycle, value, taint)`` for one net over a window.
 
         *lo*/*hi* are an inclusive frame range (*hi* defaults to the
-        last frame).  Cost is one seek plus the window's deltas.
+        last frame).
         """
-        if not 0 <= int(net) < self.num_nets:
-            raise IndexError(
-                f"net {net} out of range (num_nets={self.num_nets})"
-            )
-        net = int(net)
+        net = self._check_net(net)
         lo = self._check(lo)
         hi = self._check(hi if hi is not None else self.num_frames - 1)
-        if hi < lo:
-            return []
-        codes = self.seek(lo)
-        code = int(codes[net])
-        history = [(lo, self.cycle_of(lo), code >> 1, code & 1)]
-        for frame in range(lo + 1, hi + 1):
-            kind, cycle, data = self._frames[frame]
-            if kind == FRAME_KEY:
-                code = int(data[net])
-            else:
-                changed, values = data
-                hit = np.nonzero(changed == net)[0]
-                if len(hit):
-                    code = int(values[hit[0]])
-            history.append((frame, int(cycle), code >> 1, code & 1))
+        history = []
+        for start, codes in self._blocks(self._rows[lo:hi + 1]):
+            for frame, code in enumerate(codes[:, net].tolist(), lo + start):
+                history.append(
+                    (frame, int(self._cycles[frame]), code >> 1, code & 1)
+                )
         return history
 
     def first_tainted(self, net: int) -> Optional[Tuple[int, int]]:
         """``(frame, cycle)`` where *net* first became tainted, or None."""
-        if not 0 <= int(net) < self.num_nets:
-            raise IndexError(
-                f"net {net} out of range (num_nets={self.num_nets})"
-            )
-        net = int(net)
-        code = None
-        for frame, (kind, cycle, data) in enumerate(self._frames):
-            if kind == FRAME_KEY:
-                code = int(data[net])
-            else:
-                changed, values = data
-                hit = np.nonzero(changed == net)[0]
-                if len(hit):
-                    code = int(values[hit[0]])
-            if code is not None and code & 1:
-                return frame, int(cycle)
+        net = self._check_net(net)
+        for start, codes in self._blocks(self._rows):
+            tainted = np.nonzero(codes[:, net] & 1)[0]
+            if len(tainted):
+                frame = start + int(tainted[0])
+                return frame, int(self._cycles[frame])
         return None
 
     def tainted_nets(self, frame: int) -> np.ndarray:
@@ -464,68 +393,58 @@ class Timeline:
         before = self.seek(frame - 1) & 1
         return np.nonzero(now & ~before)[0]
 
-    def taint_density(self) -> np.ndarray:
-        """Per-frame fraction of tainted nets (feeds the sparkline)."""
-        density = np.zeros(len(self._frames), dtype=np.float64)
-        codes: Optional[np.ndarray] = None
-        tainted = 0
-        for frame, (kind, _, data) in enumerate(self._frames):
-            if kind == FRAME_KEY:
-                codes = data.copy()
-                tainted = int(np.count_nonzero(codes & 1))
-            else:
-                changed, values = data
-                assert codes is not None
-                tainted += int(
-                    np.count_nonzero(values & 1)
-                    - np.count_nonzero(codes[changed] & 1)
-                )
-                codes[changed] = values
-            density[frame] = tainted / max(1, self.num_nets)
-        return density
+    def scan(
+        self, ports: Sequence[str] = ()
+    ) -> Tuple[Dict[str, List[Tuple[int, int, int]]], np.ndarray]:
+        """One pass over every frame (the viewer's bulk export): each
+        of *ports*' per-frame ``(bits, xmask, tmask)`` words (ports the
+        timeline lacks are skipped) and each frame's count of tainted
+        nets.
+
+        A frame is a function of its row alone, so each distinct row is
+        derived once (the tracker revisits states: 6% of mult's rows
+        repeat).  The ports' codes are gathered per block; their words
+        are packed once at the end, one matrix product per mask (each
+        net's 0/1 mask bit times ``2**bit``, exact in float64).
+        """
+        wanted = [port for port in ports if port in self.port_nets]
+        nets = [net for port in wanted for net in self.port_nets[port]]
+        weights = np.zeros((len(nets), len(wanted)))
+        row = 0
+        for column, port in enumerate(wanted):
+            width = len(self.port_nets[port])
+            weights[row:row + width, column] = 2.0 ** np.arange(width)
+            row += width
+        width = len(self.row_nets)
+        data = self._rows.tobytes()
+        distinct: Dict[bytes, int] = {}
+        which = [
+            distinct.setdefault(data[at:at + width], len(distinct))
+            for at in range(0, len(data), width)
+        ]
+        rows = np.frombuffer(b"".join(distinct), dtype=np.uint8)
+        port_codes = np.empty((len(distinct), len(nets)), dtype=np.uint8)
+        tainted = np.empty(len(distinct), dtype=np.int64)
+        for start, codes in self._blocks(rows.reshape(-1, width)):
+            stop = start + len(codes)
+            tainted[start:stop] = (codes & 1).sum(axis=1, dtype=np.int32)
+            port_codes[start:stop] = codes[:, nets]
+        port_codes, tainted = port_codes[which], tainted[which]
+        masks = [  # known 1s, Xs and taint, as in decode_word
+            (mask @ weights).astype(np.int64).T.tolist()
+            for mask in (
+                port_codes >> 1 == 1, port_codes >> 2, port_codes & 1
+            )
+        ]
+        lanes = {
+            port: list(zip(*(mask[column] for mask in masks)))
+            for column, port in enumerate(wanted)
+        }
+        return lanes, tainted
 
     # ------------------------------------------------------------------
     # Naming / composition with provenance
     # ------------------------------------------------------------------
-    def port_lanes(
-        self, ports: Sequence[str]
-    ) -> Dict[str, List[Tuple[int, int, int]]]:
-        """Per-frame ``(bits, xmask, tmask)`` words for several ports.
-
-        One forward pass over every frame (the viewer's bulk export
-        path) instead of a :meth:`seek` per frame per port.
-        """
-        wanted = [
-            (port, self.port_nets[port])
-            for port in ports
-            if port in self.port_nets
-        ]
-        lanes: Dict[str, List[Tuple[int, int, int]]] = {
-            port: [] for port, _ in wanted
-        }
-        codes: Optional[np.ndarray] = None
-        for kind, _, data in self._frames:
-            if kind == FRAME_KEY:
-                codes = data.copy()
-            else:
-                changed, values = data
-                assert codes is not None
-                codes[changed] = values
-            for port, nets in wanted:
-                bits = xmask = tmask = 0
-                for bit, net in enumerate(nets):
-                    code = int(codes[net])
-                    probe = 1 << bit
-                    value = code >> 1
-                    if value == 2:
-                        xmask |= probe
-                    elif value:
-                        bits |= probe
-                    if code & 1:
-                        tmask |= probe
-                lanes[port].append((bits, xmask, tmask))
-        return lanes
-
     def net_name(self, net: int) -> str:
         if 0 <= net < len(self.net_names) and self.net_names[net]:
             return self.net_names[net]
@@ -533,25 +452,16 @@ class Timeline:
 
     def port_word(self, frame: int, port: str) -> Tuple[int, int, int]:
         """``(bits, xmask, tmask)`` of a named port at *frame*."""
+        from repro.sim.compiled import decode_word
+
         nets = self.port_nets.get(port)
         if nets is None:
             known = ", ".join(sorted(self.port_nets))
             raise KeyError(
                 f"unknown port {port!r} (timeline has ports: {known})"
             )
-        codes = self.seek(frame)
-        bits = xmask = tmask = 0
-        for bit, net in enumerate(nets):
-            code = int(codes[net])
-            probe = 1 << bit
-            value = code >> 1
-            if value == 2:
-                xmask |= probe
-            elif value:
-                bits |= probe
-            if code & 1:
-                tmask |= probe
-        return bits, xmask, tmask
+        word = decode_word(self.seek(frame)[list(nets)].tobytes())
+        return word.bits, word.xmask, word.tmask
 
     def slice_nets_tainted_at(
         self, flow, frame: Optional[int] = None
@@ -583,22 +493,20 @@ def save_timeline(
     # repro.obs (for the observer), so the shared codec must load lazily.
     from repro.resilience.checkpoint import write_container
 
-    markers = resolve_markers(recorder._frames, violations)
+    timeline = recorder.to_timeline(violations)
     payload = {
-        "frames": list(recorder._frames),
-        "num_nets": recorder._num_nets,
-        "net_names": recorder._net_names,
-        "port_nets": recorder._port_nets,
-        "markers": [vars(marker) for marker in markers],
-        "truncated": recorder.truncated,
-        "keyframe_interval": recorder.keyframe_interval,
+        "rows": timeline.rows,
+        "cycles": timeline.cycles,
+        "row_nets": timeline.row_nets,
+        "net_names": timeline.net_names,
+        "markers": [vars(marker) for marker in timeline.markers],
+        "truncated": timeline.truncated,
     }
     header_meta = {
-        "frames": len(recorder._frames),
-        "keyframes": recorder.keyframes,
-        "nets": recorder._num_nets,
-        "markers": len(markers),
-        "truncated": recorder.truncated,
+        "frames": timeline.num_frames,
+        "nets": timeline.num_nets,
+        "markers": len(timeline.markers),
+        "truncated": timeline.truncated,
     }
     if meta:
         header_meta.update(meta)
@@ -627,8 +535,17 @@ def read_timeline_header(path) -> dict:
 
 
 def load_timeline(path) -> Timeline:
-    """Load a ``.timeline`` file into a :class:`Timeline`."""
+    """Load a ``.timeline`` file into a :class:`Timeline` that derives
+    its frames on the compiled LP430.
+
+    A file whose net names or row nets differ from that netlist's was
+    recorded on another netlist, whose rows this one cannot settle: it
+    is rejected with a ``TIMELINE_NETLIST`` :class:`CheckpointError
+    <repro.resilience.errors.CheckpointError>`.
+    """
+    from repro.cpu import compiled_cpu
     from repro.resilience.checkpoint import read_container
+    from repro.resilience.errors import CheckpointError
 
     header, payload = read_container(
         path,
@@ -637,15 +554,22 @@ def load_timeline(path) -> Timeline:
         kind="timeline",
         code_prefix="TIMELINE",
     )
+    circuit = compiled_cpu()
+    if tuple(payload["net_names"]) != tuple(
+        circuit.netlist.net_names
+    ) or not np.array_equal(payload["row_nets"], circuit.row_nets):
+        raise CheckpointError(
+            f"timeline {str(path)!r} was recorded on a netlist whose nets "
+            "differ from this build's LP430, so its frames cannot be "
+            "derived here",
+            code="TIMELINE_NETLIST",
+            path=str(path),
+        )
     return Timeline(
-        frames=payload["frames"],
-        num_nets=payload["num_nets"],
-        net_names=tuple(payload.get("net_names", ())),
-        port_nets=payload.get("port_nets", {}),
-        markers=[
-            TimelineMarker(**marker) for marker in payload.get("markers", ())
-        ],
-        truncated=payload.get("truncated", False),
-        keyframe_interval=payload.get("keyframe_interval", 64),
+        circuit,
+        payload["rows"],
+        payload["cycles"],
+        markers=[TimelineMarker(**marker) for marker in payload["markers"]],
+        truncated=payload["truncated"],
         meta=header,
     )

@@ -47,7 +47,10 @@ field) and made a trace with zero events a lint problem; v4 added the
 the recorder-stamped correlation context (``job_id``/``attempt``/
 ``run_id`` on *every* event), and the lint rules that go with both:
 ``progress`` counters must be monotone non-decreasing and the
-correlation context must not change mid-trace.
+correlation context must not change mid-trace.  Since a timeline frame
+became a step-log row, the ``timeline`` and ``record`` events no longer
+write ``keyframes``; it stays an optional field, so v4 traces written
+before still lint clean.
 """
 
 from __future__ import annotations
@@ -143,14 +146,14 @@ EVENT_SCHEMAS: Dict[str, Dict[str, frozenset]] = {
         "optional": frozenset({"reason"}),
     },
     "timeline": {
-        "required": frozenset({"frames", "keyframes", "truncated"}),
-        "optional": frozenset({"max_frames"}),
+        "required": frozenset({"frames", "truncated"}),
+        "optional": frozenset({"max_frames", "keyframes"}),
     },
     "record": {
         "required": frozenset(
-            {"out", "frames", "keyframes", "cycles", "truncated"}
+            {"out", "frames", "cycles", "truncated"}
         ),
-        "optional": frozenset({"workload", "bytes"}),
+        "optional": frozenset({"workload", "bytes", "keyframes"}),
     },
     "progress": {
         "required": frozenset(

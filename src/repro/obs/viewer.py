@@ -153,9 +153,9 @@ def build_viewer(
     """One self-contained HTML document scrubbing *timeline*."""
     title = title or "GLIFT timeline viewer"
     lane_order = [port for port in lanes if port in timeline.port_nets]
-    lane_data = timeline.port_lanes(lane_order)
-    density = timeline.taint_density()
-    tainted = [int(round(value * timeline.num_nets)) for value in density]
+    lane_data, counts = timeline.scan(lane_order)
+    density = counts / max(1, timeline.num_nets)
+    tainted = counts.tolist()
     markers = []
     for marker in timeline.markers:
         # Tainted port bits at the violation frame, named the same way

@@ -40,7 +40,8 @@ does not depend on host byte order: the four input codes, then the four
 bytes of its function's *suffix word*.  The suffix words sit past the
 nets in the state buffer, so one gather reads a whole key.  A pass runs
 in a *work row* (:class:`_Kernel`): the state buffer's bytes, one slot
-per constant net, then one slot per row of the form, in rank order.
+per constant net of each state row, then one slot per row of the form,
+in rank order.
 Each rank's key columns are remapped to the slots that hold its leaves'
 codes, so a pass is::
 
@@ -59,14 +60,17 @@ multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
 smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
 congruent to ``codes + f * CODE_MODULUS``, so no two keys share an entry
 (:func:`_suffix_words`).  Full passes, cone- and fanout-plan passes and
-the two-row pair passes of a provenance-recording step, in either form,
-all run that one kernel (:meth:`CompiledCircuit._sweep`).
+the stacked passes below, in either form, all run that one kernel
+(:meth:`CompiledCircuit._sweep`).
 
-A *pair* pass settles two rows of one buffer at once
-(:meth:`CompiledCircuit.pair_state`, :meth:`CompiledCircuit.pair_plan`):
-row 1 sits one :attr:`~CompiledCircuit.stride` past row 0, and each pair
-rank is an every-net rank followed by its rows in a cone, their output
-nets and key columns shifted one stride on.  Passes record no flow
+A *stacked* pass settles several rows of one buffer at once, each one
+:attr:`~CompiledCircuit.stride` past the last: each of its ranks is a
+rank of every row's plan, their output nets and key columns shifted one
+stride per row (:meth:`CompiledCircuit._stacked_plan`).  A *pair* pass
+(:meth:`CompiledCircuit.pair_state`, :meth:`CompiledCircuit.pair_plan`)
+stacks the every-net plan and a cone, for a provenance-recording step;
+a *block* pass (:meth:`CompiledCircuit.block_plan`) stacks the every-net
+plan on each of a block of timeline frames.  Passes record no flow
 edges themselves: the recording step diffs the rows' codes with
 :meth:`CompiledCircuit.record_fresh_taint`.
 """
@@ -74,7 +78,7 @@ edges themselves: the recording step diffs the rows' codes with
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -109,6 +113,10 @@ CODE_MODULUS = 1535
 MAX_CUT_GATES = 16
 #: Taint semantics a circuit can bake into its tables.
 TAINT_MODES = ("glift", "naive")
+#: Mean keys a rank from which a kernel reduces keys as ``k - k // M * M``
+#: (numpy vectorises floor division by a 0-d array, not remainder): 2.3
+#: against 4.0 ns a key at 1,400 keys a call, 13.7 against 7.8 at 88.
+WIDE_RANK = 512
 #: A key's eight bytes as one little-endian integer.  Every key is below
 #: ``2**63``, so the signed reading equals the unsigned one, and a signed
 #: key indexes the table without numpy's uint64-to-intp index cast.
@@ -190,16 +198,6 @@ def encode_word(bits: int, xmask: int, tmask: int, width: int) -> bytes:
         + 4 * _spread(word.xmask, width)
         + _spread(word.tmask, width)
     ).to_bytes(width, "little")
-
-
-def unpack_codes(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`decode_code`: ``(values, taints)`` arrays.
-
-    Values are ternary (0, 1, or 2 for X); taints are 0/1.  Used by the
-    timeline scrub API and viewer, which reconstruct whole code arrays
-    per frame.
-    """
-    return codes >> 1, codes & 1
 
 
 def _lut_for(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
@@ -428,13 +426,16 @@ class _Kernel(NamedTuple):
     Each step is a rank's key columns into ``work``, its key scratch,
     that scratch as ``'<i8'`` keys, and its slots.  ``outputs`` are the
     buffer indices of ``work[len(buffer):]``.  ``ranks`` keeps the form
-    alive, so its identity keys no other form.
+    alive, so its identity keys no other form.  ``quotients`` holds each
+    step's int64 quotient scratch for a kernel of :data:`WIDE_RANK` keys
+    a rank or more, and is None otherwise.
     """
 
     ranks: list
     work: np.ndarray
     steps: list
     outputs: np.ndarray
+    quotients: Optional[list]
 
 
 class _Plan:
@@ -572,9 +573,10 @@ class CompiledCircuit:
         self._full_plan = _Plan(
             _prefixes(every, self._cover_rows), every, cell_types
         )
-        #: cone, fanout and pair plans by kind and port tuple (see
-        #: :meth:`cone_plan`, :meth:`fanout_plan` and :meth:`pair_plan`)
-        self._subplans: Dict[Tuple[str, Tuple[str, ...]], _Plan] = {}
+        #: cone, fanout and pair plans by kind and port tuple, block
+        #: plans by row count (see :meth:`cone_plan`, :meth:`fanout_plan`,
+        #: :meth:`pair_plan` and :meth:`block_plan`)
+        self._subplans: Dict[tuple, _Plan] = {}
         #: gate-eval counter increments per plan, valid for
         #: ``_counter_registry`` only (see :meth:`_count_gate_evals`)
         self._counter_registry = None
@@ -582,6 +584,14 @@ class CompiledCircuit:
 
         self._dff_q = np.array([d.q for d in netlist.dffs], dtype=np.int64)
         self._dff_d = np.array([d.d for d in netlist.dffs], dtype=np.int64)
+        #: every flip-flop Q, then every input port's nets: the nets a
+        #: pass reads that no gate drives, so a full pass settles every
+        #: other net from their codes (a timeline frame's step-log row)
+        self.row_nets = np.array(
+            list(self._dff_q)
+            + [net for port in netlist.inputs for net in port.nets],
+            dtype=np.int64,
+        )
 
         self._inputs = {p.name: p.nets for p in netlist.inputs}
         self._outputs = {p.name: p.nets for p in netlist.outputs}
@@ -784,12 +794,13 @@ class CompiledCircuit:
         """The form of *plan* a pass on *state* runs.
 
         The cut-mapped form writes only cut roots -- flip-flop Ds and
-        output ports -- which is all the tracker, the checker and the
-        runner read.  A state whose owner reads the nets inside those
-        cuts sets ``state.every_net`` and gets the every-net form, whose
-        rows write every gate-driven net with its per-gate code:
-        direct circuit users, the *-logic baseline, and a SoC carrying a
-        provenance recorder or timeline.
+        output ports -- which is all the tracker, the checker, the
+        runner and a timeline's step-log rows read.  A state whose owner
+        reads the nets inside those cuts sets ``state.every_net`` and
+        gets the every-net form, whose rows write every gate-driven net
+        with its per-gate code: direct circuit users, the *-logic
+        baseline, a SoC carrying a provenance recorder, and the states a
+        timeline derives its frames on.
         """
         return plan.every if state.every_net else plan.mapped
 
@@ -809,42 +820,57 @@ class CompiledCircuit:
         on a state *buffer* (net codes plus the suffix words), in the
         form's work row (:meth:`_kernel`), and write every slot back,
         the constant nets' tied codes included.  ``'clip'`` lets take
-        write into its output without a temporary; it never clips."""
+        write into its output without a temporary; it never clips.  A
+        wide kernel (:data:`WIDE_RANK`) reduces keys by floor division."""
         key = (id(ranks), len(buffer))
         kernel = plan.kernels.get(key)
         if kernel is None:
             kernel = plan.kernels[key] = self._kernel(ranks, len(buffer))
         work = kernel.work
         work[:len(buffer)] = buffer
-        table, modulus, remainder = self._table, self._modulus, np.remainder
-        for columns, keys, keys64, slots in kernel.steps:
-            work.take(columns, None, keys, "clip")
-            remainder(keys64, modulus, keys64)
-            table.take(keys64, None, slots, "clip")
+        table, modulus = self._table, self._modulus
+        if kernel.quotients is None:
+            remainder = np.remainder
+            for columns, keys, keys64, slots in kernel.steps:
+                work.take(columns, None, keys, "clip")
+                remainder(keys64, modulus, keys64)
+                table.take(keys64, None, slots, "clip")
+        else:
+            for (columns, keys, keys64, slots), quotient in zip(
+                kernel.steps, kernel.quotients
+            ):
+                work.take(columns, None, keys, "clip")
+                np.floor_divide(keys64, modulus, quotient)
+                np.multiply(quotient, modulus, quotient)
+                np.subtract(keys64, quotient, keys64)
+                table.take(keys64, None, slots, "clip")
         buffer[kernel.outputs] = work[len(buffer):]
 
     def _kernel(self, ranks: List[_Rank], length: int) -> _Kernel:
         """*ranks* laid out for buffers of *length* bytes (one state
-        buffer, or a pair state's two rows).
+        buffer, or the rows of a stacked plan's state).
 
         The work row holds the buffer's bytes, one slot per constant net
-        (its tied code), then one slot per row, in rank order.  A column
-        reads the buffer's byte unless an earlier rank writes it (then
-        that rank's slot) or it is a constant net of either row (then
-        its constant slot).  Every column is checked to lie in the
-        buffer and no net to be written twice, so ``'clip'`` never clips
+        of each state row (its tied code), then one slot per row, in
+        rank order.  A column reads the buffer's byte unless an earlier
+        rank writes it (then that rank's slot) or it is a constant net
+        (then its constant slot), so every state row's constant nets are
+        tied, in the write-back too.  Every column is checked to lie in
+        the buffer and no net to be written twice, so ``'clip'`` never clips
         and the write-back is exact; a key is non-negative, and
         ``% modulus`` keeps it below ``len(table)``.
         """
-        consts = self._const_nets_arr
+        rows = range(0, length, self.stride)
+        consts = np.concatenate(
+            [self._const_nets_arr + row for row in rows]
+        )
         sizes = [len(outputs) for outputs, _ in ranks]
         start = length + len(consts)
         work = np.empty(start + sum(sizes), dtype=np.uint8)
-        work[length:start] = self._const_codes_arr
+        work[length:start] = np.tile(self._const_codes_arr, len(rows))
         # The work index holding each buffer byte's code at this rank.
         source = np.arange(length)
-        for row in range(0, length, self.stride):
-            source[consts + row] = np.arange(length, start)
+        source[consts] = np.arange(length, start)
         # One key scratch serves every rank: ranks run one at a time.
         keys = np.empty(KEY_BYTES * max(sizes, default=0), dtype=np.uint8)
         steps, outputs = [], [consts]
@@ -864,7 +890,11 @@ class CompiledCircuit:
         # A net written twice keeps only its last slot.
         if (source[outputs] != np.arange(length, len(work))).any():
             raise ValueError("a net is written twice in one pass")
-        return _Kernel(ranks, work, steps, outputs)
+        quotients = None
+        if sum(sizes) >= WIDE_RANK * len(sizes) > 0:
+            scratch = np.empty(max(sizes), dtype=np.int64)
+            quotients = [scratch[:size] for size in sizes]
+        return _Kernel(ranks, work, steps, outputs, quotients)
 
     def _producer_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-net fan-in table and topological rank for provenance.
@@ -983,14 +1013,12 @@ class CompiledCircuit:
         row 1.
 
         Each rank is an every-net rank of the full plan followed by its
-        rows in the cone, their outputs and key columns shifted one
-        :attr:`stride` on (the suffix words of row 1 included).  The
-        two rows' writes are disjoint and each row reads only its own
-        nets, so one pass leaves row 0 as a full pass and row 1 as a
-        cone pass would, with one kernel step per rank.  A pair pass
-        serves a provenance-recording step, which reads every net, so
-        both forms are these every-net ranks; the gate counts are the
-        full plan's plus the cone's.  Memoised like :meth:`cone_plan`.
+        rows in the cone, stacked one :attr:`stride` on (see
+        :meth:`_stacked_plan`), so one pass leaves row 0 as a full pass
+        and row 1 as a cone pass would, with one kernel step per rank.
+        A pair pass serves a provenance-recording step, which reads
+        every net; the gate counts are the full plan's plus the cone's.
+        Memoised like :meth:`cone_plan`.
 
         The full plan's ranks then become views of the pair ranks' row-0
         prefixes, as its mapped ranks are of its every-net ones, so the
@@ -1000,27 +1028,60 @@ class CompiledCircuit:
         plan = self._subplans.get(key)
         if plan is None:
             in_cone = self._cone_nets(port_names)
-            stride = self.stride
             full = self._full_plan
-            ranks = []
-            for rank in full.every:
-                cone = _keep_rows(rank, in_cone[rank.outputs])
-                ranks.append(_Rank(
-                    np.concatenate([rank.outputs, cone.outputs + stride]),
-                    np.concatenate([rank.columns, cone.columns + stride]),
-                ))
+            cone = [
+                _keep_rows(rank, in_cone[rank.outputs]) for rank in full.every
+            ]
+            plan = self._subplans[key] = self._stacked_plan([full.every, cone])
             # In place: the lists keep their identity and content, so a
             # kernel built on them (keyed by identity) stays correct.
             full.every[:] = _prefixes(
-                ranks, [len(rank.outputs) for rank in full.every]
+                plan.every, [len(rank.outputs) for rank in full.every]
             )
             full.mapped[:] = _prefixes(full.every, self._cover_rows)
-            row_types = np.full(stride, -1, dtype=np.int64)
-            row_types[:self.num_nets] = self._cell_types
-            plan = self._subplans[key] = _Plan(
-                ranks, ranks, np.tile(row_types, 2)
+        return plan
+
+    def block_plan(self, rows: int) -> _Plan:
+        """An every-net full pass on each of *rows* state rows (see
+        :meth:`_stacked_plan`), memoised per row count; for one row, the
+        full plan itself.  A timeline derives a block of frames with one
+        such pass, which costs far less per row than a pass per row."""
+        if rows == 1:
+            return self._full_plan
+        key = ("block", rows)
+        plan = self._subplans.get(key)
+        if plan is None:
+            plan = self._subplans[key] = self._stacked_plan(
+                [self._full_plan.every] * rows
             )
         return plan
+
+    def _stacked_plan(self, rows: Sequence[List[_Rank]]) -> _Plan:
+        """One plan over ``len(rows)`` state rows, each one :attr:`stride`
+        past the last: rank *i* is rank *i* of each row's every-net
+        ranks, their outputs and key columns (the row's own suffix words
+        included) shifted one stride per row.  The rows' writes are
+        disjoint and each row reads only its own nets, so one pass
+        leaves each row as a pass over its own ranks would.  Its readers
+        read every net, so both forms are these ranks; the gate counts
+        are the sum of the rows'.
+        """
+        shifts = self.stride * np.arange(len(rows))
+
+        def stacked(arrays: List[np.ndarray]) -> np.ndarray:
+            sizes = [len(array) for array in arrays]
+            return np.concatenate(arrays) + np.repeat(shifts, sizes)
+
+        ranks = [
+            _Rank(
+                stacked([rank.outputs for rank in group]),
+                stacked([rank.columns for rank in group]),
+            )
+            for group in zip(*rows)
+        ]
+        row_types = np.full(self.stride, -1, dtype=np.int64)
+        row_types[:self.num_nets] = self._cell_types
+        return _Plan(ranks, ranks, np.tile(row_types, len(rows)))
 
     def fanout_plan(self, port_names: Sequence[str]) -> _Plan:
         """The rank rows the named input ports reach.
@@ -1099,6 +1160,11 @@ class CompiledCircuit:
                 )
         state.codes[self._dff_q] = state.codes[self._dff_d]
 
+    def latch_rows(self, codes: np.ndarray) -> None:
+        """:meth:`clock_edge`'s ``Q <= D`` on each row of a ``(rows,
+        num_nets)`` code array, with no instruments."""
+        codes[:, self._dff_q] = codes[:, self._dff_d]
+
     def dff_nets(self) -> np.ndarray:
         """Net ids of every flip-flop Q (read-only view)."""
         return self._dff_q
@@ -1108,7 +1174,8 @@ class CompiledCircuit:
 
         Like :meth:`unknown_fraction`, it reads every net, so it is
         meaningful on a state whose passes run the every-net plan
-        (``state.every_net``, the default).
+        (``state.every_net``, the default), not on a plain or timeline
+        SoC's state.
         """
         return float(np.mean(state.codes & 1))
 

@@ -77,10 +77,8 @@ class GateRunner:
         program.load_ram(self.soc.space.ram)
         if inputs is not None:
             self._wire_inputs(inputs)
-        self._net_ids: Dict[str, int] = {
-            name: index
-            for index, name in enumerate(circuit.netlist.net_names)
-        }
+        #: net id by name, built on the first :meth:`read_named`
+        self._net_ids: Optional[Dict[str, int]] = None
         #: the six registered phase bits (``dbg_phase[1:7]``), and
         #: :meth:`phase` by their codes (at most 6**6 entries)
         self._phase_nets = np.array(
@@ -133,6 +131,13 @@ class GateRunner:
     # ------------------------------------------------------------------
     def read_named(self, prefix: str, width: int = 16) -> TWord:
         """Read an internal register by its net-name prefix (e.g. 'rf/r4')."""
+        if self._net_ids is None:
+            self._net_ids = {
+                name: index
+                for index, name in enumerate(
+                    self.soc.circuit.netlist.net_names
+                )
+            }
         nets = [self._net_ids[f"{prefix}[{i}]"] for i in range(width)]
         return self.soc.circuit.read_nets(self.soc.state, nets)
 

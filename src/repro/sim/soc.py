@@ -508,9 +508,10 @@ class SoC:
     def arm(self, instruments: Instruments = NO_INSTRUMENTS) -> None:
         """Carry *instruments* from the next step on (the default
         disarms).  They ride on this SoC's circuit state, which the
-        shared circuit's passes read.  A provenance recorder or timeline
-        reads every net, so while one rides along the passes run the
-        every-net plan."""
+        shared circuit's passes read.  A provenance recorder reads every
+        net, so while one rides along the passes run the every-net plan;
+        a timeline reads only flip-flops and input ports, and keeps the
+        mapped one."""
         self.state.instruments = instruments
         self.state.every_net = instruments.needs_all_nets
 
@@ -613,15 +614,15 @@ class SoC:
             por_next=self.pending_por,
         )
 
-        circuit.clock_edge(state)
-        self.cycle += 1
         timeline = instruments.timeline
         if timeline is not None:
-            # Post-edge codes: combinational nets still hold this
-            # cycle's settled values (what the checker saw), DFF Q nets
-            # hold next-cycle state -- one frame per step.
+            # One frame per step: before the edge, the flip-flop Qs are
+            # the ones this cycle's passes read and the input ports hold
+            # their final codes, which fix every other net.
             timeline.ensure_bound(circuit)
-            timeline.on_step(events.cycle, state.codes)
+            timeline.on_step(events.cycle, state.codes[circuit.row_nets])
+        circuit.clock_edge(state)
+        self.cycle += 1
         if instruments.obs.enabled:
             instruments.obs.metrics.counter("sim.cycles").inc()
         return events

@@ -1,14 +1,17 @@
-"""Lockstep fuzz: timeline reconstruction == fresh serial simulation.
+"""Lockstep fuzz: timeline derivation == a run that writes every net.
 
-The flight recorder stores deltas and keyframes; this harness proves the
-compression is lossless for real workloads.  For every forking Table 1
-workload (the Table 2 violators -- the programs whose exploration
-restores snapshots, forks, merges and fast-forwards, i.e. everything
-that could desynchronise a recorder), an analysis runs once with the
-recorder armed, then runs again *fresh* with a raw capture hook that
-copies the exact post-step code array every cycle.  ``Timeline.seek(n)``
-must reproduce every raw frame bit for bit -- including when the first
-recording was interrupted mid-run and resumed from a checkpoint.
+A timeline frame is a step-log row -- the step's flip-flop Qs and input
+ports -- and every other net is derived from it when queried; this
+harness proves the derivation is lossless for real workloads.  For
+every forking Table 1 workload (the Table 2 violators -- the programs
+whose exploration restores snapshots, forks, merges and fast-forwards,
+i.e. everything that could desynchronise a recorder), an analysis runs
+once with the recorder armed, on the cut-mapped passes a plain run
+takes, then runs again *fresh* with every pass forced onto the every-net
+form, capturing the exact post-step code array every cycle.
+``Timeline.seek(n)`` must reproduce every captured frame bit for bit --
+including when the first recording was interrupted mid-run and resumed
+from a checkpoint.
 """
 
 import hashlib
@@ -19,25 +22,20 @@ import pytest
 from repro.core import TaintTracker, default_policy
 from repro.obs.timeline import TimelineRecorder
 from repro.resilience import AnalysisInterrupted
+from repro.sim.compiled import CompiledCircuit
+from repro.sim.soc import SoC
 from repro.workloads.registry import TABLE2_VIOLATORS, benchmark
 
 FORKING_WORKLOADS = TABLE2_VIOLATORS
 
 
 class RawCapture:
-    """A timeline-shaped hook that stores uncompressed frame digests.
-
-    Passed as the tracker's ``timeline=``, so it rides the same
-    per-step hook the real recorder uses and sees exactly what the
-    recorder would see.
-    """
+    """Digests of each step's post-edge code array, plus full copies on
+    a stride."""
 
     def __init__(self):
         self.hashes = []
         self.samples = {}
-
-    def ensure_bound(self, circuit):
-        pass
 
     def on_step(self, cycle, codes):
         self.hashes.append(
@@ -54,15 +52,30 @@ def _tracker(name, **kwargs):
     return TaintTracker(program, policy=default_policy(), **kwargs)
 
 
-def _raw_frames(name):
-    """A fresh serial run's exact per-step code stream.
+def _raw_frames(name, monkeypatch):
+    """A fresh serial run's exact per-step code stream, with every pass
+    on the every-net form, captured while the tracker's timeline is
+    armed.
 
     The tracker arms its timeline only for :meth:`run`, so the
     power-on-reset steps taken while the substrate is constructed are
     recorded by neither side.
     """
     capture = RawCapture()
-    _tracker(name, timeline=capture).run()
+    step = SoC.step
+
+    def capturing(soc, *args, **kwargs):
+        events = step(soc, *args, **kwargs)
+        if soc.instruments.timeline is not None:
+            capture.on_step(events.cycle, soc.state.codes)
+        return events
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            CompiledCircuit, "pass_plan", lambda self, state, plan: plan.every
+        )
+        patch.setattr(SoC, "step", capturing)
+        _tracker(name, timeline=TimelineRecorder()).run()
     return capture
 
 
@@ -82,16 +95,16 @@ def _assert_lockstep(timeline, capture, context):
 
 
 @pytest.mark.parametrize("name", FORKING_WORKLOADS)
-def test_seek_bit_identical_to_fresh_serial_run(name):
-    recorder = TimelineRecorder(keyframe_interval=64)
+def test_seek_bit_identical_to_fresh_serial_run(name, monkeypatch):
+    recorder = TimelineRecorder()
     result = _tracker(name, timeline=recorder).run()
     timeline = recorder.to_timeline(result.violations)
-    capture = _raw_frames(name)
+    capture = _raw_frames(name, monkeypatch)
     _assert_lockstep(timeline, capture, name)
 
 
 @pytest.mark.parametrize("name", FORKING_WORKLOADS[:2])
-def test_seek_bit_identical_across_checkpoint_resume(name):
+def test_seek_bit_identical_across_checkpoint_resume(name, monkeypatch):
     """An interrupted-and-resumed recording equals an uninterrupted one,
     frame for frame, and still equals the raw serial stream."""
     interrupted = _tracker(name, timeline=TimelineRecorder())
@@ -112,11 +125,13 @@ def test_seek_bit_identical_across_checkpoint_resume(name):
         pass
     payload = interrupted.export_checkpoint()
     assert payload["timeline"] is not None
-    assert payload["timeline"]["frames"], "no frames before the interrupt"
+    assert payload["timeline"]["cycles"], "no frames before the interrupt"
 
     resumed_recorder = TimelineRecorder()
     resumed = _tracker(name, timeline=resumed_recorder)
     resumed.restore_checkpoint(payload)
     result = resumed.run()
     timeline = resumed_recorder.to_timeline(result.violations)
-    _assert_lockstep(timeline, _raw_frames(name), f"{name} (resumed)")
+    _assert_lockstep(
+        timeline, _raw_frames(name, monkeypatch), f"{name} (resumed)"
+    )

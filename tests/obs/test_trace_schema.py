@@ -218,6 +218,22 @@ class TestLinter:
             "undeclared field 'surprise'" in problem for problem in problems
         )
 
+    def test_keyframe_era_timeline_events_lint_clean(self, tmp_path):
+        """``timeline``/``record`` events no longer write ``keyframes``,
+        but v4 traces that carry it still lint clean."""
+        base = {"wall": 0.0, "v": TRACE_SCHEMA_VERSION}
+        lines = [
+            json.dumps(dict(
+                base, event="timeline", seq=0,
+                frames=9, keyframes=1, truncated=False,
+            )),
+            json.dumps(dict(
+                base, event="record", seq=1, out="run.timeline",
+                frames=9, keyframes=1, cycles=9, truncated=False,
+            )),
+        ]
+        assert lint_trace(self._write(tmp_path, lines)) == []
+
     def test_blank_lines_are_ignored(self, tmp_path):
         record = {
             "event": "merge", "wall": 0.0,

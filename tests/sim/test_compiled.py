@@ -20,7 +20,7 @@ from repro.netlist.cells import CELL_LIBRARY
 from repro.netlist.levelize import levelize
 from repro.obs import Instruments
 from repro.obs.provenance import ProvenanceRecorder
-from repro.obs.timeline import TimelineRecorder
+from repro.obs.timeline import BLOCK, TimelineRecorder
 from repro.sim.compiled import (
     _CODE_KEYS,
     CELL_TYPES,
@@ -29,6 +29,7 @@ from repro.sim.compiled import (
     CODE_MODULUS,
     CODE_X,
     LUT_ENTRIES,
+    CircuitState,
     CompiledCircuit,
     _lut_for,
     _padded_lut,
@@ -459,8 +460,9 @@ class TestPlanChoice:
     @pytest.mark.parametrize("armed", ["provenance", "timeline"])
     def test_whole_net_readers_run_the_every_net_plans(self, armed):
         """Two SoCs share the one cached circuit; arming a whole-net
-        recorder on one gives that SoC the every-net plans while the
-        other keeps the mapped ones."""
+        recorder (provenance) on one gives that SoC the every-net plans
+        while the other keeps the mapped ones.  A timeline records only
+        flip-flops and input ports, so its SoC keeps the mapped plans."""
         soc, full, cone = self._soc_plans()
         other = _mult_runner().soc
         circuit = soc.circuit
@@ -470,8 +472,9 @@ class TestPlanChoice:
             "timeline": TimelineRecorder,
         }
         soc.arm(Instruments(**{armed: recorders[armed]()}))
-        assert circuit.pass_plan(soc.state, full) is full.every
-        assert circuit.pass_plan(soc.state, cone) is cone.every
+        form = "every" if armed == "provenance" else "mapped"
+        assert circuit.pass_plan(soc.state, full) is getattr(full, form)
+        assert circuit.pass_plan(soc.state, cone) is getattr(cone, form)
         assert circuit.pass_plan(other.state, full) is full.mapped
         assert circuit.pass_plan(other.state, cone) is cone.mapped
         soc.arm()
@@ -655,7 +658,7 @@ class TestKeySuffix:
 
     def test_timeline_frames_hold_only_nets(self):
         runner = _mult_runner()
-        recorder = TimelineRecorder(keyframe_interval=4)
+        recorder = TimelineRecorder()
         runner.soc.arm(Instruments(timeline=recorder))
         for _ in range(10):
             runner.step()
@@ -670,14 +673,16 @@ class TestKeySuffix:
 # ---------------------------------------------------------------------------
 def _kernel_forms(circuit, cone_ports, fanout_ports):
     """``(ranks, buffer length)`` of every form of *circuit*'s full,
-    cone, fanout and pair plans, at each length a pass runs it on: the
-    fanout plan also runs on a provenance step's two-row buffer."""
+    cone, fanout, pair and block plans, at each length a pass runs it
+    on: the fanout plan also runs on a provenance step's two-row
+    buffer."""
     stride = circuit.stride
     plans = [
         (circuit._full_plan, [stride]),
         (circuit.cone_plan(cone_ports), [stride]),
         (circuit.fanout_plan(fanout_ports), [stride, 2 * stride]),
         (circuit.pair_plan(cone_ports), [2 * stride]),
+        (circuit.block_plan(BLOCK), [BLOCK * stride]),
     ]
     return [
         (ranks, length)
@@ -691,10 +696,14 @@ def _assert_kernel_layout(circuit, ranks, length):
     """Every column of the kernel of *ranks* reads the byte the rank's
     own column names: the buffer's, unless an earlier rank of the form
     wrote it (then that rank's slot) or it is a constant net (then its
-    constant slot); the write-back covers the constant nets and each
-    row's output exactly once."""
+    row's constant slot); the write-back covers every row's constant
+    nets and each output exactly once."""
     kernel = circuit._kernel(ranks, length)
-    consts = circuit._const_nets_arr
+    state_rows = length // circuit.stride
+    consts = np.concatenate([
+        circuit._const_nets_arr + row * circuit.stride
+        for row in range(state_rows)
+    ])
     base = length + len(consts)
     rows = sum(len(outputs) for outputs, _ in ranks)
     assert len(kernel.work) == base + rows
@@ -703,8 +712,7 @@ def _assert_kernel_layout(circuit, ranks, length):
         [np.arange(length), consts] + [outputs for outputs, _ in ranks]
     )
     constant = np.zeros(length, dtype=bool)
-    for row in range(0, length, circuit.stride):
-        constant[consts + row] = True
+    constant[consts] = True
     written = np.zeros(length, dtype=bool)
     start = base
     for (outputs, columns), step in zip(ranks, kernel.steps, strict=True):
@@ -725,16 +733,17 @@ def _assert_kernel_layout(circuit, ranks, length):
         assert np.array_equal(read[from_buffer], columns[from_buffer])
         assert not (written | constant)[columns[from_buffer]].any()
         assert constant[columns[from_constant]].all()
-        assert np.array_equal(
-            read[from_constant], columns[from_constant] % circuit.stride
-        )
+        assert np.array_equal(read[from_constant], columns[from_constant])
         from_slot = work_columns >= base
         assert np.array_equal(read[from_slot], columns[from_slot])
         written[outputs] = True
         start += len(outputs)
     assert np.array_equal(kernel.outputs, origin[length:])
     assert len(np.unique(kernel.outputs)) == len(kernel.outputs)
-    assert np.array_equal(kernel.work[length:base], circuit._const_codes_arr)
+    assert np.array_equal(
+        kernel.work[length:base],
+        np.tile(circuit._const_codes_arr, state_rows),
+    )
 
 
 class TestKernel:
@@ -743,7 +752,7 @@ class TestKernel:
 
     def test_lp430_forms_read_what_their_columns_name(self, lp430):
         forms = _kernel_forms(lp430, INTERFACE_PORTS, ["dmem_rdata"])
-        assert len(forms) == 10
+        assert len(forms) == 12
         for ranks, length in forms:
             _assert_kernel_layout(lp430, ranks, length)
 
@@ -784,6 +793,62 @@ class TestKernel:
         circuit.eval_combinational(state)
         assert np.array_equal(state.codes[consts], circuit._const_codes_arr)
         assert np.array_equal(state.codes, expected.codes)
+
+    def test_a_block_pass_settles_each_row_as_a_full_pass(self):
+        """Each row of a block pass ends as an every-net full pass on
+        that row alone leaves it, its constants tied."""
+        circuit = CompiledCircuit(random_netlist(5))
+        rng = np.random.RandomState(5)
+        singles = []
+        for _ in range(3):
+            state = circuit.new_state()
+            state.codes[circuit.row_nets] = rng.randint(
+                0, 6, len(circuit.row_nets)
+            )
+            singles.append(state)
+        block = CircuitState(
+            np.concatenate([state.buffer for state in singles]),
+            circuit.num_nets,
+        )
+        circuit.eval_plan(block, circuit.block_plan(3))
+        for state in singles:
+            circuit.eval_combinational(state)
+        assert np.array_equal(
+            block.buffer, np.concatenate([state.buffer for state in singles])
+        )
+        assert circuit.block_plan(1) is circuit._full_plan
+        assert circuit.block_plan(3) is circuit.block_plan(3)
+
+    def test_a_wide_kernel_reduces_its_keys_by_floor_division(self):
+        """The LP430's timeline block kernel is wide (floor-division
+        key reduction) and its one-row full kernel is not (remainder);
+        each row of a block pass still equals a one-row full pass."""
+        circuit = compiled_cpu()
+        rng = np.random.RandomState(7)
+        singles = []
+        for _ in range(BLOCK):
+            state = circuit.new_state()
+            state.codes[circuit.row_nets] = rng.randint(
+                0, 6, len(circuit.row_nets)
+            )
+            singles.append(state)
+        block = CircuitState(
+            np.concatenate([state.buffer for state in singles]),
+            circuit.num_nets,
+        )
+        plan = circuit.block_plan(BLOCK)
+        circuit.eval_plan(block, plan)
+        for state in singles:
+            circuit.eval_combinational(state)
+        assert np.array_equal(
+            block.buffer, np.concatenate([state.buffer for state in singles])
+        )
+        kernel = plan.kernels[(id(plan.every), len(block.buffer))]
+        assert kernel.quotients is not None
+        full = circuit._full_plan.kernels[
+            (id(circuit._full_plan.every), circuit.stride)
+        ]
+        assert full.quotients is None
 
     def test_kernels_survive_the_pair_plan_repointing_the_full_plan(self):
         """A mapped pass builds the full plan's kernel; arming a

@@ -88,3 +88,22 @@ class TestCallableInputs:
     def test_non_mapping_non_callable_rejected(self, circuit, program):
         with pytest.raises(TypeError):
             GateRunner(circuit, program, inputs=42)
+
+
+class TestNamedReads:
+    def test_net_name_index_is_built_on_the_first_named_read(
+        self, circuit, program
+    ):
+        """A runner that never reads a register by name never indexes
+        the netlist's net names; ``read_named`` builds the index once
+        and reads through it."""
+        plain = GateRunner(circuit, program, inputs={"P1IN": 0x2A})
+        plain.run(max_cycles=60)
+        assert plain._net_ids is None
+        runner = GateRunner(circuit, program, inputs={"P1IN": 0x2A})
+        runner.run(max_cycles=60)
+        assert runner.read_named("rf/r4").value == 0x2A
+        index = runner._net_ids
+        assert index is not None
+        assert runner.register(4).value == 0x2A
+        assert runner._net_ids is index
