@@ -20,4 +20,35 @@ The package is organised bottom-up (see ``DESIGN.md``):
 * :mod:`repro.eval`     -- regeneration of every table and figure.
 """
 
+from importlib import import_module
+
 __version__ = "1.0.0"
+
+
+def lazy_exports(package: str, exports: dict):
+    """A package's PEP 562 ``__getattr__`` and ``__dir__`` re-exporting
+    *exports*, each public name mapped to the submodule it comes from
+    (or to ``(submodule, attribute)`` for a renamed one).
+
+    A name's submodule is imported on its first lookup, so importing
+    the package imports none of them.  The value is read from the
+    submodule on every lookup and never cached in the package, so a
+    binding patched on the submodule is what the package hands out.
+    """
+
+    def __getattr__(name: str):
+        try:
+            where = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        module, attribute = (
+            where if isinstance(where, tuple) else (where, name)
+        )
+        return getattr(import_module(f"{package}.{module}"), attribute)
+
+    def __dir__():
+        return sorted(set(vars(import_module(package))) | set(exports))
+
+    return __getattr__, __dir__

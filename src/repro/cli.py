@@ -36,35 +36,27 @@ import signal
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core import TaintTracker, default_policy, secret_policy
 from repro.cpu import cpu_stats
 from repro.eval.formatting import format_json, format_table, to_jsonable
 from repro.isa.assembler import AssemblyError, assemble
-from repro.isa.disasm import disassemble_program
-from repro.isasim.executor import run_concrete
-from repro.obs import (
-    Observer,
-    ProvenanceRecorder,
-    TimelineRecorder,
-    TraceRecorder,
-    explain_violation,
-    lint_trace,
-    load_timeline,
-    save_timeline,
-)
-from repro.obs.report import build_report
-from repro.obs.viewer import build_viewer
+from repro.obs import Observer
 from repro.resilience import (
     AnalysisBudget,
     AnalysisInterrupted,
-    Checkpointer,
     InputError,
     ReproError,
     VERDICT_EXIT_CODES,
-    read_checkpoint,
 )
 from repro.transform import FundamentalViolation, secure_compile
+
+if TYPE_CHECKING:
+    # What only some subcommands run is imported by their handlers, so
+    # a plain ``repro analyze`` loads none of it.
+    from repro.obs.provenance import ProvenanceRecorder
+    from repro.obs.trace import TraceRecorder
 
 #: Canonical pipeline phases, in reporting order (the profile table always
 #: prints these four, then any additional spans observed).
@@ -143,6 +135,8 @@ def _graceful_interrupts(tracker):
 def _trace_for(args) -> TraceRecorder | None:
     if not getattr(args, "trace", None):
         return None
+    from repro.obs.trace import TraceRecorder
+
     try:
         return TraceRecorder(args.trace)
     except OSError as error:
@@ -153,6 +147,8 @@ def _recorder_for(args) -> ProvenanceRecorder | None:
     """A ProvenanceRecorder when ``--provenance`` was given, else None."""
     if not getattr(args, "provenance", False):
         return None
+    from repro.obs.provenance import ProvenanceRecorder
+
     return ProvenanceRecorder(
         capacity=getattr(args, "provenance_capacity", None) or (1 << 20)
     )
@@ -219,6 +215,8 @@ def cmd_analyze(args) -> int:
 
     checkpointer = None
     if args.checkpoint:
+        from repro.resilience.checkpoint import Checkpointer
+
         checkpointer = Checkpointer(
             args.checkpoint, every_paths=args.checkpoint_every
         )
@@ -234,6 +232,8 @@ def cmd_analyze(args) -> int:
         provenance=recorder,
     )
     if args.resume:
+        from repro.resilience.checkpoint import read_checkpoint
+
         payload = read_checkpoint(
             args.resume, expected_digest=tracker.config_digest()
         )
@@ -360,6 +360,8 @@ def cmd_repair(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.isasim.executor import run_concrete
+
     _, program, _ = _load(args.source)
     run = run_concrete(
         program, max_cycles=args.max_cycles, follow_watchdog=False
@@ -376,6 +378,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_disasm(args) -> int:
+    from repro.isa.disasm import disassemble_program
+
     _, program, _ = _load(args.source)
     print(disassemble_program(program))
     return 0
@@ -407,14 +411,15 @@ def _resolve_workload(spec: str) -> tuple:
         return figure4_source(), "figure4"
     from repro.workloads.registry import BENCHMARKS
 
-    by_lower = {name.lower(): info for name, info in BENCHMARKS.items()}
-    info = by_lower.get(spec.lower())
-    if info is None:
+    by_lower = {name.lower(): name for name in BENCHMARKS}
+    name = by_lower.get(spec.lower())
+    if name is None:
         known = ", ".join(sorted(BENCHMARKS) + ["figure4"])
         raise SystemExit(
             f"unknown workload {spec!r}: not a file, and not one of "
             f"the registered benchmarks ({known})"
         )
+    info = BENCHMARKS[name]
     return info.service_source, info.name
 
 
@@ -669,6 +674,8 @@ def _assemble_workload(spec: str):
 def _analyze_with_provenance(args):
     """Run the analysis with a provenance recorder armed; returns
     ``(result, recorder)``."""
+    from repro.obs.provenance import ProvenanceRecorder
+
     program, _ = _assemble_workload(args.workload)
     recorder = ProvenanceRecorder(
         capacity=args.provenance_capacity or (1 << 20)
@@ -683,6 +690,8 @@ def _analyze_with_provenance(args):
 
 
 def cmd_explain(args) -> int:
+    from repro.obs.provenance import explain_violation
+
     result, recorder = _analyze_with_provenance(args)
     if not result.violations:
         print(
@@ -722,6 +731,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from repro.obs.report import build_report
+
     result, recorder = _analyze_with_provenance(args)
     html = build_report(
         result, recorder, timeline_link=getattr(args, "timeline", None)
@@ -741,6 +752,8 @@ def cmd_report(args) -> int:
 def cmd_record(args) -> int:
     """Analyse a workload with the timeline flight recorder armed and
     write the recording to a ``.timeline`` file."""
+    from repro.obs.timeline import TimelineRecorder, save_timeline
+
     program, name = _assemble_workload(args.workload)
     recorder = TimelineRecorder(max_frames=args.max_frames)
     observer = _observer_for(args)
@@ -787,6 +800,9 @@ def cmd_record(args) -> int:
 def cmd_view(args) -> int:
     """Render a recorded ``.timeline`` file as a self-contained HTML
     time-travel viewer."""
+    from repro.obs.timeline import load_timeline
+    from repro.obs.viewer import build_viewer
+
     timeline = load_timeline(args.timeline_file)
     workload = timeline.meta.get("workload")
     title = args.title or (
@@ -807,6 +823,8 @@ def cmd_view(args) -> int:
 
 
 def cmd_trace_lint(args) -> int:
+    from repro.obs.trace import lint_trace
+
     try:
         problems = lint_trace(args.trace_file)
     except OSError as error:

@@ -12,16 +12,28 @@
   tracker's per-cycle tainted state (Figure 6's second box).
 """
 
-from repro.core.labels import SecurityPolicy, default_policy, secret_policy
-from repro.core.violations import (
-    CONDITION_OF_KIND,
-    Violation,
-    ViolationKind,
-)
-from repro.core.tree import ExecutionTree, TreeNode
-from repro.core.tracker import AnalysisResult, TaintTracker, TrackerError
-from repro.core.checker import analyze_program, check_conditions
-from repro.core.union import analyze_union, build_union_source
+from repro import lazy_exports
+
+#: Each re-exported name and the submodule it is imported from on first
+#: use (see :func:`repro.lazy_exports`): importing the tracker loads
+#: neither the union analysis nor anything else it does not run.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "SecurityPolicy": "labels",
+    "default_policy": "labels",
+    "secret_policy": "labels",
+    "CONDITION_OF_KIND": "violations",
+    "Violation": "violations",
+    "ViolationKind": "violations",
+    "ExecutionTree": "tree",
+    "TreeNode": "tree",
+    "AnalysisResult": "tracker",
+    "TaintTracker": "tracker",
+    "TrackerError": "tracker",
+    "analyze_program": "checker",
+    "check_conditions": "checker",
+    "analyze_union": "union",
+    "build_union_source": "union",
+})
 
 __all__ = [
     "SecurityPolicy",

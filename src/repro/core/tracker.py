@@ -18,7 +18,7 @@ widened by merging (differing bits become X, taints OR).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from repro.core.labels import SecurityPolicy
 from repro.core.tree import ExecutionTree, TreeNode
 from repro.core.violations import Violation, ViolationKind
 from repro.obs import CLOCK, NULL_OBSERVER, Instruments
-from repro.obs.provenance import ProvenanceRecorder
-from repro.obs.timeline import TimelineRecorder
 from repro.cpu import compiled_cpu
 from repro.isa.encode import DecodedInstruction, EncodeError, decode
 from repro.isa.program import Program
@@ -42,11 +40,17 @@ from repro.resilience.errors import (
     ReproError,
     SimulationError,
 )
-from repro.resilience.faults import FaultInjector
-from repro.resilience.progress import ProgressEstimator
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.runner import PHASE_E, PHASE_F, PHASE_J, GateRunner
 from repro.sim.soc import AddressSpace, SoCState
+
+if TYPE_CHECKING:
+    # Opt-in instruments, named here only in annotations: a caller
+    # that hands one in has imported it.
+    from repro.obs.provenance import ProvenanceRecorder
+    from repro.obs.timeline import TimelineRecorder
+    from repro.resilience.faults import FaultInjector
+    from repro.resilience.progress import ProgressEstimator
 
 
 class TrackerError(AnalysisError):

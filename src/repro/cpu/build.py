@@ -16,14 +16,17 @@ on the same cycle's read-data inputs -- holds because:
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from repro.cpu.alu import build_alu
 from repro.cpu.control import begin_fsm, build_decode, finish_fsm
 from repro.cpu.regfile import RegFileBuilder
 from repro.netlist.builder import CircuitBuilder, Sig
 from repro.netlist.netlist import Netlist
-from repro.netlist.stats import NetlistStats, netlist_stats
 from repro.sim.compiled import CompiledCircuit
+
+if TYPE_CHECKING:
+    from repro.netlist.stats import NetlistStats
 
 
 def build_cpu() -> Netlist:
@@ -196,4 +199,6 @@ def compiled_cpu() -> CompiledCircuit:
 
 def cpu_stats() -> NetlistStats:
     """Synthesis-report style statistics for the LP430 netlist."""
+    from repro.netlist.stats import netlist_stats
+
     return netlist_stats(build_cpu())

@@ -9,24 +9,7 @@
 * :mod:`repro.isa.program`   -- the loadable system binary plus metadata.
 """
 
-from repro.isa.spec import (
-    COND,
-    FLAG_C,
-    FLAG_N,
-    FLAG_V,
-    FLAG_Z,
-    FORMAT_I_OPCODES,
-    FORMAT_II_OPCODES,
-    JUMP_MNEMONICS,
-    MODE_INDEXED,
-    MODE_INDIRECT,
-    MODE_INDIRECT_INC,
-    MODE_REGISTER,
-    PC,
-    SP,
-    SR,
-    CG,
-)
+from repro import lazy_exports
 from repro.isa.encode import (
     DecodedInstruction,
     EncodeError,
@@ -34,9 +17,37 @@ from repro.isa.encode import (
     decode,
     encode,
 )
-from repro.isa.assembler import AssemblyError, assemble
-from repro.isa.disasm import disassemble_program, disassemble_word
-from repro.isa.program import Program, SourceLine, TaskInfo
+
+#: Each re-exported name and the submodule it is imported from on first
+#: use (see :func:`repro.lazy_exports`): an analysis never loads the
+#: disassembler.  ``encode`` is imported eagerly because it is also a
+#: submodule's name, which importing that submodule would bind here
+#: instead.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "COND": "spec",
+    "FLAG_C": "spec",
+    "FLAG_N": "spec",
+    "FLAG_V": "spec",
+    "FLAG_Z": "spec",
+    "FORMAT_I_OPCODES": "spec",
+    "FORMAT_II_OPCODES": "spec",
+    "JUMP_MNEMONICS": "spec",
+    "MODE_INDEXED": "spec",
+    "MODE_INDIRECT": "spec",
+    "MODE_INDIRECT_INC": "spec",
+    "MODE_REGISTER": "spec",
+    "PC": "spec",
+    "SP": "spec",
+    "SR": "spec",
+    "CG": "spec",
+    "AssemblyError": "assembler",
+    "assemble": "assembler",
+    "disassemble_program": "disasm",
+    "disassemble_word": "disasm",
+    "Program": "program",
+    "SourceLine": "program",
+    "TaskInfo": "program",
+})
 
 __all__ = [
     "PC",

@@ -18,6 +18,7 @@ simulator leans on this.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Iterator, Tuple
 
@@ -64,8 +65,11 @@ class EnumerationLimitError(ValueError):
     """
 
 
+@functools.lru_cache(maxsize=None)
 def _full_adder_tables() -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[int, int]]]:
-    """Precompute GLIFT tables for a full adder's sum and carry outputs.
+    """GLIFT tables for a full adder's sum and carry outputs, built on
+    the first :meth:`TWord.add` (the gate-level analysis never adds
+    words, so importing this module does not pay for them).
 
     The table key packs ``(va, ta, vb, tb, vc, tc)`` as
     ``((va * 2 + ta) * 6 + (vb * 2 + tb)) * 6 + (vc * 2 + tc)``.
@@ -89,9 +93,6 @@ def _full_adder_tables() -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[in
                 carry_func, (va, vb, vc), (ta, tb, tc)
             )
     return sum_table, carry_table
-
-
-_SUM_TABLE, _CARRY_TABLE = _full_adder_tables()
 
 
 class TWord:
@@ -240,6 +241,7 @@ class TWord:
         gate-level adder bit for bit.
         """
         assert self.width == other.width
+        sum_table, carry_table = _full_adder_tables()
         carry_value, carry_taint = carry_in
         bits = 0
         xmask = 0
@@ -253,8 +255,8 @@ class TWord:
             key = (
                 (value_a * 2 + taint_a) * 6 + (value_b * 2 + taint_b)
             ) * 6 + (carry_value * 2 + carry_taint)
-            sum_value, sum_taint = _SUM_TABLE[key]
-            carry_value, carry_taint = _CARRY_TABLE[key]
+            sum_value, sum_taint = sum_table[key]
+            carry_value, carry_taint = carry_table[key]
             probe = 1 << index
             if sum_value == UNKNOWN:
                 xmask |= probe

@@ -17,12 +17,27 @@ package provides that substrate:
 * :mod:`repro.netlist.stats`    -- cell counts, unit-area and depth reports.
 """
 
-from repro.netlist.cells import CELL_LIBRARY, CellSpec
-from repro.netlist.netlist import DFF, Gate, Netlist, NetlistError
-from repro.netlist.builder import CircuitBuilder, Sig
+from repro import lazy_exports
 from repro.netlist.levelize import CombinationalCycleError, levelize
-from repro.netlist.verilog import parse_verilog, write_verilog
-from repro.netlist.stats import netlist_stats
+
+#: Each re-exported name and the submodule it is imported from on first
+#: use (see :func:`repro.lazy_exports`): compiling the LP430 loads
+#: neither the Verilog reader/writer nor the statistics report.
+#: ``levelize`` is imported eagerly because it is also a submodule's
+#: name, which importing that submodule would bind here instead.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CELL_LIBRARY": "cells",
+    "CellSpec": "cells",
+    "DFF": "netlist",
+    "Gate": "netlist",
+    "Netlist": "netlist",
+    "NetlistError": "netlist",
+    "CircuitBuilder": "builder",
+    "Sig": "builder",
+    "parse_verilog": "verilog",
+    "write_verilog": "verilog",
+    "netlist_stats": "stats",
+})
 
 __all__ = [
     "CELL_LIBRARY",

@@ -55,7 +55,9 @@ class CircuitBuilder:
 
     def __init__(self, name: str = "top"):
         self.netlist = Netlist(name=name)
-        self._scope: List[str] = []
+        #: the enclosing scopes' names, each followed by ``/``: the
+        #: prefix of every net name made inside them
+        self._prefix = ""
         self._tie0: Optional[int] = None
         self._tie1: Optional[int] = None
         self._registers: List[Reg] = []
@@ -67,16 +69,15 @@ class CircuitBuilder:
     @contextmanager
     def scope(self, name: str) -> Iterator[None]:
         """Prefix nets created inside the block with ``name/``."""
-        self._scope.append(name)
+        outer = self._prefix
+        self._prefix = outer + name + "/"
         try:
             yield
         finally:
-            self._scope.pop()
+            self._prefix = outer
 
     def _qualified(self, name: str) -> str:
-        if self._scope:
-            return "/".join(self._scope) + "/" + name
-        return name
+        return self._prefix + name
 
     def _fresh(self, stem: str) -> str:
         index = self._counter.get(stem, 0)

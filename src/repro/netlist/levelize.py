@@ -8,7 +8,6 @@ combinational cycle, which is a design error this module diagnoses.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from typing import Dict, List
 
 from repro.netlist.cells import CONSTANT_CELLS
@@ -31,60 +30,72 @@ def levelize(netlist: Netlist) -> List[List[Gate]]:
     """Return gates grouped into evaluation levels (level 1 first).
 
     Tie cells are placed in level 0's group (index 0) so the simulator can
-    initialise constants before anything else.
+    initialise constants before anything else.  Within a level, gates
+    keep the order Kahn's algorithm places them in: first-in first-out,
+    starting from the netlist order of the gates whose inputs are all
+    sources.  Net ids index ``netlist.net_names``.
     """
-    level_of_net: Dict[int, int] = {}
+    gates = netlist.gates
+    #: each net's level, -1 until the gate that sets it is placed
+    level_of = [-1] * len(netlist.net_names)
     for port in netlist.inputs:
         for net in port.nets:
-            level_of_net[net] = 0
+            level_of[net] = 0
     for dff in netlist.dffs:
-        level_of_net[dff.q] = 0
-
+        level_of[dff.q] = 0
     constants: List[Gate] = []
-    pending: List[Gate] = []
-    consumers: Dict[int, List[Gate]] = defaultdict(list)
-    missing_inputs: Dict[int, int] = {}
-
-    for index, gate in enumerate(netlist.gates):
+    for gate in gates:
         if gate.cell_type in CONSTANT_CELLS:
             constants.append(gate)
-            level_of_net[gate.output] = 0
+            level_of[gate.output] = 0
+
+    # Count each gate's unresolved inputs, then Kahn's algorithm over
+    # gate indices; ``ready`` is the queue, read as it grows.
+    missing = [0] * len(gates)
+    consumers: Dict[int, List[int]] = {}
+    ready: List[int] = []
+    pending = 0
+    for index, gate in enumerate(gates):
+        if gate.cell_type in CONSTANT_CELLS:
             continue
-        pending.append(gate)
-        missing_inputs[id(gate)] = 0
-
-    # Count unresolved inputs, then Kahn's algorithm.
-    ready: deque = deque()
-    for gate in pending:
-        unresolved = sum(1 for net in gate.inputs if net not in level_of_net)
-        missing_inputs[id(gate)] = unresolved
+        pending += 1
+        unresolved = 0
         for net in gate.inputs:
-            if net not in level_of_net:
-                consumers[net].append(gate)
-        if unresolved == 0:
-            ready.append(gate)
+            if level_of[net] < 0:
+                unresolved += 1
+                if net in consumers:
+                    consumers[net].append(index)
+                else:
+                    consumers[net] = [index]
+        if unresolved:
+            missing[index] = unresolved
+        else:
+            ready.append(index)
 
-    levels: Dict[int, List[Gate]] = defaultdict(list)
-    placed = 0
-    while ready:
-        gate = ready.popleft()
-        level = 1 + max(
-            (level_of_net[net] for net in gate.inputs), default=0
-        )
-        levels[level].append(gate)
-        placed += 1
-        if gate.output not in level_of_net:
-            level_of_net[gate.output] = level
-            for consumer in consumers[gate.output]:
-                missing_inputs[id(consumer)] -= 1
-                if missing_inputs[id(consumer)] == 0:
+    # A gate's level is at most one past the deepest level placed so
+    # far, so the levels fill in order and none is left empty.
+    ordered: List[List[Gate]] = [constants]
+    for index in ready:
+        gate = gates[index]
+        level = 0
+        for net in gate.inputs:
+            if level_of[net] > level:
+                level = level_of[net]
+        level += 1
+        if level == len(ordered):
+            ordered.append([gate])
+        else:
+            ordered[level].append(gate)
+        output = gate.output
+        if level_of[output] < 0:
+            level_of[output] = level
+            for consumer in consumers.get(output, ()):
+                missing[consumer] -= 1
+                if not missing[consumer]:
                     ready.append(consumer)
 
-    if placed != len(pending):
-        stuck = [g for g in pending if missing_inputs[id(g)] > 0]
-        raise CombinationalCycleError(stuck)
-
-    ordered = [constants]
-    for level in sorted(levels):
-        ordered.append(levels[level])
+    if len(ready) != pending:
+        raise CombinationalCycleError(
+            [gate for gate, count in zip(gates, missing) if count]
+        )
     return ordered

@@ -36,46 +36,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro import lazy_exports
 from repro.obs.clock import CLOCK, Clock, ManualClock
-from repro.obs.metrics import (
-    Counter,
-    FRACTION_BOUNDS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.exposition import (
-    CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
-    escape_label_value,
-    render_prometheus,
-    sanitize_metric_name,
-)
-from repro.obs.profiler import Profiler
-from repro.obs.provenance import (
-    FlowEdge,
-    FlowLeaf,
-    FlowSlice,
-    ProvenanceRecorder,
-    explain_violation,
-)
-from repro.obs.timeline import (
-    Timeline,
-    TimelineMarker,
-    TimelineRecorder,
-    load_timeline,
-    save_timeline,
-)
-from repro.obs.trace import (
-    CORRELATION_FIELDS,
-    EVENT_SCHEMAS,
-    TRACE_SCHEMA_VERSION,
-    TraceRecorder,
-    lint_trace,
-    read_events,
-)
 
 if TYPE_CHECKING:
+    from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+    from repro.obs.profiler import Profiler
+    from repro.obs.provenance import ProvenanceRecorder
+    from repro.obs.timeline import TimelineRecorder
+    from repro.obs.trace import TraceRecorder
     from repro.resilience.faults import FaultInjector
+
+#: The re-exported names that live in submodules: each is imported on
+#: first use (see :func:`repro.lazy_exports`), so an analysis that
+#: keeps no metrics and records no trace, profile, provenance or
+#: timeline loads none of those modules.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Counter": "metrics",
+    "FRACTION_BOUNDS": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "PROMETHEUS_CONTENT_TYPE": ("exposition", "CONTENT_TYPE"),
+    "escape_label_value": "exposition",
+    "render_prometheus": "exposition",
+    "sanitize_metric_name": "exposition",
+    "Profiler": "profiler",
+    "FlowEdge": "provenance",
+    "FlowLeaf": "provenance",
+    "FlowSlice": "provenance",
+    "ProvenanceRecorder": "provenance",
+    "explain_violation": "provenance",
+    "Timeline": "timeline",
+    "TimelineMarker": "timeline",
+    "TimelineRecorder": "timeline",
+    "load_timeline": "timeline",
+    "save_timeline": "timeline",
+    "CORRELATION_FIELDS": "trace",
+    "EVENT_SCHEMAS": "trace",
+    "TRACE_SCHEMA_VERSION": "trace",
+    "TraceRecorder": "trace",
+    "lint_trace": "trace",
+    "read_events": "trace",
+})
 
 
 class Observer:
@@ -90,6 +93,9 @@ class Observer:
         profiler: Optional[Profiler] = None,
         clock: Clock = CLOCK,
     ):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.profiler import Profiler
+
         self.trace = trace
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profiler = (
@@ -110,8 +116,12 @@ class Observer:
         return self.metrics.gauge(name)
 
     def histogram(
-        self, name: str, bounds: Sequence[float] = FRACTION_BOUNDS
+        self, name: str, bounds: Optional[Sequence[float]] = None
     ) -> Histogram:
+        """The named histogram; *bounds* default to the registry's
+        (``FRACTION_BOUNDS``)."""
+        if bounds is None:
+            return self.metrics.histogram(name)
         return self.metrics.histogram(name, bounds)
 
     # -- profiling -----------------------------------------------------

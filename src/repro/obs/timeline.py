@@ -395,11 +395,12 @@ class Timeline:
 
     def scan(
         self, ports: Sequence[str] = ()
-    ) -> Tuple[Dict[str, List[Tuple[int, int, int]]], np.ndarray]:
+    ) -> Tuple[Dict[str, Tuple[List[int], List[int], List[int]]],
+               np.ndarray]:
         """One pass over every frame (the viewer's bulk export): each
-        of *ports*' per-frame ``(bits, xmask, tmask)`` words (ports the
-        timeline lacks are skipped) and each frame's count of tainted
-        nets.
+        of *ports*' words as three per-frame lists, ``(bits, xmask,
+        tmask)`` (ports the timeline lacks are skipped), and each
+        frame's count of tainted nets.
 
         A frame is a function of its row alone, so each distinct row is
         derived once (the tracker revisits states: 6% of mult's rows
@@ -437,7 +438,7 @@ class Timeline:
             )
         ]
         lanes = {
-            port: list(zip(*(mask[column] for mask in masks)))
+            port: tuple(mask[column] for mask in masks)
             for column, port in enumerate(wanted)
         }
         return lanes, tainted

@@ -94,7 +94,9 @@ function render(frame) {
   readout.textContent = 'frame ' + frame + ' / ' +
     (D.cycles.length - 1) + ' \\u00b7 cycle ' + D.cycles[frame];
   for (const port of D.lane_order) {
-    const [bits, xmask, tmask] = D.lanes[port][frame];
+    const lane = D.lanes[port];
+    const bits = lane.bits[frame], xmask = lane.xmask[frame],
+      tmask = lane.tmask[frame];
     const cell = document.getElementById('lane-' + port);
     const width = D.lane_widths[port];
     cell.textContent = hexWord(bits, xmask, tmask, width) +
@@ -181,7 +183,12 @@ def build_viewer(
         )
     data = {
         "cycles": [int(c) for c in timeline.cycles],
-        "lanes": lane_data,
+        # Three flat per-frame arrays per port; the page indexes them
+        # by frame.
+        "lanes": {
+            port: dict(zip(("bits", "xmask", "tmask"), words))
+            for port, words in lane_data.items()
+        },
         "lane_order": lane_order,
         "lane_widths": {
             port: len(timeline.port_nets[port]) for port in lane_order

@@ -19,43 +19,47 @@ finishes or dies into a service-grade component:
   heartbeat/SSE progress pipeline.
 """
 
-from repro.resilience.errors import (
-    EXIT_ANALYSIS,
-    EXIT_CHECKPOINT,
-    EXIT_FUNDAMENTAL,
-    EXIT_INCONCLUSIVE,
-    EXIT_INPUT,
-    EXIT_INSECURE,
-    EXIT_INTERRUPTED,
-    EXIT_SECURE,
-    VERDICT_EXIT_CODES,
-    AnalysisError,
-    AnalysisInterrupted,
-    CheckpointError,
-    ForkError,
-    InjectedFault,
-    InputError,
-    ReproError,
-    SimulationError,
-    taxonomy,
-)
-from repro.resilience.budget import AnalysisBudget, current_rss_mb
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    Checkpointer,
-    read_checkpoint,
-    read_checkpoint_header,
-    read_container,
-    read_container_header,
-    write_checkpoint,
-    write_container,
-)
-from repro.resilience.faults import FAULT_KINDS, FaultInjector
-from repro.resilience.progress import (
-    PROGRESS_SCHEMA,
-    ProgressEstimator,
-    ProgressSnapshot,
-)
+from repro import lazy_exports
+
+#: Each re-exported name and the submodule it is imported from on first
+#: use (see :func:`repro.lazy_exports`): an analysis that writes no
+#: checkpoint, injects no fault and estimates no progress loads none
+#: of those modules.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "EXIT_ANALYSIS": "errors",
+    "EXIT_CHECKPOINT": "errors",
+    "EXIT_FUNDAMENTAL": "errors",
+    "EXIT_INCONCLUSIVE": "errors",
+    "EXIT_INPUT": "errors",
+    "EXIT_INSECURE": "errors",
+    "EXIT_INTERRUPTED": "errors",
+    "EXIT_SECURE": "errors",
+    "VERDICT_EXIT_CODES": "errors",
+    "AnalysisError": "errors",
+    "AnalysisInterrupted": "errors",
+    "CheckpointError": "errors",
+    "ForkError": "errors",
+    "InjectedFault": "errors",
+    "InputError": "errors",
+    "ReproError": "errors",
+    "SimulationError": "errors",
+    "taxonomy": "errors",
+    "AnalysisBudget": "budget",
+    "current_rss_mb": "budget",
+    "CHECKPOINT_VERSION": "checkpoint",
+    "Checkpointer": "checkpoint",
+    "read_checkpoint": "checkpoint",
+    "read_checkpoint_header": "checkpoint",
+    "read_container": "checkpoint",
+    "read_container_header": "checkpoint",
+    "write_checkpoint": "checkpoint",
+    "write_container": "checkpoint",
+    "FAULT_KINDS": "faults",
+    "FaultInjector": "faults",
+    "PROGRESS_SCHEMA": "progress",
+    "ProgressEstimator": "progress",
+    "ProgressSnapshot": "progress",
+})
 
 __all__ = [
     "EXIT_SECURE",

@@ -333,10 +333,11 @@ def _map_cuts(
     cuts: Dict[int, Cut] = {}
     for gate in gates:
         inputs = gate.inputs
-        critical = max([depth[net] for net in inputs])
-        leaves = set(inputs)
-        expr = (gate.cell_type,) + inputs
-        size = 1
+        critical = 0
+        for net in inputs:
+            if depth[net] > critical:
+                critical = depth[net]
+        cut = None
         if critical:
             merged = set()
             exprs = [gate.cell_type]
@@ -351,14 +352,15 @@ def _map_cuts(
                     merged.add(net)
                     exprs.append(net)
             if len(merged) <= MAX_ARITY and grown <= MAX_CUT_GATES:
-                leaves, expr, size = merged, tuple(exprs), grown
-            else:
-                critical += 1
-        else:
-            critical = 1
-        out = gate.output
-        depth[out] = critical
-        cuts[out] = (critical, tuple(sorted(leaves)), expr, size)
+                cut = (critical, tuple(sorted(merged)), tuple(exprs), grown)
+        if cut is None:
+            critical += 1
+            cut = (
+                critical, tuple(sorted(set(inputs))),
+                (gate.cell_type,) + inputs, 1,
+            )
+        depth[gate.output] = critical
+        cuts[gate.output] = cut
     return cuts
 
 
@@ -681,10 +683,11 @@ class CompiledCircuit:
         (:func:`_prefixes`), so the mapped plan costs no memory of its
         own.
         """
+        interior_of = (~cover).tolist()
         by_depth: Dict[int, list] = {}
         for depth, function, root, inputs in rows:
             by_depth.setdefault(depth, []).append(
-                (not cover[root], function, root, inputs)
+                (interior_of[root], function, root, inputs)
             )
         every: List[_Rank] = []
         cover_rows: List[int] = []

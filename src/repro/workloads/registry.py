@@ -2,43 +2,33 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Dict, List
 
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
-from repro.workloads import (
-    autocorr,
-    binsearch,
-    conven,
-    divide,
-    fft,
-    insort,
-    intavg,
-    intfilt,
-    mult,
-    rle,
-    tea8,
-    thold,
-    viterbi,
-)
 from repro.workloads.harness import measurement_harness, service_harness
 
-_MODULES = [
-    mult,
-    binsearch,
-    tea8,
-    intfilt,
-    thold,
-    divide,
-    insort,
-    rle,
-    intavg,
-    autocorr,
-    fft,
-    conven,
-    viterbi,
-]
+#: Each Table 1 benchmark's name and the module under
+#: :mod:`repro.workloads` that defines it (its ``NAME`` is the key), in
+#: table order.
+_MODULES: Dict[str, str] = {
+    "mult": "mult",
+    "binSearch": "binsearch",
+    "tea8": "tea8",
+    "intFilt": "intfilt",
+    "tHold": "thold",
+    "div": "divide",
+    "inSort": "insort",
+    "rle": "rle",
+    "intAVG": "intavg",
+    "autocorr": "autocorr",
+    "FFT": "fft",
+    "ConvEn": "conven",
+    "Viterbi": "viterbi",
+}
 
 
 @dataclass(frozen=True)
@@ -86,18 +76,40 @@ class BenchmarkInfo:
         return assemble(self.measurement_source, name=self.name)
 
 
-BENCHMARKS: Dict[str, BenchmarkInfo] = {
-    module.NAME: BenchmarkInfo(
-        name=module.NAME,
-        suite=module.SUITE,
-        description=module.DESCRIPTION,
-        expected_violator=module.EXPECTED_VIOLATOR,
-        kernel=module.KERNEL,
-        data=module.DATA,
-        reps=getattr(module, "REPS", 1),
-    )
-    for module in _MODULES
-}
+class _Benchmarks(Mapping):
+    """The read-only name -> :class:`BenchmarkInfo` table.  A
+    benchmark's module is imported when the benchmark is first looked
+    up, so an analysis of one benchmark imports one kernel."""
+
+    def __init__(self) -> None:
+        self._infos: Dict[str, BenchmarkInfo] = {}
+
+    def __getitem__(self, name: str) -> BenchmarkInfo:
+        info = self._infos.get(name)
+        if info is None:
+            module = import_module(f"repro.workloads.{_MODULES[name]}")
+            info = self._infos[name] = BenchmarkInfo(
+                name=module.NAME,
+                suite=module.SUITE,
+                description=module.DESCRIPTION,
+                expected_violator=module.EXPECTED_VIOLATOR,
+                kernel=module.KERNEL,
+                data=module.DATA,
+                reps=getattr(module, "REPS", 1),
+            )
+        return info
+
+    def __contains__(self, name: object) -> bool:
+        return name in _MODULES
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_MODULES)
+
+    def __len__(self) -> int:
+        return len(_MODULES)
+
+
+BENCHMARKS: Mapping[str, BenchmarkInfo] = _Benchmarks()
 
 
 def benchmark(name: str) -> BenchmarkInfo:

@@ -154,7 +154,7 @@ class TestRecorder:
         timeline = TimelineRecorder().to_timeline()
         assert timeline.num_frames == 0
         lanes, tainted = timeline.scan(["dmem_addr"])
-        assert lanes == {"dmem_addr": []}
+        assert lanes == {"dmem_addr": ([], [], [])}
         assert len(tainted) == 0
 
     def test_old_checkpoint_layout_is_a_typed_error(self):
@@ -283,7 +283,10 @@ class TestTimelineQueries:
         for mask in range(3):  # known 1s, Xs and taint all occur
             assert any(word[mask] for word in expected["dmem_rdata"]), mask
         lanes, _ = timeline.scan(ports + ["missing"])
-        assert lanes == expected
+        assert lanes == {
+            port: tuple(map(list, zip(*words)))
+            for port, words in expected.items()
+        }
         for frame in (5, timeline.num_frames - 1):
             for port in ports:
                 assert timeline.port_word(frame, port) == (

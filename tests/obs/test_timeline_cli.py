@@ -162,7 +162,36 @@ class TestViewerAgreesWithExplain:
             ), marker
         # every lane series covers every frame
         for port in data["lane_order"]:
-            assert len(data["lanes"][port]) == len(data["cycles"])
+            for series in data["lanes"][port].values():
+                assert len(series) == len(data["cycles"])
+
+    def test_viewer_data_island_decodes_to_the_scan(self):
+        """The page's lanes are three flat per-frame arrays per port:
+        decoded, they are ``Timeline.scan``'s words, frame for frame."""
+        program = _figure4_program()
+        recorder = TimelineRecorder()
+        result = TaintTracker(
+            program, policy=default_policy(), timeline=recorder
+        ).run()
+        timeline = recorder.to_timeline(result.violations)
+        html = build_viewer(timeline)
+        payload = html.split("id='tl-data'>")[1].split("</script>")[0]
+        data = json.loads(payload)
+        lanes, counts = timeline.scan(data["lane_order"])
+        assert data["lane_order"] and set(lanes) == set(data["lane_order"])
+        for port in data["lane_order"]:
+            lane = data["lanes"][port]
+            assert sorted(lane) == ["bits", "tmask", "xmask"]
+            assert (lane["bits"], lane["xmask"], lane["tmask"]) == (
+                lanes[port]
+            ), port
+            for frame in (0, timeline.num_frames - 1):
+                assert timeline.port_word(frame, port) == (
+                    lane["bits"][frame],
+                    lane["xmask"][frame],
+                    lane["tmask"][frame],
+                )
+        assert data["tainted"] == counts.tolist()
 
 
 class TestReportLink:

@@ -1,5 +1,9 @@
 """Benchmark-suite tests: assembly, concrete execution, flow profiles."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import TaintTracker
@@ -35,6 +39,33 @@ class TestRegistry:
             "Viterbi",
         }
         assert set(benchmark_names()) == expected
+
+    def test_each_module_names_its_key(self):
+        """The registry maps each name to its module without importing
+        it; the module's own ``NAME`` must agree."""
+        for name, info in BENCHMARKS.items():
+            assert info.name == name
+
+    def test_lookup_imports_only_its_kernel(self):
+        script = (
+            "import json, sys\n"
+            "from repro.workloads.registry import BENCHMARKS, benchmark\n"
+            "assert 'Viterbi' in BENCHMARKS and 'nope' not in BENCHMARKS\n"
+            "benchmark('intAVG')\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.startswith('repro.workloads.'))))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], check=True,
+            capture_output=True, text=True,
+        )
+        assert json.loads(done.stdout) == [
+            "repro.workloads.harness",
+            "repro.workloads.intavg",
+            "repro.workloads.micro",
+            "repro.workloads.motivating",
+            "repro.workloads.registry",
+        ]
 
     def test_suites(self):
         eembc = {n for n, b in BENCHMARKS.items() if b.suite == "eembc"}
