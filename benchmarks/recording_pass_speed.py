@@ -12,11 +12,13 @@ each step's state records none on 2416 of Viterbi's 2434 steps.  The
 script reports that share over the run's steps as ``zero_edge_share``.
 
 * the recording side is what a provenance-recording SoC step runs
-  around its ports: the pre-pass codes kept and copied into row 1, one
-  two-row sweep (the every-net full plan on row 0, the memory
-  interface's cone on row 1, :meth:`CompiledCircuit.pair_plan`), and
-  both fresh-taint diffs with their edge records (row 1 against the
-  pre-pass codes, row 0 against row 1);
+  around its ports, through the step's own
+  :class:`~repro.sim.compiled.RecordingRows`: the pre-pass codes copied
+  into rows 1 and 2 in one write, one two-row sweep (the every-net full
+  plan on row 0, the memory interface's cone on row 1,
+  :meth:`CompiledCircuit.pair_plan`), and one taint diff of both rows
+  with its edge records (row 1 against the pre-pass codes, row 0
+  against row 1);
 * the plain side is the pass a plain SoC runs: the cut-mapped plan,
   through :meth:`CompiledCircuit.eval_combinational`.
 
@@ -62,21 +64,16 @@ def main(argv=None) -> int:
     timeline = recorder.to_timeline()
     plain, recording = circuit.new_state(), circuit.new_state()
     plain.every_net = False
-    rows = circuit.pair_state(recording)
-    pair_plan = circuit.pair_plan(INTERFACE_PORTS)
-    cone_row = rows.buffer[circuit.stride:]
-    cone = cone_row[:circuit.num_nets]
+    rows = circuit.recording_rows(recording, INTERFACE_PORTS)
     provenance = ProvenanceRecorder()
 
     def plain_pass():
         circuit.eval_combinational(plain)
 
     def recording_sweep():
-        before = recording.codes.copy()
-        cone_row[:] = recording.buffer
-        circuit.eval_plan(rows, pair_plan)
-        circuit.record_fresh_taint(cone, before, provenance)
-        circuit.record_fresh_taint(recording.codes, cone, provenance)
+        rows.begin()
+        rows.sweep()
+        rows.record(provenance)
 
     silent = 0
     for frame in range(timeline.num_frames):

@@ -1690,8 +1690,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace-lint",
         help="validate a JSONL trace file against the documented "
-        "v4 event schema (declared fields, monotone progress, "
-        "stable job correlation)",
+        "v5 event schema, or v4 for an older trace (declared fields, "
+        "monotone progress, stable job correlation)",
     )
     p.add_argument("trace_file", help="JSONL trace written by --trace")
     p.set_defaults(func=cmd_trace_lint)

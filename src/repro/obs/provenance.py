@@ -124,8 +124,6 @@ class ProvenanceRecorder:
         #: the order they first happened
         self.truncated_by: List[str] = []
         self.cycle = 0
-        #: edges recorded during the current cycle (step-event telemetry)
-        self.edges_this_cycle = 0
         self._labels: List[str] = []
         self._label_ids: Dict[str, int] = {}
         self._num_nets = 0
@@ -199,7 +197,6 @@ class ProvenanceRecorder:
     # ------------------------------------------------------------------
     def begin_cycle(self, cycle: int) -> None:
         self.cycle = cycle
-        self.edges_this_cycle = 0
 
     def _append(self, dsts, srcs, kind: int) -> None:
         """Ring-append equal-length dst/src id vectors."""
@@ -233,7 +230,6 @@ class ProvenanceRecorder:
             self._src[:tail] = srcs[head:]
             self._kind[:tail] = kind
         self.recorded += count
-        self.edges_this_cycle += count
         if self.recorded > capacity:
             self._truncate(RING_WRAPPED)
 

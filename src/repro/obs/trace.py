@@ -14,7 +14,6 @@ the pipeline emits and is what ``repro trace-lint`` validates against:
 ``prune``                a path stopped because its state was covered
 ``widen``                exploration continued from the conservative state
 ``violation``            one policy violation from the completed analysis
-``step``                 per-cycle summary from the gate-level runner
 ``transform_applied``    one repair rewrite (watchdog bound / store mask)
 ``reverify``             a re-analysis round inside the secure-compile loop
 ``interrupted``          cooperative interrupt stopped the exploration
@@ -50,7 +49,10 @@ the recorder-stamped correlation context (``job_id``/``attempt``/
 correlation context must not change mid-trace.  Since a timeline frame
 became a step-log row, the ``timeline`` and ``record`` events no longer
 write ``keyframes``; it stays an optional field, so v4 traces written
-before still lint clean.
+before still lint clean.  v5 dropped the per-cycle ``step`` event: a
+timeline's step-log row keeps every cycle's flip-flop and input-port
+codes, from which its facts re-derive.  :func:`lint_trace` still accepts
+v4 traces, ``step`` events included (:data:`V4_EVENT_SCHEMAS`).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from typing import Dict, List, Optional, Union
 from repro.obs.clock import CLOCK, Clock
 
 #: Schema version stamped into every event's ``v`` field.
-TRACE_SCHEMA_VERSION = 4
+TRACE_SCHEMA_VERSION = 5
 
 #: Fields present on every event, owned by the recorder itself.
 RESERVED_FIELDS = frozenset({"event", "wall", "v", "seq"})
@@ -99,12 +101,6 @@ EVENT_SCHEMAS: Dict[str, Dict[str, frozenset]] = {
             {"kind", "condition", "address", "task", "advisory"}
         ),
         "optional": frozenset(),
-    },
-    "step": {
-        "required": frozenset(
-            {"cycle", "phase", "pc", "reset", "read", "write", "port_events"}
-        ),
-        "optional": frozenset({"provenance_edges", "timeline_frames"}),
     },
     "transform_applied": {
         "required": frozenset({"kind", "iteration"}),
@@ -201,6 +197,23 @@ EVENT_SCHEMAS: Dict[str, Dict[str, frozenset]] = {
         "required": frozenset({"job", "reason"}),
         "optional": frozenset(),
     },
+}
+
+#: The v4 contract: every v5 event type, plus the per-cycle ``step``
+#: summary the gate-level runner wrote before v5.
+V4_EVENT_SCHEMAS: Dict[str, Dict[str, frozenset]] = {
+    **EVENT_SCHEMAS,
+    "step": {
+        "required": frozenset(
+            {"cycle", "phase", "pc", "reset", "read", "write", "port_events"}
+        ),
+        "optional": frozenset({"provenance_edges", "timeline_frames"}),
+    },
+}
+#: Schemas by the trace versions :func:`lint_trace` accepts.
+_SCHEMAS_BY_VERSION = {
+    4: V4_EVENT_SCHEMAS,
+    TRACE_SCHEMA_VERSION: EVENT_SCHEMAS,
 }
 
 
@@ -336,7 +349,8 @@ def read_events(path: Union[str, Path]):
 
 
 def lint_trace(path: Union[str, Path]) -> List[str]:
-    """Validate a JSONL trace against :data:`EVENT_SCHEMAS`.
+    """Validate a JSONL trace against :data:`EVENT_SCHEMAS`, or a v4
+    trace's events against :data:`V4_EVENT_SCHEMAS`.
 
     Returns a list of human-readable problems (empty for a clean trace):
     unparseable lines, missing reserved fields, wrong schema version,
@@ -387,10 +401,11 @@ def lint_trace(path: Union[str, Path]) -> List[str]:
                         f"{reserved!r}"
                     )
             version = record.get("v")
-            if version is not None and version != TRACE_SCHEMA_VERSION:
+            schemas = _SCHEMAS_BY_VERSION.get(version, EVENT_SCHEMAS)
+            if version is not None and version not in _SCHEMAS_BY_VERSION:
                 problems.append(
-                    f"line {line_no}: schema version {version!r} != "
-                    f"{TRACE_SCHEMA_VERSION}"
+                    f"line {line_no}: schema version {version!r} is not "
+                    f"one of {sorted(_SCHEMAS_BY_VERSION)}"
                 )
             sequence = record.get("seq")
             if isinstance(sequence, int):
@@ -449,7 +464,7 @@ def lint_trace(path: Union[str, Path]) -> List[str]:
                         )
                     else:
                         progress_marks[counter] = value
-            schema = EVENT_SCHEMAS.get(event)
+            schema = schemas.get(event)
             if schema is None:
                 problems.append(
                     f"line {line_no}: unknown event type {event!r}"

@@ -14,13 +14,13 @@ The circuit holds two forms of the same logic (DESIGN.md section 13):
 
 * the **cut-mapped** plan: a depth-oriented priority-cut pass, as FPGA
   K-LUT mappers do (FlowMap, Cong & Ding 1994), gives every gate-driven
-  net a cut of at most four leaves, and the cuts covering the logic
+  net a cut of at most five leaves, and the cuts covering the logic
   feeding every flip-flop D and every output-port net form this plan
-  (30 ranks on the LP430).  A cut's table composes its gates' tables
+  (24 ranks on the LP430).  A cut's table composes its gates' tables
   over every leaf-code combination, so each root gets the per-gate code
   bit for bit; nets inside a cut are not written.
 * the **every-net** plan: every gate-driven net's own cut, at the depth
-  the mapping gave it (also 30 ranks on the LP430).  A cut's leaves sit
+  the mapping gave it (also 24 ranks on the LP430).  A cut's leaves sit
   lower than its net, so each rank reads only nets earlier ranks wrote,
   and every net gets its per-gate code bit for bit.
 
@@ -33,15 +33,15 @@ which numbers them in the order provenance edges are emitted
 one every-net row, so a plan's gate-eval counts are the cell types of
 its every-net roots.
 
-Every gate or cut evaluates as a four-input function whose padded input
-columns repeat input 0; its table ignores them, so the padding is exact.
-Its *key* is eight bytes read as one little-endian 64-bit integer, so it
-does not depend on host byte order: the four input codes, then the four
-bytes of its function's *suffix word*.  The suffix words sit past the
-nets in the state buffer, so one gather reads a whole key.  A pass runs
-in a *work row* (:class:`_Kernel`): the state buffer's bytes, one slot
-per constant net of each state row, then one slot per row of the form,
-in rank order.
+Every gate or cut evaluates as a five-input function whose padded input
+columns repeat input 0; its function's table is kept at the function's
+own arity, so the padding is exact.  Its *key* is eight bytes read as one
+little-endian 64-bit integer, so it does not depend on host byte order:
+the five input codes, then the three bytes of its function's *suffix
+word*.  The suffix words sit past the nets in the state buffer, so one
+gather reads a whole key.  A pass runs in a *work row*
+(:class:`_Kernel`): the state buffer's bytes, one slot per constant net
+of each state row, then one slot per row of the form, in rank order.
 Each rank's key columns are remapped to the slots that hold its leaves'
 codes, so a pass is::
 
@@ -59,26 +59,30 @@ with F functions (the library cell types plus the netlist's distinct
 multi-gate cut functions), ``modulus = CODE_MODULUS * F'`` for the
 smallest odd ``F' >= F``, and function *f*'s suffix word makes its keys
 congruent to ``codes + f * CODE_MODULUS``, so no two keys share an entry
-(:func:`_suffix_words`).  Full passes, cone- and fanout-plan passes and
-the stacked passes below, in either form, all run that one kernel
-(:meth:`CompiledCircuit._sweep`).
+(:func:`_suffix_words`).  Only the entries a row can reach are written,
+``6**k`` for a function of k inputs (:meth:`CompiledCircuit._build_table`),
+and the kernel build checks that every row's padded key bytes repeat its
+input 0, so no row reads an unwritten entry.  Full passes, cone- and
+fanout-plan passes and the stacked passes below, in either form, all run
+that one kernel (:meth:`CompiledCircuit._sweep`).
 
 A *stacked* pass settles several rows of one buffer at once, each one
 :attr:`~CompiledCircuit.stride` past the last: each of its ranks is a
 rank of every row's plan, their output nets and key columns shifted one
 stride per row (:meth:`CompiledCircuit._stacked_plan`).  A *pair* pass
-(:meth:`CompiledCircuit.pair_state`, :meth:`CompiledCircuit.pair_plan`)
-stacks the every-net plan and a cone, for a provenance-recording step;
-a *block* pass (:meth:`CompiledCircuit.block_plan`) stacks the every-net
-plan on each of a block of timeline frames.  Passes record no flow
-edges themselves: the recording step diffs the rows' codes with
-:meth:`CompiledCircuit.record_fresh_taint`.
+(:meth:`CompiledCircuit.pair_plan`) stacks the every-net plan and a
+cone, for a provenance-recording step; a *block* pass
+(:meth:`CompiledCircuit.block_plan`) stacks the every-net plan on each
+of a block of timeline frames.  Passes record no flow edges themselves:
+the recording step diffs its rows' codes (:class:`RecordingRows`).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -96,9 +100,7 @@ CODE_1 = 2  # value 1, untainted
 CODE_X = 4  # value X, untainted
 
 #: Every gate and cut is evaluated with this many (padded) inputs.
-MAX_ARITY = 4
-#: Entries in one function's padded table (every input-code combination).
-LUT_ENTRIES = 6 ** MAX_ARITY
+MAX_ARITY = 5
 #: Combinational cell types; a cell type's function index is its index
 #: here, and cut functions follow them.
 CELL_TYPES: Tuple[str, ...] = tuple(sorted(GATE_FUNCTIONS))
@@ -106,10 +108,10 @@ CELL_TYPES: Tuple[str, ...] = tuple(sorted(GATE_FUNCTIONS))
 KEY_BYTES = 8
 #: Bytes in a function's suffix word.
 SUFFIX_BYTES = KEY_BYTES - MAX_ARITY
-#: The smallest modulus under which the input-code half of every key
-#: (the LUT_ENTRIES combinations of four codes) is injective.
-CODE_MODULUS = 1535
-#: Most gates one cut's expression may hold (8 is the LP430's largest).
+#: The smallest odd modulus under which the input-code half of every key
+#: (the ``6**MAX_ARITY`` combinations of five codes) is injective.
+CODE_MODULUS = 13081
+#: Most gates one cut's expression may hold (12 is the LP430's largest).
 MAX_CUT_GATES = 16
 #: Taint semantics a circuit can bake into its tables.
 TAINT_MODES = ("glift", "naive")
@@ -121,16 +123,29 @@ WIDE_RANK = 512
 #: ``2**63``, so the signed reading equals the unsigned one, and a signed
 #: key indexes the table without numpy's uint64-to-intp index cast.
 _KEY = np.dtype("<i8")
-#: Input codes of every padded-table index, one column per input, in the
-#: base-6 order of :func:`_lut_for` (input 0 most significant).
-_CODE_DIGITS = np.indices((6,) * MAX_ARITY, dtype=np.int64).reshape(
-    MAX_ARITY, -1
-).T
-#: The input-code half of each padded-table index's key: code *i* is
-#: byte *i*.
-_CODE_KEYS = _CODE_DIGITS @ np.array(
-    [1 << (8 * position) for position in range(MAX_ARITY)], dtype=np.int64
-)
+
+
+def _digits(arity: int) -> np.ndarray:
+    """The input codes of every arity-*arity* table index, one row per
+    input, in the base-6 order of :func:`_lut_for` (input 0 most
+    significant): ``(arity, 6**arity)`` uint16."""
+    return np.indices((6,) * arity, dtype=np.uint16).reshape(arity, -1)
+
+
+#: A leaf's six codes, to be shaped onto its axis (see :func:`_tabulate`).
+_LEAF_CODES = np.arange(6, dtype=np.uint16)
+
+
+def _reach_keys(arity: int) -> np.ndarray:
+    """The input-code half of the key of each arity-*arity* table index,
+    as a row reads it: code *i* is byte *i*, and the padded bytes past
+    the function's own inputs repeat input 0."""
+    digits = _digits(arity).astype(np.int64)
+    keys = digits[0] * sum(1 << (8 * i) for i in range(arity, MAX_ARITY))
+    for position in range(arity):
+        keys += digits[position] << (8 * position)
+    return keys
+
 
 #: A cut's expression: a leaf (net id, or leaf position once relabelled)
 #: or a cell type applied to its inputs' expressions.
@@ -232,9 +247,7 @@ def _lut_for(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
         for a in assignments
         if func(*((a >> i) & 1 for i in range(arity)))
     )
-    # Every code combination of k inputs: the first 6**k rows of the
-    # four-input digits, whose leading digits are 0.
-    codes = _CODE_DIGITS[: 6 ** arity, MAX_ARITY - arity:]
+    codes = _digits(arity).T  # every code combination of the inputs
     values, taints = codes >> 1, codes & 1
     high = [  # assignments whose input i is 1
         sum(1 << a for a in assignments if (a >> i) & 1)
@@ -270,17 +283,12 @@ def _lut_for(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
 _LUT_CACHE: Dict[Tuple[str, str], np.ndarray] = {}
 
 
-def _padded_lut(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
-    """A cell type's table broadcast to :data:`MAX_ARITY` inputs.
-
-    Each entry of the arity-k table repeats over the ``6**(4 - k)``
-    values of the padded digits, so those inputs cannot change the
-    result.
-    """
+def _cell_lut(cell_type: str, taint_mode: str = "glift") -> np.ndarray:
+    """:func:`_lut_for`, memoised: its ``6**k`` entries for a k-input
+    cell type, the table of the type's function."""
     key = (cell_type, taint_mode)
     if key not in _LUT_CACHE:
-        lut = _lut_for(cell_type, taint_mode)
-        _LUT_CACHE[key] = np.repeat(lut, LUT_ENTRIES // len(lut))
+        _LUT_CACHE[key] = _lut_for(cell_type, taint_mode)
     return _LUT_CACHE[key]
 
 
@@ -290,23 +298,32 @@ def _table_modulus(num_functions: int) -> int:
     return CODE_MODULUS * (num_functions | 1)
 
 
-def _suffix_words(num_functions: int) -> np.ndarray:
-    """Each function's suffix word, ``f * CODE_MODULUS / 2**32`` modulo
-    :func:`_table_modulus`.
+#: The power of two a key's suffix word is scaled by.
+_SUFFIX_SCALE = 1 << (8 * MAX_ARITY)
 
-    The word is the key's upper four bytes, so a key of function *f* is
+
+def _suffix_words(num_functions: int) -> np.ndarray:
+    """Each function's suffix word, ``f * CODE_MODULUS / 2**40`` modulo
+    :func:`_table_modulus`, as :data:`SUFFIX_BYTES` little-endian bytes
+    a function.
+
+    The word is the key's upper three bytes, so a key of function *f* is
     congruent to ``codes + f * CODE_MODULUS`` modulo the table size M
-    (M is odd, so ``2**32`` is invertible).  M is a multiple of
+    (M is odd, so ``2**40`` is invertible).  M is a multiple of
     ``CODE_MODULUS``, so an entry index modulo ``CODE_MODULUS`` is
     ``codes % CODE_MODULUS``, which fixes the codes; what remains,
     ``f * CODE_MODULUS`` modulo M, fixes *f* because ``f < M /
     CODE_MODULUS``.  So every key of every function has its own entry.
     """
     modulus = _table_modulus(num_functions)
-    step = CODE_MODULUS * pow(1 << 32, -1, modulus) % modulus
-    return np.array(
+    if modulus >= 1 << (8 * SUFFIX_BYTES - 1):
+        # A word past 2**23 would put keys past 2**63 (see _KEY).
+        raise ValueError(f"{num_functions} functions overflow a suffix word")
+    step = CODE_MODULUS * pow(_SUFFIX_SCALE, -1, modulus) % modulus
+    words = np.array(
         [f * step % modulus for f in range(num_functions)], dtype="<u4"
     )
+    return words.view(np.uint8).reshape(-1, 4)[:, :SUFFIX_BYTES].ravel()
 
 
 def _map_cuts(
@@ -393,25 +410,46 @@ def _relabel(expr: Expr, position: Dict[int, int]) -> Expr:
     ])
 
 
-def _tabulate(structure: Expr, taint_mode: str) -> np.ndarray:
-    """A cut's padded table: its gates' padded tables composed over
-    every leaf-code combination, in :data:`_CODE_DIGITS` order.
+def _leaf_axes(arity: int) -> List[np.ndarray]:
+    """For each of *arity* leaves, its six codes on an axis of its own:
+    the leaves of :func:`_tabulate`."""
+    return [
+        _LEAF_CODES.reshape((1,) * leaf + (6,) + (1,) * (arity - 1 - leaf))
+        for leaf in range(arity)
+    ]
 
-    Leaves past the cut's own repeat leaf 0 and are never read, so they
-    are don't-care exactly as a gate's padded inputs are.  Per-gate
+
+def _tabulate(
+    structure: Expr, leaves: List[np.ndarray], taint_mode: str,
+    memo: Dict[Expr, np.ndarray],
+) -> np.ndarray:
+    """A cut's table: its gates' tables composed over every code
+    combination of its leaves (*leaves*, from :func:`_leaf_axes`), as
+    an array with one axis per leaf, which ravels to :func:`_digits`
+    order.
+
+    Each gate is tabulated over just the leaves below it: its axes are
+    6 long for those leaves and 1 for the rest, and numpy broadcasts
+    them as the gates combine.  A gate's index into its cell's table
+    stays below ``6**4``, so it is built in uint16.  Per-gate
     composition is the paper's per-gate GLIFT; a cut's precise
     whole-function GLIFT would be more precise and change verdicts.
     """
-    index = 0
+    index = None
     for child in structure[1:]:
-        index = index * 6 + (
-            _CODE_DIGITS[:, child] if child.__class__ is int
-            else _tabulate(child, taint_mode)
+        if child.__class__ is int:
+            codes = leaves[child]
+        else:
+            codes = memo.get(child)
+            if codes is None:
+                codes = memo[child] = _tabulate(
+                    child, leaves, taint_mode, memo
+                )
+        index = (
+            codes.astype(np.uint16, copy=False) if index is None
+            else index * 6 + codes
         )
-    # The arity-k index scaled past the padded digits, which repeat the
-    # entry (see _padded_lut).
-    index *= 6 ** (MAX_ARITY + 1 - len(structure))
-    return _padded_lut(structure[0], taint_mode)[index].astype(np.int64)
+    return _cell_lut(structure[0], taint_mode).take(index)
 
 
 class _Rank(NamedTuple):
@@ -479,7 +517,7 @@ class CircuitState:
 
     ``buffer`` holds the net codes followed by the constant suffix words
     the gate kernel gathers from (two such rows for a
-    :meth:`CompiledCircuit.pair_state`); ``codes`` is a view of just the
+    :class:`RecordingRows` pair); ``codes`` is a view of just the
     nets (of row 0).  ``every_net`` says whether this state's readers
     may read any net (the default) or only flip-flops and ports, which
     lets passes run the cut-mapped plan (see
@@ -563,7 +601,7 @@ class CompiledCircuit:
             cover = _cover(cuts, roots, self.num_nets)
         with obs.span("tabulate_cuts"):
             tables = [
-                _padded_lut(cell_type, taint_mode) for cell_type in CELL_TYPES
+                _cell_lut(cell_type, taint_mode) for cell_type in CELL_TYPES
             ]
             rows = self._cut_rows(cuts, tables, type_of)
             self._build_table(tables)
@@ -618,11 +656,15 @@ class CompiledCircuit:
         A one-gate cut is its cell type over the gate's own inputs.  A
         larger cut's leaves are sorted, its expression is relabelled to
         leaf positions (its *structure*), and each new structure is
-        tabulated once; structures with equal tables share a function,
-        appended to *tables*.  ``_cut_structures`` keeps one structure
-        per cut function, in function order.
+        tabulated once, over its own leaves; structures with equal
+        tables share a function, appended to *tables*.
+        ``_cut_structures`` keeps one structure per cut function, in
+        function order.
         """
         function_of: Dict[Expr, int] = {}
+        # Per cut arity: its leaves' codes, and a memo of the gates
+        # tabulated over them (see _tabulate), dropped with the compile.
+        axes: Dict[int, tuple] = {}
         by_table = {
             table.tobytes(): index for index, table in enumerate(tables)
         }
@@ -638,9 +680,13 @@ class CompiledCircuit:
                 )
                 function = function_of.get(structure)
                 if function is None:
-                    table = _tabulate(structure, self.taint_mode).astype(
-                        np.uint8
-                    )
+                    arity = len(leaves)
+                    if arity not in axes:
+                        axes[arity] = _leaf_axes(arity), {}
+                    codes, memo = axes[arity]
+                    table = _tabulate(
+                        structure, codes, self.taint_mode, memo
+                    ).ravel()
                     function = by_table.setdefault(
                         table.tobytes(), len(tables)
                     )
@@ -652,22 +698,44 @@ class CompiledCircuit:
         return rows
 
     def _build_table(self, tables: List[np.ndarray]) -> None:
-        """The table, modulus and suffix words for *tables* (one padded
-        table per function, in function order)."""
-        words = _suffix_words(len(tables))
+        """The table, modulus and suffix words for *tables* (each
+        function's table at its own arity, in function order).
+
+        Only the entries a row can reach are written: a row's padded
+        key bytes repeat its input 0 (:meth:`_kernel` checks it), so
+        function *f* of arity k reaches the ``6**k`` keys of
+        :func:`_reach_keys`, at entries ``reach + f * CODE_MODULUS``
+        modulo the table size.
+        """
+        suffix = _suffix_words(len(tables))
         modulus = _table_modulus(len(tables))
         #: the table size, as a 0-d int64 array: ``np.remainder`` takes
         #: it as is, where a numpy scalar is converted on every call
         self._modulus = np.array(modulus, dtype=np.int64)
         #: the state buffer's suffix past the nets: each function's word
-        self._suffix = words.view(np.uint8)
+        self._suffix = suffix
         #: bytes in one state buffer, and so between the rows of a pair
-        self.stride = self.num_nets + len(self._suffix)
+        self.stride = self.num_nets + len(suffix)
+        arity_of = {6 ** arity: arity for arity in range(1, MAX_ARITY + 1)}
+        #: each function's arity: the leading key bytes its rows read
+        self._arities = np.array(
+            [arity_of[len(table)] for table in tables], dtype=np.int64
+        )
+        # In uint64, ``min(e, e - modulus)`` reduces ``e < 2 * modulus``
+        # (a negative difference wraps), and the result indexes as intp.
+        reach = {
+            arity: (_reach_keys(arity) % modulus).astype(np.uint64)
+            for arity in set(self._arities.tolist())
+        }
         #: entry ``key % modulus`` is the output code of the key's
         #: function at the key's input codes
         self._table = np.zeros(modulus, dtype=np.uint8)
-        for word, table in zip(words.tolist(), tables):
-            self._table[(_CODE_KEYS + (word << 32)) % modulus] = table
+        for function, (arity, table) in enumerate(
+            zip(self._arities.tolist(), tables)
+        ):
+            entries = reach[arity] + np.uint64(function * CODE_MODULUS)
+            np.minimum(entries, entries - np.uint64(modulus), out=entries)
+            self._table[entries.view(np.intp)] = table
 
     def _cut_ranks(
         self,
@@ -861,7 +929,8 @@ class CompiledCircuit:
         tied, in the write-back too.  Every column is checked to lie in
         the buffer and no net to be written twice, so ``'clip'`` never clips
         and the write-back is exact; a key is non-negative, and
-        ``% modulus`` keeps it below ``len(table)``.
+        ``% modulus`` keeps it below ``len(table)``.  Every key is checked
+        to reach a written table entry (:meth:`_check_keys`).
         """
         rows = range(0, length, self.stride)
         consts = np.concatenate(
@@ -874,6 +943,8 @@ class CompiledCircuit:
         # The work index holding each buffer byte's code at this rank.
         source = np.arange(length)
         source[consts] = np.arange(length, start)
+        if ranks:
+            self._check_keys(np.concatenate([columns for _, columns in ranks]))
         # One key scratch serves every rank: ranks run one at a time.
         keys = np.empty(KEY_BYTES * max(sizes, default=0), dtype=np.uint8)
         steps, outputs = [], [consts]
@@ -898,6 +969,28 @@ class CompiledCircuit:
             scratch = np.empty(max(sizes), dtype=np.int64)
             quotients = [scratch[:size] for size in sizes]
         return _Kernel(ranks, work, steps, outputs, quotients)
+
+    def _check_keys(self, columns: np.ndarray) -> None:
+        """Raise unless every row of *columns* (ranks' key columns)
+        reads a function's suffix word and repeats its input 0 in each
+        key byte past that function's arity, so that its key reaches
+        only an entry :meth:`_build_table` wrote."""
+        keys = columns.reshape(-1, KEY_BYTES)
+        offsets = keys[:, MAX_ARITY] % self.stride - self.num_nets
+        functions = offsets // SUFFIX_BYTES
+        if (
+            (offsets < 0).any()
+            or (offsets % SUFFIX_BYTES).any()
+            or (functions >= len(self._arities)).any()
+            or (
+                keys[:, MAX_ARITY:] - keys[:, MAX_ARITY:MAX_ARITY + 1]
+                != np.arange(SUFFIX_BYTES)
+            ).any()
+        ):
+            raise ValueError("a key's suffix columns name no function")
+        padded = np.arange(MAX_ARITY) >= self._arities[functions][:, None]
+        if (padded & (keys[:, :MAX_ARITY] != keys[:, :1])).any():
+            raise ValueError("a padded key column differs from input 0")
 
     def _producer_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-net fan-in table and topological rank for provenance.
@@ -927,26 +1020,24 @@ class CompiledCircuit:
             cached = self._prod_tables = (table, rank)
         return cached
 
-    def record_fresh_taint(
-        self, codes: np.ndarray, before: np.ndarray, recorder
+    def record_gate_edges(
+        self, codes: np.ndarray, fresh: np.ndarray, recorder
     ) -> None:
-        """Record on *recorder* the per-gate taint provenance of the
-        every-net pass that turned *before* into *codes* (net codes).
+        """Record on *recorder* the flow edges into the *fresh* nets (net
+        ids, ascending), newly tainted by an every-net pass that left
+        *codes*: each net's tainted fan-ins.  Provenance costs a taint
+        diff of the codes before and after the pass (see
+        :class:`RecordingRows`), plus this fan-in resolution for just
+        the newly tainted nets.
 
-        Provenance costs two whole-array operations per pass -- the
-        codes kept from before it, the taint diff here -- plus fan-in
-        resolution for just the newly-tainted nets.  Each net is written
-        at most once per pass and its fan-ins come from earlier ranks,
-        so the post-pass codes are exactly what the producing gate read,
-        and the diff attributes every new taint bit to the right edges.
-        Nets no gate drives (ports, flip-flop Qs, constants) record no
-        edge, whatever their codes did.  Edges are emitted in the gates'
-        evaluation order: the backward slicer relies on a cause being
-        recorded before its effect.
+        Each net is written at most once per pass and its fan-ins come
+        from earlier ranks, so the post-pass codes are exactly what the
+        producing gate read, and the diff attributes every new taint bit
+        to the right edges.  Nets no gate drives (ports, flip-flop Qs,
+        constants) record no edge, whatever their codes did.  Edges are
+        emitted in the gates' evaluation order: the backward slicer
+        relies on a cause being recorded before its effect.
         """
-        fresh = np.nonzero(codes & ~before & 1)[0]
-        if len(fresh) == 0:
-            return
         table, rank = self._producer_tables()
         fresh = fresh[np.argsort(rank[fresh])]
         fan_in = table[fresh]  # (n, max_arity)
@@ -993,27 +1084,29 @@ class CompiledCircuit:
         """
         return self._subplan("cone", tuple(port_names))
 
-    def pair_state(self, state: CircuitState) -> CircuitState:
-        """A state for :meth:`pair_plan` passes: its buffer is two rows,
-        one :attr:`stride` apart, and row 0 is *state*'s own.
+    def recording_rows(
+        self, state: CircuitState, port_names: Sequence[str]
+    ) -> "RecordingRows":
+        """The rows a provenance-recording step on *state* sweeps and
+        diffs, with the cone of the named output ports on row 1 (see
+        :class:`RecordingRows`).
 
         *state*'s buffer moves into row 0, so *state* keeps its codes
-        and reads and writes them there; the pair state's codes are row
-        0's nets too, and row 1 starts as a copy.  *state*'s constant
-        cells are tied first, as every pass's write-back ties them, so
-        row 0 always holds them and a copy of it into row 1 carries them.
+        and reads and writes them there.  *state*'s constant cells are
+        tied first, as every pass's write-back ties them, so row 0
+        always holds them and a copy of it carries them.
         """
         if len(self._const_nets_arr):
             state.codes[self._const_nets_arr] = self._const_codes_arr
-        rows = np.tile(state.buffer, 2)
-        state.buffer = rows[:self.stride]
-        state.codes = rows[:self.num_nets]
-        return CircuitState(rows, self.num_nets)
+        rows = np.tile(state.buffer, (3, 1))
+        state.buffer = rows[0]
+        state.codes = rows[0, :self.num_nets]
+        return RecordingRows(self, rows, self.pair_plan(port_names))
 
     def pair_plan(self, port_names: Sequence[str]) -> _Plan:
-        """One pass over both rows of a :meth:`pair_state`: the full
-        plan on row 0 and the cone plan of the named output ports on
-        row 1.
+        """One pass over both rows of a :class:`RecordingRows` pair:
+        the full plan on row 0 and the cone plan of the named output
+        ports on row 1.
 
         Each rank is an every-net rank of the full plan followed by its
         rows in the cone, stacked one :attr:`stride` on (see
@@ -1185,6 +1278,85 @@ class CompiledCircuit:
     def unknown_fraction(self, state: CircuitState) -> float:
         """Fraction of nets currently unknown."""
         return float(np.mean(state.codes >= 4))
+
+
+class RecordingRows:
+    """A provenance-recording step's rows, in one three-row buffer
+    (:meth:`CompiledCircuit.recording_rows`): row 0 is the recorded
+    state's own buffer, row 1 the copy a :meth:`~CompiledCircuit.pair_plan`
+    pass settles the interface cone on, and row 2 the codes before the
+    pass.  ``pair`` is the two-row state the pass runs on, and ``cone``
+    row 1's nets.
+
+    A step calls :meth:`begin` once row 0 holds its first port writes,
+    :meth:`sweep` once it holds the rest, and :meth:`record` once any
+    further pass on ``pair`` has run.
+    """
+
+    __slots__ = (
+        "circuit", "pair", "plan", "cone", "_row0", "_copies", "_after",
+        "_before", "_fresh",
+    )
+
+    def __init__(
+        self, circuit: CompiledCircuit, rows: np.ndarray, plan: _Plan
+    ):
+        num_nets, stride = circuit.num_nets, circuit.stride
+        self.circuit = circuit
+        self.plan = plan
+        self.pair = CircuitState(rows[:2].ravel(), num_nets)
+        self.cone = rows[1, :num_nets]
+        self._row0 = rows[0]
+        self._copies = rows[1:]
+        # Overlapping views: rows 0 and 1 after the pass, each against
+        # the row below it (row 1, and the pre-pass row 2).  Each is one
+        # contiguous run of bytes; the suffix words between the nets are
+        # equal in every row, so they never read as fresh taint.
+        flat = rows.ravel()
+        self._after = flat[:2 * stride]
+        self._before = flat[stride:]
+        self._fresh = np.empty(2 * stride, dtype=np.uint8)
+
+    def begin(self) -> None:
+        """Copy row 0 into row 1 and the pre-pass row 2, in one write."""
+        self._copies[...] = self._row0
+
+    def sweep(self) -> None:
+        """One pass over both rows: the every-net full plan on row 0,
+        the cone on row 1."""
+        self.circuit.eval_plan(self.pair, self.plan)
+
+    def record(
+        self, recorder, between: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Record on *recorder* the flow edges of the step's passes, in
+        the order of a cone pass followed by a full pass: the nets row 1
+        freshly tainted against the pre-pass codes, then *between* (the
+        step's interface records), then those row 0 freshly tainted
+        against row 1.
+
+        Both diffs are one ``after & ~before & 1`` over the two
+        overlapping row pairs, four array calls in all; a step that
+        taints no new net -- nearly every step of a run -- records
+        nothing more.
+        """
+        fresh = self._fresh
+        np.invert(self._before, fresh)
+        np.bitwise_and(fresh, self._after, fresh)
+        np.bitwise_and(fresh, 1, fresh)
+        nets = fresh.nonzero()[0]
+        stride = self.circuit.stride
+        split = int(np.searchsorted(nets, stride)) if len(nets) else 0
+        if split < len(nets):
+            self.circuit.record_gate_edges(
+                self.cone, nets[split:] - stride, recorder
+            )
+        if between is not None:
+            between()
+        if split:
+            self.circuit.record_gate_edges(
+                self.pair.codes, nets[:split], recorder
+            )
 
 
 def _cone_ranks(ranks: List[_Rank], in_cone: np.ndarray) -> List[_Rank]:

@@ -7,7 +7,7 @@ evaluation harness when it wants ground-truth gate-level runs.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -20,12 +20,6 @@ from repro.sim.soc import AddressSpace, CycleEvents, Rom, SoC
 
 #: dbg_phase bit indices (matches the build order in repro.cpu.build).
 PHASE_F, PHASE_SE, PHASE_SL, PHASE_DE, PHASE_DL, PHASE_E, PHASE_J = range(7)
-
-#: Symbolic names of the FSM phases, indexed by the values above.
-PHASE_NAMES = ("F", "SE", "SL", "DE", "DL", "E", "J")
-
-#: JSON for a boolean, indexed by it.
-_JSON_BOOL = ("false", "true")
 
 
 def _phase_of(codes: bytes) -> int:
@@ -68,7 +62,6 @@ class GateRunner:
         program: Program,
         space: Optional[AddressSpace] = None,
         inputs: Optional[InputSpec] = None,
-        trace_interval: int = 1,
     ):
         self.program = program
         rom = Rom()
@@ -85,7 +78,6 @@ class GateRunner:
             circuit.output_nets("dbg_phase")[1:7], dtype=np.int64
         )
         self._phases: Dict[bytes, int] = {}
-        self.trace_interval = trace_interval
         self.soc.reset()
         self.events: List[CycleEvents] = []
 
@@ -163,13 +155,9 @@ class GateRunner:
             phase = self._phases[codes] = _phase_of(codes)
         return phase
 
-    def at_halt(self, phase: Optional[int] = None) -> bool:
-        """True when executing the idle self-loop (``jmp $``).
-
-        *phase* is the current :meth:`phase` when the caller has just
-        read it.
-        """
-        if (self.phase() if phase is None else phase) != PHASE_J:
+    def at_halt(self) -> bool:
+        """True when executing the idle self-loop (``jmp $``)."""
+        if self.phase() != PHASE_J:
             return False
         ir = self.soc.instruction_register()
         if not ir.is_concrete:
@@ -184,53 +172,18 @@ class GateRunner:
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> CycleEvents:
-        return self._step()[0]
-
-    def _step(self) -> Tuple[CycleEvents, Optional[int]]:
-        """One cycle, plus the FSM phase after it when its trace event
-        read the phase (else ``None``)."""
         events = self.soc.step()
         self.events.append(events)
-        phase = None
-        instruments = self.soc.instruments
-        if instruments.obs.enabled and instruments.obs.trace is not None:
-            cycle = self.soc.cycle
-            if self.trace_interval and cycle % self.trace_interval == 0:
-                phase = self.phase()
-                self._emit_step(instruments, cycle, events, phase)
-        return events, phase
-
-    def _emit_step(
-        self, instruments, cycle: int, events: CycleEvents, phase: int
-    ) -> None:
-        """One per-cycle summary trace event, encoded here and written
-        straight to the trace recorder."""
-        pc = events.pc
-        members = (
-            f'"cycle": {cycle}, '
-            f'"phase": "{PHASE_NAMES[phase] if phase >= 0 else "X"}", '
-            f'"pc": {"null" if pc.xmask else pc.bits}, '
-            f'"reset": {_JSON_BOOL[events.reset[0] == ONE]}, '
-            f'"read": {_JSON_BOOL[events.read is not None]}, '
-            f'"write": {_JSON_BOOL[events.write is not None]}, '
-            f'"port_events": {len(events.port_events)}'
-        )
-        provenance, timeline = instruments.provenance, instruments.timeline
-        if provenance is not None:
-            members += f', "provenance_edges": {provenance.edges_this_cycle}'
-        if timeline is not None:
-            members += f', "timeline_frames": {timeline.num_frames}'
-        instruments.obs.trace.write("step", members)
+        return events
 
     def run(
         self, max_cycles: int = 100_000, stop_at_halt: bool = True
     ) -> int:
         """Step until the idle loop (or *max_cycles*); returns cycles run."""
         start = self.soc.cycle
-        phase = None  # the traced step event's phase read, reused here
         with self.soc.instruments.obs.span("gate_run"):
             while self.soc.cycle - start < max_cycles:
-                if stop_at_halt and self.at_halt(phase):
+                if stop_at_halt and self.at_halt():
                     break
-                phase = self._step()[1]
+                self.step()
         return self.soc.cycle - start

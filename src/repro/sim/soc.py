@@ -71,20 +71,22 @@ pin) depend on that order.  The step settles both of its passes in one
 two-row sweep (:meth:`~repro.sim.compiled.CompiledCircuit.pair_plan`):
 
 1. one write of ``rst`` and ``dmem_rdata`` (all X) to row 0, the SoC's
-   own state; the codes then are the *pre-pass* codes, and row 1 of the
-   sweep's buffer gets a copy of them;
+   own state; the codes then are the *pre-pass* codes, and one write
+   copies them to row 1 of the sweep's buffer and to a third row
+   (:class:`~repro.sim.compiled.RecordingRows`);
 2. one gather of ``pmem_addr`` and the ROM read, whose word is written
    to row 0's ``pmem_rdata`` only;
 3. the sweep: the full every-net plan on row 0, the interface cone on
    row 1, which still holds the previous cycle's ``pmem_rdata``;
-4. the cone's edges (row 1 against the pre-pass codes), then the
-   fetch's record;
-5. on a load cycle only: the strobe and address read off row 1, the
-   load and its record, the data written to row 0 and its fanout
-   re-run (every-net form);
-6. the full pass's edges: row 0 against row 1, whose codes differ from
-   the older order's pre-full-pass codes only on the input ports, which
-   record no edges.  Then one read of ``dmem_wen`` off row 0.
+4. on a load cycle only: the strobe and address read off row 1, the
+   load, the data written to row 0 and its fanout re-run (every-net
+   form);
+5. one taint diff of both rows at once, then the records in the older
+   order: the cone's edges (row 1 against the pre-pass row), the
+   fetch's and the load's records, and the full pass's edges (row 0
+   against row 1, whose codes differ from the older order's
+   pre-full-pass codes only on the input ports, which record no
+   edges).  Then one read of ``dmem_wen`` off row 0.
 
 The fanout re-run leaves row 0 with the codes the older order's full
 pass, which read the data, gave every net, so its edges are the older
@@ -107,6 +109,7 @@ from repro.sim.compiled import (
     CODE_X,
     CircuitState,
     CompiledCircuit,
+    RecordingRows,
     code_of,
     decode_code,
     decode_word,
@@ -494,12 +497,10 @@ class SoC:
         )
         self._fetch_nets = np.array(ports("pmem_rdata"), dtype=np.int64)
         self._ren_net = outs("dmem_ren")[0]
-        #: the two-row state a provenance-recording step sweeps, whose
-        #: row 0 is :attr:`state`, the plan it runs, and its row 1 (the
-        #: whole row and its nets); built on this SoC's first such step
-        #: (see :meth:`_record`): a plain SoC never runs them
-        self._rows: Optional[CircuitState] = None
-        self._pair_plan = self._cone_row = self._cone_codes = None
+        #: the rows a provenance-recording step sweeps, whose row 0 is
+        #: :attr:`state`; built on this SoC's first such step (see
+        #: :meth:`_record`): a plain SoC never runs them
+        self._recording: Optional[RecordingRows] = None
 
     @property
     def instruments(self) -> Instruments:
@@ -674,25 +675,44 @@ class SoC:
 
         Returns what :meth:`_settle` returns.  Row 0 is :attr:`state`;
         row 1 is a copy of the pre-pass codes, on which the sweep runs
-        the memory-interface cone.
+        the memory-interface cone (:class:`RecordingRows`).
         """
         circuit, state = self.circuit, self.state
-        if self._rows is None:
-            self._rows = circuit.pair_state(state)
-            self._pair_plan = circuit.pair_plan(INTERFACE_PORTS)
-            self._cone_row = self._rows.buffer[circuit.stride:]
-            self._cone_codes = self._cone_row[:circuit.num_nets]
-        rows, cone_row, cone = self._rows, self._cone_row, self._cone_codes
-        rows.instruments = state.instruments
-        codes = state.codes
+        if self._recording is None:
+            self._recording = circuit.recording_rows(state, INTERFACE_PORTS)
+        recording = self._recording
+        recording.pair.instruments = state.instruments
+        codes, cone = state.codes, recording.cone
         codes[self._reset_nets] = _RESET_NO_DATA[reset_code]
-        before = codes.copy()
-        cone_row[:] = state.buffer
+        recording.begin()
         pmem_addr = decode_word(codes[self._pmem_addr_nets].tobytes())
         instruction = self.rom.read(pmem_addr)
         codes[self._fetch_nets] = _word_codes(instruction)
-        circuit.eval_plan(rows, self._pair_plan)
-        circuit.record_fresh_taint(cone, before, recorder)
+        recording.sweep()
+        ren_code = cone[self._ren_net]
+        read_event = None
+        if not in_reset and ren_code >> 1 != ZERO:
+            ren = _BIT_OF_CODE[ren_code]
+            dmem_addr = decode_word(cone[self._dmem_addr_nets].tobytes())
+            data = self.space.read(dmem_addr, ren)
+            codes[self._rdata_nets] = _word_codes(data)
+            circuit.eval_plan(recording.pair, self._read_plan)
+            read_event = MemRead(dmem_addr, data, ren)
+        recording.record(recorder, lambda: self._record_interface(
+            recorder, pmem_addr, instruction, read_event
+        ))
+        return (
+            pmem_addr, instruction, read_event,
+            _BIT_OF_CODE[codes[self._wen_net]],
+        )
+
+    def _record_interface(
+        self, recorder, pmem_addr: TWord, instruction: TWord,
+        read_event: Optional[MemRead],
+    ) -> None:
+        """A recording step's records at the memory interface, between
+        its cone's edges and its full pass's: tainted instruction bits
+        and tainted load data."""
         if instruction.tmask:
             # Tainted instruction bits were introduced at the fetch
             # interface: label them with their program-memory origin.
@@ -702,24 +722,13 @@ class SoC:
                 else "rom"
             )
             recorder.record_input(
-                circuit.input_nets("pmem_rdata"), instruction.tmask, label
+                self.circuit.input_nets("pmem_rdata"), instruction.tmask,
+                label,
             )
-        ren_code = cone[self._ren_net]
-        read_event = None
-        if not in_reset and ren_code >> 1 != ZERO:
-            ren = _BIT_OF_CODE[ren_code]
-            dmem_addr = decode_word(cone[self._dmem_addr_nets].tobytes())
-            data = self.space.read(dmem_addr, ren)
-            codes[self._rdata_nets] = _word_codes(data)
-            if data.tmask:
-                self._record_read_provenance(recorder, dmem_addr, data)
-            circuit.eval_plan(rows, self._read_plan)
-            read_event = MemRead(dmem_addr, data, ren)
-        circuit.record_fresh_taint(codes, cone, recorder)
-        return (
-            pmem_addr, instruction, read_event,
-            _BIT_OF_CODE[codes[self._wen_net]],
-        )
+        if read_event is not None and read_event.data.tmask:
+            self._record_read_provenance(
+                recorder, read_event.address, read_event.data
+            )
 
     def _record_read_provenance(
         self, recorder, address: TWord, data: TWord

@@ -1,5 +1,6 @@
-"""Trace schema v4: versioned events, sequence numbers, correlation
-context, progress monotonicity, and the linter."""
+"""Trace schema v5: versioned events, sequence numbers, correlation
+context, progress monotonicity, and the linter (which still accepts v4
+traces and their per-cycle ``step`` events)."""
 
 import io
 import json
@@ -11,6 +12,7 @@ from repro.obs import (
     TraceRecorder,
     lint_trace,
 )
+from repro.obs.trace import V4_EVENT_SCHEMAS
 
 
 def _events(sink: io.StringIO):
@@ -67,17 +69,7 @@ class TestLinter:
         path = tmp_path / "trace.jsonl"
         with TraceRecorder(path) as trace:
             trace.emit("merge", site="0x10", cycle=1)
-            trace.emit(
-                "step",
-                cycle=1,
-                phase="F",
-                pc=0x10,
-                reset=False,
-                read=False,
-                write=False,
-                port_events=0,
-                provenance_edges=12,
-            )
+            trace.emit("fault_injected", kind="gate_eval", cycle=3)
             trace.emit(
                 "provenance",
                 edges=100,
@@ -251,23 +243,42 @@ class TestLinter:
         assert any("no events" in problem for problem in lint_trace(blank))
 
     def test_schemas_cover_the_documented_events(self):
-        # The v2 contract: provenance events exist, step declares the
-        # optional provenance_edges field.
+        # The v2 contract: provenance events exist, and a v4 step
+        # declares the optional provenance_edges field.
         assert "provenance" in EVENT_SCHEMAS
         assert "provenance_truncated" in EVENT_SCHEMAS
-        assert "provenance_edges" in EVENT_SCHEMAS["step"]["optional"]
-        # The v3 contract: timeline events exist, step declares the
-        # optional timeline_frames field.
+        assert "provenance_edges" in V4_EVENT_SCHEMAS["step"]["optional"]
+        # The v3 contract: timeline events exist, and a v4 step declares
+        # the optional timeline_frames field.
         assert "timeline" in EVENT_SCHEMAS
         assert "record" in EVENT_SCHEMAS
-        assert "timeline_frames" in EVENT_SCHEMAS["step"]["optional"]
+        assert "timeline_frames" in V4_EVENT_SCHEMAS["step"]["optional"]
         assert "out" in EVENT_SCHEMAS["record"]["required"]
         # The v4 contract: progress events exist and carry the estimator
         # snapshot fields.
-        assert TRACE_SCHEMA_VERSION == 4
         assert "progress" in EVENT_SCHEMAS
         assert "fraction" in EVENT_SCHEMAS["progress"]["required"]
         assert "eta_seconds" in EVENT_SCHEMAS["progress"]["optional"]
+        # The v5 contract: no per-cycle step event; every other v4
+        # event type is unchanged.
+        assert TRACE_SCHEMA_VERSION == 5
+        assert "step" not in EVENT_SCHEMAS
+        assert set(V4_EVENT_SCHEMAS) - set(EVENT_SCHEMAS) == {"step"}
+
+    def _step(self, version):
+        return json.dumps({
+            "event": "step", "wall": 0.0, "v": version, "seq": 0,
+            "cycle": 1, "phase": "F", "pc": 16, "reset": False,
+            "read": False, "write": False, "port_events": 0,
+            "provenance_edges": 12,
+        })
+
+    def test_v4_step_events_lint_clean(self, tmp_path):
+        assert lint_trace(self._write(tmp_path, [self._step(4)])) == []
+
+    def test_v5_has_no_step_event(self, tmp_path):
+        problems = lint_trace(self._write(tmp_path, [self._step(5)]))
+        assert problems == ["line 1: unknown event type 'step'"]
 
 
 class TestCorrelationContext:

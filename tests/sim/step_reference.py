@@ -19,7 +19,7 @@ must record the same edges, in the same order.
 It shares no port codec with the code under test: its own
 :func:`gather_word`/:func:`scatter_word` loops read and write the
 state's codes, and :func:`rom_read` reads the ROM's arrays.  From the
-SoC it uses the circuit's passes, taint diff and clock edge, the
+SoC it uses the circuit's passes, fan-in edge records and clock edge, the
 address space and its devices, the per-SoC fanout plan, which the plain
 step also runs, and the SoC's load and store records.
 """
@@ -197,7 +197,9 @@ def _recorded_pass(soc, recorder, plan=None) -> None:
         circuit.eval_combinational(soc.state)
     else:
         circuit.eval_plan(soc.state, plan)
-    circuit.record_fresh_taint(codes, before, recorder)
+    fresh = np.nonzero(codes & ~before & 1)[0]
+    if len(fresh):
+        circuit.record_gate_edges(codes, fresh, recorder)
 
 
 def reference_recording_step(

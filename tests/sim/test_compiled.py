@@ -22,17 +22,20 @@ from repro.obs import Instruments
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.timeline import BLOCK, TimelineRecorder
 from repro.sim.compiled import (
-    _CODE_KEYS,
     CELL_TYPES,
     CODE_0,
     CODE_1,
     CODE_MODULUS,
     CODE_X,
-    LUT_ENTRIES,
+    KEY_BYTES,
+    MAX_ARITY,
+    SUFFIX_BYTES,
     CircuitState,
     CompiledCircuit,
+    _digits,
+    _leaf_axes,
     _lut_for,
-    _padded_lut,
+    _reach_keys,
     _table_modulus,
     _tabulate,
     code_of,
@@ -247,10 +250,28 @@ class TestFigure7:
 # ---------------------------------------------------------------------------
 # The hashed gate table
 # ---------------------------------------------------------------------------
-def _function_keys(circuit):
-    """Every key of every function of *circuit*, function-major."""
-    words = circuit._suffix.view("<u4").astype(np.int64)
-    return (_CODE_KEYS[None, :] + (words[:, None] << 32)).ravel()
+#: The input-code half of every key: five codes, code *i* in byte *i*.
+CODE_KEYS = sum(
+    _digits(MAX_ARITY)[position].astype(np.int64) << (8 * position)
+    for position in range(MAX_ARITY)
+)
+#: The power of two that scales a key's suffix word.
+SUFFIX_SCALE = 1 << (8 * MAX_ARITY)
+
+
+def _words(circuit):
+    """Each function's suffix word, read off the circuit's suffix."""
+    suffix = circuit._suffix.reshape(-1, SUFFIX_BYTES).astype(np.int64)
+    return suffix @ (1 << (8 * np.arange(SUFFIX_BYTES)))
+
+
+def _reachable_keys(circuit):
+    """Per function, the keys its rows can form: its arity's codes with
+    the padded bytes repeating input 0, under its suffix word."""
+    return [
+        _reach_keys(arity) + word * SUFFIX_SCALE
+        for arity, word in zip(circuit._arities.tolist(), _words(circuit))
+    ]
 
 
 def _injective(keys, modulus):
@@ -258,16 +279,17 @@ def _injective(keys, modulus):
 
 
 def _keys_built_on(code_modulus, num_functions):
-    """The constructive keys with *code_modulus* in place of
-    ``CODE_MODULUS``, and their table size.
+    """Every key of every function under the construction with
+    *code_modulus* in place of ``CODE_MODULUS`` -- all ``6**5`` code
+    combinations, function-major -- their table size, and the words.
 
-    Solves ``word * 2**32 == f * code_modulus`` modulo the table size
+    Solves ``word * 2**40 == f * code_modulus`` modulo the table size
     for each function *f*, dividing out the common power of two, so it
     also builds an even *code_modulus*.
     """
     modulus = code_modulus * (num_functions | 1)
-    common = math.gcd(1 << 32, modulus)
-    inverse = pow((1 << 32) // common, -1, modulus // common)
+    common = math.gcd(SUFFIX_SCALE, modulus)
+    inverse = pow(SUFFIX_SCALE // common, -1, modulus // common)
     words = np.array(
         [
             f * code_modulus // common * inverse % (modulus // common)
@@ -275,7 +297,7 @@ def _keys_built_on(code_modulus, num_functions):
         ],
         dtype=np.int64,
     )
-    keys = (_CODE_KEYS[None, :] + (words[:, None] << 32)).ravel()
+    keys = (CODE_KEYS[None, :] + words[:, None] * SUFFIX_SCALE).ravel()
     return keys, modulus, words
 
 
@@ -319,69 +341,96 @@ def lp430_naive():
 class TestHashedTable:
     @pytest.mark.parametrize("netlist", ["lp430", "every_cell"])
     def test_constructive_modulus_is_injective(self, netlist, lp430):
-        """Every key of every function of the circuit -- library cell
-        types and cut functions -- lands in its own table entry."""
+        """No two keys of any two functions of the circuit -- library
+        cell types and cut functions, every five-code combination, not
+        only the ones its rows reach -- share a table entry."""
         if netlist == "lp430":
             circuit = lp430
         else:
             circuit = every_cell_circuit("glift")[0]
-        num_functions = len(circuit._suffix) // 4
+        num_functions = len(circuit._arities)
         assert num_functions >= len(CELL_TYPES)
-        assert int(circuit._modulus) == _table_modulus(num_functions)
-        assert int(circuit._modulus) % 2 == 1
-        keys = _function_keys(circuit)
-        assert len(keys) == num_functions * LUT_ENTRIES
-        assert _injective(keys, int(circuit._modulus))
+        assert len(circuit._suffix) == SUFFIX_BYTES * num_functions
+        modulus = int(circuit._modulus)
+        assert modulus == _table_modulus(num_functions)
+        assert modulus % 2 == 1
+        assert modulus == len(circuit._table)
+        keys, built, words = _keys_built_on(CODE_MODULUS, num_functions)
+        assert built == modulus
+        assert np.array_equal(words, _words(circuit))
+        assert _injective(keys, modulus)
         # The identity the construction rests on.
-        _keys, modulus, words = _keys_built_on(CODE_MODULUS, num_functions)
-        assert np.array_equal(
-            words, circuit._suffix.view("<u4").astype(np.int64)
-        )
-        codes = np.tile(_CODE_KEYS, num_functions)
-        functions = np.repeat(np.arange(num_functions), LUT_ENTRIES)
+        functions = np.repeat(np.arange(num_functions), len(CODE_KEYS))
+        codes = np.tile(CODE_KEYS, num_functions)
         assert np.array_equal(
             keys % modulus, (codes + functions * CODE_MODULUS) % modulus
         )
+        assert (keys < 1 << 63).all()
 
     def test_code_modulus_is_the_smallest_injective_one(self):
-        assert _injective(_CODE_KEYS, CODE_MODULUS)
+        """13081 is the smallest odd modulus injective over the five-byte
+        code keys (the table size must be odd, so that the suffix
+        word's power of two is invertible)."""
+        assert CODE_MODULUS == 13081
+        assert _injective(CODE_KEYS, CODE_MODULUS)
         assert not any(
-            _injective(_CODE_KEYS, modulus)
-            for modulus in range(LUT_ENTRIES, CODE_MODULUS)
+            _injective(CODE_KEYS, modulus)
+            for modulus in range(len(CODE_KEYS) | 1, CODE_MODULUS, 2)
         )
 
-    def test_construction_built_on_1534_collides(self, lp430):
-        num_functions = len(lp430._suffix) // 4
-        keys, modulus, _words = _keys_built_on(1534, num_functions)
-        assert not _injective(keys, modulus)
+    def test_construction_built_on_a_smaller_modulus_collides(self, lp430):
+        num_functions = len(lp430._arities)
+        for code_modulus in (CODE_MODULUS - 2, CODE_MODULUS - 1):
+            keys, modulus, _words = _keys_built_on(code_modulus, num_functions)
+            assert not _injective(keys, modulus), code_modulus
         keys, modulus, _words = _keys_built_on(CODE_MODULUS, num_functions)
         assert _injective(keys, modulus)
 
     @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
     def test_table_holds_every_padded_lut(self, taint_mode):
+        """Every key a cell type's rows can form -- its inputs, then the
+        padded bytes repeating input 0 -- reads that type's own table,
+        and no two functions' reachable keys share an entry."""
         circuit, _word, _outputs = every_cell_circuit(taint_mode)
-        entries = circuit._table[
-            _function_keys(circuit) % int(circuit._modulus)
-        ].reshape(-1, LUT_ENTRIES)
+        modulus = int(circuit._modulus)
+        reachable = _reachable_keys(circuit)
+        assert _injective(np.concatenate(reachable), modulus)
         for index, cell_type in enumerate(CELL_TYPES):
+            assert circuit._arities[index] == CELL_LIBRARY[cell_type].arity
             assert np.array_equal(
-                entries[index], _padded_lut(cell_type, taint_mode)
+                circuit._table[reachable[index] % modulus],
+                _lut_for(cell_type, taint_mode),
             ), cell_type
 
     @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
     def test_table_holds_every_cut_table(
         self, taint_mode, lp430, lp430_naive
     ):
+        """Every reachable entry of every LP430 function holds its table:
+        the cell types' tables, then each cut function's, tabulated at
+        its own arity."""
         circuit = lp430 if taint_mode == "glift" else lp430_naive
-        entries = circuit._table[
-            _function_keys(circuit) % int(circuit._modulus)
-        ].reshape(-1, LUT_ENTRIES)
-        structures = circuit._cut_structures
-        assert len(structures) == len(entries) - len(CELL_TYPES) > 50
-        for index, structure in enumerate(structures):
+        modulus = int(circuit._modulus)
+        reachable = _reachable_keys(circuit)
+        assert _injective(np.concatenate(reachable), modulus)
+        written = np.zeros(modulus, dtype=bool)
+        written[np.concatenate(reachable) % modulus] = True
+        assert not circuit._table[~written].any()
+        for index, cell_type in enumerate(CELL_TYPES):
             assert np.array_equal(
-                entries[len(CELL_TYPES) + index],
-                _tabulate(structure, taint_mode),
+                circuit._table[reachable[index] % modulus],
+                _lut_for(cell_type, taint_mode),
+            ), cell_type
+        structures = circuit._cut_structures
+        assert len(structures) == len(reachable) - len(CELL_TYPES) > 100
+        assert max(circuit._arities) == MAX_ARITY
+        for index, structure in enumerate(structures, len(CELL_TYPES)):
+            arity = int(circuit._arities[index])
+            assert np.array_equal(
+                circuit._table[reachable[index] % modulus],
+                _tabulate(
+                    structure, _leaf_axes(arity), taint_mode, {}
+                ).ravel(),
             ), structure
 
     @pytest.mark.parametrize("taint_mode", ["glift", "naive"])
@@ -395,6 +444,28 @@ class TestHashedTable:
             assert np.array_equal(
                 state.codes[nets], _lut_for(cell_type, taint_mode)
             ), cell_type
+
+    def test_kernel_rejects_a_row_reading_an_unwritten_entry(self):
+        """Only the entries a row's padded key reaches are written, so a
+        kernel whose row pads with anything but its input 0, or names no
+        function's suffix word, is refused before it runs."""
+        circuit = adder_circuit()
+        ranks = circuit._full_plan.every
+        circuit._kernel(ranks, circuit.stride)
+        rank = ranks[-1]
+        keys = rank.columns.reshape(-1, KEY_BYTES)
+        functions = (keys[:, MAX_ARITY] - circuit.num_nets) // SUFFIX_BYTES
+        row = np.flatnonzero(circuit._arities[functions] < MAX_ARITY)[0]
+        other = (keys[row, 0] + 1) % circuit.num_nets
+        for column, value in (
+            (MAX_ARITY - 1, other),  # a padded byte reads another net
+            (MAX_ARITY, circuit.num_nets + 1),  # a word's second byte
+        ):
+            columns = keys.copy()
+            columns[row, column] = value
+            bad = rank._replace(columns=columns.ravel())
+            with pytest.raises(ValueError):
+                circuit._kernel(ranks[:-1] + [bad], circuit.stride)
 
 
 class TestCutMapping:
@@ -532,7 +603,8 @@ class TestPlanChoice:
         """A plain SoC never runs the memory-interface cone, so it
         builds neither it nor the pair plan whose row 1 it is, nor a
         second row; the first provenance step builds the pair plan and
-        the SoC's two-row state, whose row 0 is the SoC's state.  The
+        the SoC's recording rows, whose two-row pair state's row 0 is
+        the SoC's state, and a third row for the pre-pass codes.  The
         full plan's ranks then are views of the pair ranks' row-0
         prefixes, and its mapped ranks still prefixes of those."""
         circuit = CompiledCircuit(build_cpu())
@@ -544,17 +616,19 @@ class TestPlanChoice:
         every = [rank.columns.copy() for rank in full.every]
         mapped = [rank.columns.copy() for rank in full.mapped]
         assert [kind for kind, _ in circuit._subplans] == ["fanout"]
-        assert soc._rows is None
+        assert soc._recording is None
         assert len(soc.state.buffer) == circuit.stride
         soc.arm(Instruments(provenance=ProvenanceRecorder()))
         runner.step()
         assert [kind for kind, _ in circuit._subplans] == ["fanout", "pair"]
-        assert soc._pair_plan is circuit.pair_plan(INTERFACE_PORTS)
-        rows = soc._rows.buffer
+        recording = soc._recording
+        assert recording.plan is circuit.pair_plan(INTERFACE_PORTS)
+        rows = recording.pair.buffer
         assert len(rows) == 2 * circuit.stride
         assert np.shares_memory(soc.state.buffer, rows[:circuit.stride])
+        assert np.shares_memory(recording.cone, rows[circuit.stride:])
         assert len(soc.state.buffer) == circuit.stride
-        pairs = soc._pair_plan.every
+        pairs = recording.plan.every
         assert len(full.every) == len(pairs) == len(every)
         for rank, pair, columns in zip(full.every, pairs, every):
             assert np.shares_memory(rank.columns, pair.columns)

@@ -1,9 +1,9 @@
 """The compiled evaluator against the reference GLIFT semantics.
 
 :class:`CompiledCircuit` evaluates each rank with one hashed table
-lookup, over one of two plans of 4-input cuts: the cut-mapped plan,
-which writes only cut roots, and the every-net plan, which gives each
-gate-driven net its own cut.  These tests hold both, bit for bit, to an
+lookup, over one of two plans of cuts of up to five inputs: the
+cut-mapped plan, which writes only cut roots, and the every-net plan,
+which gives each gate-driven net its own cut.  These tests hold both, bit for bit, to an
 independent reference: a per-gate walk
 over ``levelize(netlist)`` that calls
 :func:`repro.logic.glift.glift_eval` for every gate.  The reference
@@ -15,14 +15,16 @@ every net; a cut-mapped pass on every net it keeps fresh
 (:func:`root_nets`).
 
 * Random netlists: seeded random DAGs over all 16 combinational cell
-  types (arity 1-4), shallow and deep, in both taint modes and both
-  plans, compared after every cone-plan pass, full pass and clock edge;
+  types (arity 1-4), shallow and deep, each mapped with 5-leaf cuts, in
+  both taint modes and both plans, compared after every cone-plan pass,
+  full pass and clock edge;
   a pair pass from the same codes must leave its row 0 as the full pass
   and its row 1 as the cone pass left every net.
 * SoC lockstep: the compiled LP430 (cut-mapped, as analyses run it)
   against a reference-evaluated copy, cycle by cycle, on every forking
   Table 1 workload and one clean one.
-* LP430 mapping: rank counts, every net read by name is a root, and
+* LP430 mapping: rank counts (24 mapped, 24 every-net), 5-leaf cuts
+  among the mapped rows, every net read by name is a root, and
   each plan's per-type gate-eval counts equal the gates ``levelize``
   and the reference's cone and fanout closures give it.
 * Analysis equivalence: an analysis forced onto per-gate ranks
@@ -57,6 +59,7 @@ from repro.sim.compiled import (
     CELL_TYPES,
     CODE_0,
     CODE_1,
+    KEY_BYTES,
     MAX_ARITY,
     SUFFIX_BYTES,
     CompiledCircuit,
@@ -262,6 +265,17 @@ def root_nets(circuit):
     return np.unique(np.concatenate(nets))
 
 
+def five_leaf_rows(circuit, ranks):
+    """Rows of *ranks* whose function reads all :data:`MAX_ARITY` key
+    bytes: 5-leaf cuts, which no library cell type is."""
+    functions = np.concatenate([
+        rank.columns.reshape(-1, KEY_BYTES)[:, MAX_ARITY] for rank in ranks
+    ]) % circuit.stride - circuit.num_nets
+    return int(
+        (circuit._arities[functions // SUFFIX_BYTES] == MAX_ARITY).sum()
+    )
+
+
 def _depth(structure):
     """Gate levels of a cut structure (a leaf position is 0)."""
     if isinstance(structure, int):
@@ -344,7 +358,7 @@ def _lockstep(netlist, circuit, seed, every_net, cycles=40):
             circuit.set_input(expected, name, word)
         # One pair pass from the same codes: a full pass on row 0, the
         # cone pass on row 1.
-        pair = circuit.pair_state(state.copy())
+        pair = circuit.recording_rows(state.copy(), ["out"]).pair
         circuit.eval_plan(pair, pair_plan)
         rows = pair.buffer.reshape(2, circuit.stride)[:, :circuit.num_nets]
         circuit.eval_plan(state, cone)
@@ -380,6 +394,7 @@ def _lockstep(netlist, circuit, seed, every_net, cycles=40):
 def _both_plans(netlist, seed):
     for taint_mode in TAINT_MODES:
         circuit = CompiledCircuit(netlist, taint_mode)
+        assert five_leaf_rows(circuit, circuit._full_plan.every) > 0
         for every_net in (True, False):
             _lockstep(netlist, circuit, seed, every_net)
 
@@ -449,12 +464,15 @@ class TestLP430Mapping:
         read = circuit.fanout_plan(["dmem_rdata"])
         full = circuit._full_plan
         assert len(per_gate_ranks(circuit)) == 65
-        assert len(full.mapped) <= 32
-        assert len(full.every) <= 32
-        assert len(cone.mapped) <= 22
-        assert len(cone.every) <= 22
-        assert len(read.mapped) <= 3
+        assert len(full.mapped) == 24
+        assert len(full.every) == 24
+        assert len(cone.mapped) <= 16
+        assert len(cone.every) <= 16
+        assert len(read.mapped) <= 2
         assert len(circuit._cut_structures) > 0
+        assert sum(len(rank.outputs) for rank in full.mapped) == 1887
+        assert len(circuit._arities) == 138
+        assert five_leaf_rows(circuit, full.mapped) > 0
 
     def test_mapped_ranks_are_every_net_prefixes(self):
         """Each mapped rank is the cover prefix of the every-net rank of
@@ -517,7 +535,7 @@ class TestLP430Mapping:
         observer = Observer()
         state = circuit.new_state()
         if kind == "pair":
-            state = circuit.pair_state(state)
+            state = circuit.recording_rows(state, INTERFACE_PORTS).pair
         state.instruments = Instruments(observer)
         circuit.eval_plan(state, plan)
         counters = observer.snapshot()["metrics"]["counters"]
